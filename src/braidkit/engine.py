@@ -5,6 +5,16 @@ is a proper simple and every adjacent pair is left weighted.  Two braid words
 represent the same element exactly when their normal forms coincide, which
 turns the word problem into tuple comparison.
 
+Left weighting happens in one place, ``_combine``, which multiplication (and
+so ``from_word``) uses.  The other two forms come from the left form by
+formula.  The inverse of delta^p A_1 ... A_r is delta^(-p-r) followed by the
+twisted complements of A_r, ..., A_1, which are already left weighted
+(Elrifai-Morton, Quart. J. Math. 45, 1994).  Reversing a word and sending s_j
+to s_(n-j) is an anti-automorphism of both Garside monoids that fixes the
+Garside element and swaps prefixes with suffixes (Birman-Ko-Lee, Adv. Math.
+139, 1998), so the right normal form of w is the mirror image, factor by
+factor in reverse order, of the left normal form of the mirrored word.
+
 Conjugacy is decided through cyclic sliding: iterating the sliding map lands
 on a periodic circuit, and the set of all sliding circuits of an element is a
 conjugacy-class invariant which we enumerate by closing under conjugation by
@@ -15,7 +25,6 @@ answers come with verified witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import words as W
 from .garside import GarsideStructure, Simple
@@ -92,20 +101,6 @@ def _strip(st: GarsideStructure, fs: list[Simple]) -> tuple[int, tuple[Simple, .
     return lo, tuple(fs[lo:hi])
 
 
-def _normalize(st: GarsideStructure, factors: Iterable[Simple]) -> tuple[int, tuple[Simple, ...]]:
-    """Left-weight an arbitrary factor sequence by local moves to a fixpoint."""
-    fs = [f for f in factors if not st.is_identity(f)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs) - 1):
-            x, y, moved = st.normalize_pair(fs[i], fs[i + 1])
-            if moved:
-                fs[i], fs[i + 1] = x, y
-                changed = True
-    return _strip(st, fs)
-
-
 def _combine(
     st: GarsideStructure, left: list[Simple], right: list[Simple]
 ) -> tuple[int, tuple[Simple, ...]]:
@@ -157,15 +152,17 @@ def mul(x: GarsideNormalForm, y: GarsideNormalForm) -> GarsideNormalForm:
 
 
 def inv(x: GarsideNormalForm) -> GarsideNormalForm:
+    """The twisted complements, in reverse order, are already the left normal
+    form of the inverse; each is the complement of a proper simple, hence
+    proper."""
     st = x.structure
     p, fs = x.inf, x.factors
     r = len(fs)
-    rev = [
+    factors = tuple(
         st.twist_pow(st.complement(fs[i]), -(p + i + 1))
         for i in range(r - 1, -1, -1)
-    ]
-    extra, factors = _normalize(st, rev)
-    return GarsideNormalForm(st, -p - r + extra, factors)
+    )
+    return GarsideNormalForm(st, -p - r, factors)
 
 
 def power(x: GarsideNormalForm, k: int) -> GarsideNormalForm:
@@ -199,38 +196,23 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
     return out
 
 
-def _normalize_right(st: GarsideStructure, factors: Iterable[Simple]) -> tuple[int, tuple[Simple, ...]]:
-    """Right-weight a factor sequence; Garside powers collect at the back."""
-    fs = [f for f in factors if not st.is_identity(f)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs) - 1):
-            x, y, moved = st.normalize_pair_right(fs[i], fs[i + 1])
-            if moved:
-                fs[i], fs[i + 1] = x, y
-                changed = True
-    hi = len(fs)
-    extra = 0
-    while hi > 0 and st.is_delta(fs[hi - 1]):
-        hi -= 1
-        extra += 1
-    lo = 0
-    while lo < hi and st.is_identity(fs[lo]):
-        lo += 1
-    return extra, tuple(fs[lo:hi])
+def _mirror(w: BraidWord) -> BraidWord:
+    """Reverse the word and send s_j to s_(n-j), keeping signs."""
+    n = w.strands
+    return BraidWord(n, tuple(n - k if k > 0 else -n - k for k in reversed(w.letters)))
 
 
 def normal_form(st: GarsideStructure, w: BraidWord, side: str = "left") -> GarsideNormalForm:
-    """The unique left (or right) weighted form of the word."""
+    """The unique left (or right) weighted form of the word.
+
+    The right form is the mirror of the left form of the mirrored word."""
     if side == "left":
         return from_word(st, w)
     if side != "right":
         raise ValueError(f"unknown side {side!r}")
-    x = from_word(st, w)
-    shifted = [st.twist_pow(a, -x.inf) for a in x.factors]
-    extra, factors = _normalize_right(st, shifted)
-    return GarsideNormalForm(st, x.inf + extra, factors, side="right")
+    x = from_word(st, _mirror(w))
+    factors = tuple(st.mirror(f) for f in reversed(x.factors))
+    return GarsideNormalForm(st, x.inf, factors, side="right")
 
 
 def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
@@ -429,8 +411,7 @@ def atom_conjugate_shape(x: GarsideNormalForm):
 def _first_right_factor(x: GarsideNormalForm) -> Simple:
     """Leading factor of the right normal form."""
     st = x.structure
-    shifted = [st.twist_pow(a, -x.inf) for a in x.factors]
-    _, factors = _normalize_right(st, shifted)
+    factors = normal_form(st, x.to_word(), "right").factors
     return factors[0] if factors else st.delta()
 
 

@@ -16,7 +16,7 @@ import functools
 import itertools
 from typing import Iterable, NamedTuple
 
-from .words import BraidWord, Permutation, band_generator
+from .words import Permutation, band_generator
 
 
 class Simple(NamedTuple):
@@ -114,6 +114,11 @@ class GarsideStructure:
     def untwist(self, s: Simple) -> Simple:
         raise NotImplementedError
 
+    def mirror(self, s: Simple) -> Simple:
+        """Image of s under the anti-automorphism that reverses a word and
+        sends s_j to s_(n-j); it fixes delta and swaps prefixes with suffixes."""
+        raise NotImplementedError
+
     twist_order: int
 
     def letter_simple(self, j: int) -> Simple:
@@ -151,20 +156,6 @@ class GarsideStructure:
     def right_meet(self, a: Simple, b: Simple) -> Simple:
         """Greatest common suffix of a and b."""
         raise NotImplementedError
-
-    def right_quotient(self, s: Simple, t: Simple) -> Simple:
-        """s t^-1 for a suffix t of s."""
-        raise NotImplementedError
-
-    def normalize_pair_right(self, x: Simple, y: Simple) -> tuple[Simple, Simple, bool]:
-        """Make the adjacent pair (x, y) right weighted by moving the
-        largest possible suffix of x onto y."""
-        t = self.right_meet(x, self.left_complement(y))
-        if self.is_identity(t):
-            return x, y, False
-        ty = self.mul(t, y)
-        assert ty is not None
-        return self.right_quotient(x, t), ty, True
 
     def pair_is_right_weighted(self, x: Simple, y: Simple) -> bool:
         return self.is_identity(self.right_meet(x, self.left_complement(y)))
@@ -265,9 +256,6 @@ class ClassicalStructure(GarsideStructure):
                 arr[pj], arr[pj1] = j + 1, j
                 inv_arr[j], inv_arr[j + 1] = pj1, pj
 
-    def right_quotient(self, s: Simple, t: Simple) -> Simple:
-        return self._wrap(_pmul(s.key, _pinv(t.key)))
-
     def complement(self, s: Simple) -> Simple:
         si = _pinv(s.key)
         n = self.n
@@ -284,6 +272,11 @@ class ClassicalStructure(GarsideStructure):
         return self._wrap(tuple(n - 1 - k[n - 1 - i] for i in range(n)))
 
     untwist = twist
+
+    def mirror(self, s: Simple) -> Simple:
+        si = _pinv(s.key)
+        n = self.n
+        return self._wrap(tuple(n - 1 - si[n - 1 - i] for i in range(n)))
 
     def letter_simple(self, j: int) -> Simple:
         if not 1 <= j <= self.n - 1:
@@ -470,11 +463,16 @@ class BandStructure(GarsideStructure):
                 index_b[v] = i
         return all(len({index_b[v] for v in block}) == 1 for block in a.key)
 
-    def left_quotient(self, t: Simple, s: Simple) -> Simple:
-        r = self._from_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
+    def _simple_of_perm0(self, p: tuple) -> Simple:
+        r = self._from_perm0(p)
         if r is None:
-            raise ValueError("left_quotient: not a prefix")
+            raise ValueError(
+                f"permutation {p} is not a simple element of band({self.n})"
+            )
         return r
+
+    def left_quotient(self, t: Simple, s: Simple) -> Simple:
+        return self._simple_of_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
 
     # Left and right divisors of a band simple coincide (reflection length is
     # invariant under inversion and conjugation), so the suffix lattice is the
@@ -482,33 +480,23 @@ class BandStructure(GarsideStructure):
     def right_meet(self, a: Simple, b: Simple) -> Simple:
         return self.meet(a, b)
 
-    def right_quotient(self, s: Simple, t: Simple) -> Simple:
-        r = self._from_perm0(_pmul(self._perm0(s), _pinv(self._perm0(t))))
-        if r is None:
-            raise ValueError("right_quotient: not a suffix")
-        return r
-
     def complement(self, s: Simple) -> Simple:
-        r = self._from_perm0(_pmul(_pinv(self._perm0(s)), self._delta_perm))
-        assert r is not None
-        return r
+        return self._simple_of_perm0(_pmul(_pinv(self._perm0(s)), self._delta_perm))
 
     def left_complement(self, s: Simple) -> Simple:
-        r = self._from_perm0(_pmul(self._delta_perm, _pinv(self._perm0(s))))
-        assert r is not None
-        return r
+        return self._simple_of_perm0(_pmul(self._delta_perm, _pinv(self._perm0(s))))
 
     def twist(self, s: Simple) -> Simple:
         dp = self._delta_perm
-        r = self._from_perm0(_pmul(_pmul(_pinv(dp), self._perm0(s)), dp))
-        assert r is not None
-        return r
+        return self._simple_of_perm0(_pmul(_pmul(_pinv(dp), self._perm0(s)), dp))
 
     def untwist(self, s: Simple) -> Simple:
         dp = self._delta_perm
-        r = self._from_perm0(_pmul(_pmul(dp, self._perm0(s)), _pinv(dp)))
-        assert r is not None
-        return r
+        return self._simple_of_perm0(_pmul(_pmul(dp, self._perm0(s)), _pinv(dp)))
+
+    def mirror(self, s: Simple) -> Simple:
+        m = self.n + 1
+        return self._wrap([m - v for v in block] for block in s.key)
 
     def letter_simple(self, j: int) -> Simple:
         if not 1 <= j <= self.n - 1:
@@ -585,7 +573,3 @@ def meet(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
     if a.kind != st.kind or b.kind != st.kind or a.n != st.n or b.n != st.n:
         raise ValueError("structure mismatch")
     return st.meet(a, b)
-
-
-def braid_word_of_simple(st: GarsideStructure, s: Simple) -> BraidWord:
-    return BraidWord(st.n, st.simple_word(s))

@@ -462,23 +462,6 @@ def commutation_graph_connected(n: int) -> bool:
 FreeWord = tuple[int, ...]
 
 
-def _free_reduce_word(w: Iterable[int]) -> FreeWord:
-    out: list[int] = []
-    for g in w:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
-
-
-def _free_mul(*ws: Iterable[int]) -> FreeWord:
-    out: list[int] = []
-    for w in ws:
-        out.extend(w)
-    return _free_reduce_word(out)
-
-
 def _free_inv(w: FreeWord) -> FreeWord:
     return tuple(-g for g in reversed(w))
 
@@ -495,7 +478,7 @@ class FreeAut:
         for g in w:
             img = self.image_c if abs(g) == 1 else self.image_w
             out.extend(img if g > 0 else _free_inv(img))
-        return _free_reduce_word(out)
+        return W._cancel_inverse_pairs(out)
 
     def then(self, inner: "FreeAut") -> "FreeAut":
         """The composite applying ``inner`` first, then self."""
@@ -545,7 +528,7 @@ def k4_rewrite(w: BraidWord) -> FreeWord:
         else:
             step = _AUT_S2 if k > 0 else _AUT_S2_INV
         shadow = shadow.then(step)
-    result = _free_reduce_word(out)
+    result = W._cancel_inverse_pairs(out)
     if not words_equal(classical(4), free_word_to_braid(result), w):
         raise AssertionError("kernel rewriting failed verification")
     return result
@@ -581,7 +564,7 @@ def parse_free_word(text: str) -> FreeWord:
         g = 1 if m.group(1) == "c" else 2
         k = int(m.group(2)) if m.group(2) else 1
         out.extend([g if k > 0 else -g] * abs(k))
-    return _free_reduce_word(out)
+    return W._cancel_inverse_pairs(out)
 
 
 def _free_abelianize(fw: FreeWord) -> tuple[int, int]:
@@ -623,7 +606,6 @@ U_MATRIX: IntMatrix = mat_mul(S2_MATRIX, mat_inv2(S1_MATRIX))
 # Conjugation by the first Artin generator on the rank-two abelianization of
 # the three-strand commutator subgroup, basis (u, t): u -> t^-1 u, t -> u.
 _B3AB_M: IntMatrix = ((1, 1), (-1, 0))
-_B3AB_M_INV: IntMatrix = mat_inv2(_B3AB_M)
 
 
 def _mat_pow(m: IntMatrix, k: int) -> IntMatrix:

@@ -197,15 +197,20 @@ def power(w: BraidWord, k: int) -> BraidWord:
     return BraidWord(w.strands, base.letters * abs(k))
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs; a cheap normalisation of long words."""
+def _cancel_inverse_pairs(letters: Iterable[int]) -> tuple[int, ...]:
+    """Cancel adjacent letters k, -k until none are left (free reduction)."""
     out: list[int] = []
-    for k in w.letters:
+    for k in letters:
         if out and out[-1] == -k:
             out.pop()
         else:
             out.append(k)
-    return BraidWord(w.strands, tuple(out))
+    return tuple(out)
+
+
+def free_reduce(w: BraidWord) -> BraidWord:
+    """Cancel adjacent inverse pairs; a cheap normalisation of long words."""
+    return BraidWord(w.strands, _cancel_inverse_pairs(w.letters))
 
 
 def exponent_sum(w: BraidWord) -> int:

@@ -76,10 +76,9 @@ def test_delta_shift_preserves_length(w):
         assert shifted.inf == nf.inf + p
 
 
-def test_right_normal_form():
-    rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randint(2, 4)
+def check_right_normal_forms(rng, min_n, max_n, count):
+    for _ in range(count):
+        n = rng.randint(min_n, max_n)
         w = rand_word(rng, n, rng.randint(0, 12))
         for struct in (classical(n), band(n)):
             r = E.normal_form(struct, w, side="right")
@@ -91,6 +90,29 @@ def test_right_normal_form():
                 assert struct.pair_is_right_weighted(x, y)
             for f in r.factors:
                 assert not struct.is_identity(f) and not struct.is_delta(f)
+
+
+def test_right_normal_form():
+    check_right_normal_forms(random.Random(9), 2, 4, 40)
+
+
+def test_right_normal_form_more_strands():
+    check_right_normal_forms(random.Random(10), 5, 8, 24)
+
+
+def test_inverse_needs_no_reweighting():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(2, 8)
+        w = rand_word(rng, n, rng.randint(0, 30))
+        for struct in (classical(n), band(n)):
+            x = E.from_word(struct, w)
+            y = E.inv(x)
+            for f in y.factors:
+                assert not struct.is_identity(f) and not struct.is_delta(f)
+            for a, b in zip(y.factors, y.factors[1:]):
+                assert struct.pair_is_left_weighted(a, b)
+            assert E.mul(x, y).is_trivial()
 
 
 def test_sliding_fixed_points():

@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import braidkit
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import band, classical, complement_and_twist, enumerate_simples, meet
+from braidkit.garside import Simple, band, classical, complement_and_twist, enumerate_simples, meet
 from braidkit.words import BraidWord
 
 
@@ -182,3 +186,50 @@ def test_homogeneous_length():
     st = classical(4)
     for s in st.simples():
         assert st.atom_length(s) == len(st.simple_word(s))
+
+
+def test_mirror_is_an_involution_fixing_delta():
+    for st in all_structures((2, 3, 4, 5)):
+        assert st.mirror(st.delta()) == st.delta()
+        for s in st.simples():
+            assert st.mirror(st.mirror(s)) == s
+            # the mirror of a simple's word is a word for the mirrored simple
+            word = BraidWord(st.n, st.simple_word(s))
+            mirrored = BraidWord(st.n, st.simple_word(st.mirror(s)))
+            assert E.words_equal(st, mirrored, E._mirror(word))
+
+
+# The checks of test_band_rejects_crossing_key, run again under ``python -O``,
+# which strips asserts: a key that is not a non-crossing partition must still
+# be refused.
+CROSSING_KEY_CHECK = """
+import sys
+from braidkit.garside import Simple, band
+
+st = band(4)
+crossing = Simple("band", 4, ((1, 3), (2, 4)))
+for name in ("complement", "left_complement", "twist", "untwist"):
+    try:
+        getattr(st, name)(crossing)
+    except ValueError:
+        continue
+    raise SystemExit(f"band(4).{name} accepted a crossing key")
+print(sys.flags.optimize)
+"""
+
+
+def test_band_rejects_crossing_key():
+    st = band(4)
+    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    for name in ("complement", "left_complement", "twist", "untwist"):
+        with pytest.raises(ValueError):
+            getattr(st, name)(crossing)
+    src = os.path.dirname(os.path.dirname(braidkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CROSSING_KEY_CHECK],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "1"
