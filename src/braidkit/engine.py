@@ -409,10 +409,16 @@ def atom_conjugate_shape(x: GarsideNormalForm):
 
 
 def _first_right_factor(x: GarsideNormalForm) -> Simple:
-    """Leading factor of the right normal form."""
+    """Leading factor of the right normal form.
+
+    For x = delta^p A_1 ... A_r the mirror image is
+    delta^p . tau^p(mirror(A_r)) ... tau^p(mirror(A_1)), tau the twist; the
+    first right factor of x is the mirror of the last left factor of that."""
     st = x.structure
-    factors = normal_form(st, x.to_word(), "right").factors
-    return factors[0] if factors else st.delta()
+    fs: tuple[Simple, ...] = ()
+    for f in reversed(x.factors):
+        _, fs = _combine(st, list(fs), [st.twist_pow(st.mirror(f), x.inf)])
+    return st.mirror(fs[-1]) if fs else st.delta()
 
 
 def solve_pair_to_generators(

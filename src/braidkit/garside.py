@@ -8,6 +8,13 @@ element per non-crossing partition of the strand set.
 Simple elements are stored in canonical form (a permutation, or the blocks of
 a partition), never as words; words are produced on demand.  Equality and
 hashing are therefore O(1) dictionary operations.
+
+The band primitives compute on 0-based permutation arrays and read the result
+back into blocks through one checked conversion.  Its simplicity test is the
+cycle count: a permutation p is a band simple exactly when it lies below delta
+in absolute order, i.e. cycles(p) + cycles(p^-1 delta) = n + 1 (Bessis, "The
+dual braid monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  Nothing
+is cached.
 """
 
 from __future__ import annotations
@@ -68,13 +75,17 @@ class GarsideStructure:
         self.n = n
         self.cap = cap
 
-    # subclass surface ------------------------------------------------------
+    # built once by each subclass
+    _identity: Simple
+    _delta: Simple
+
     def identity(self) -> Simple:
-        raise NotImplementedError
+        return self._identity
 
     def delta(self) -> Simple:
-        raise NotImplementedError
+        return self._delta
 
+    # subclass surface ------------------------------------------------------
     def atoms(self) -> tuple[Simple, ...]:
         raise NotImplementedError
 
@@ -131,10 +142,10 @@ class GarsideStructure:
 
     # shared ----------------------------------------------------------------
     def is_identity(self, s: Simple) -> bool:
-        return s == self.identity()
+        return s == self._identity
 
     def is_delta(self, s: Simple) -> bool:
-        return s == self.delta()
+        return s == self._delta
 
     def twist_pow(self, s: Simple, k: int) -> Simple:
         k %= self.twist_order
@@ -175,14 +186,9 @@ class ClassicalStructure(GarsideStructure):
 
     def __init__(self, n: int, cap: int = 8):
         super().__init__(n, cap)
-        self._w0 = tuple(range(n - 1, -1, -1))
         self._id = tuple(range(n))
-
-    def identity(self) -> Simple:
-        return Simple(self.kind, self.n, self._id)
-
-    def delta(self) -> Simple:
-        return Simple(self.kind, self.n, self._w0)
+        self._identity = Simple(self.kind, n, self._id)
+        self._delta = Simple(self.kind, n, tuple(range(n - 1, -1, -1)))
 
     def _wrap(self, key: tuple) -> Simple:
         return Simple(self.kind, self.n, key)
@@ -339,22 +345,18 @@ class ClassicalStructure(GarsideStructure):
         return s.key
 
 
-def _blocks_crossing(x: tuple, y: tuple) -> bool:
-    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y])
-    runs = 0
-    last = None
-    for _, tag in merged:
-        if tag != last:
-            runs += 1
-            last = tag
-    return runs >= 4
-
-
-def _is_noncrossing(blocks: Iterable[tuple]) -> bool:
-    blocks = [b for b in blocks if len(b) > 1]
-    return not any(
-        _blocks_crossing(x, y) for x, y in itertools.combinations(blocks, 2)
-    )
+def _dual_cycles(p) -> int:
+    """Number of cycles of delta^-1 p, the map v -> p[v - 1] (indices mod n)."""
+    seen = [False] * len(p)
+    count = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            count += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = p[v - 1]
+    return count
 
 
 class BandStructure(GarsideStructure):
@@ -362,7 +364,8 @@ class BandStructure(GarsideStructure):
 
     Atoms are the bands crossing strands s < t in front of the strands in
     between; the simple of a partition is the product of one descending cycle
-    per block, blocks ordered by their minimum.
+    per block, blocks ordered by their minimum.  Its permutation sends each
+    block entry to the next larger one and the largest back to the smallest.
     """
 
     kind = "band"
@@ -370,18 +373,9 @@ class BandStructure(GarsideStructure):
     def __init__(self, n: int, cap: int = 10):
         super().__init__(n, cap)
         self.twist_order = max(n, 1)
-        self._id_blocks = tuple((i,) for i in range(1, n + 1))
-        self._delta_blocks = (tuple(range(1, n + 1)),)
+        self._identity = Simple(self.kind, n, tuple((i,) for i in range(1, n + 1)))
+        self._delta = Simple(self.kind, n, (tuple(range(1, n + 1)),))
         self._delta_perm = tuple((i + 1) % n for i in range(n))
-
-    def identity(self) -> Simple:
-        return Simple(self.kind, self.n, self._id_blocks)
-
-    def delta(self) -> Simple:
-        return Simple(self.kind, self.n, self._delta_blocks)
-
-    def _wrap(self, blocks) -> Simple:
-        return Simple(self.kind, self.n, tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
     # block/permutation conversions
     def _perm0(self, s: Simple) -> tuple:
@@ -391,37 +385,47 @@ class BandStructure(GarsideStructure):
                 images[a - 1] = b - 1
         return tuple(images)
 
-    def _from_perm0(self, p: tuple) -> Simple | None:
+    def _from_perm0(self, p) -> Simple | None:
+        """The simple whose permutation is p, or None if there is none.
+
+        p is simple exactly when it lies below delta in absolute order, that
+        is when cycles(p) + cycles(delta^-1 p) = n + 1 (Bessis 2003).  The
+        cycles of such a p increase up to their wrap, so reading each one
+        from its minimum gives sorted blocks in order of their minima.
+        """
         n = self.n
         seen = [False] * n
         blocks = []
         for start in range(n):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            v = p[start]
-            while v != start:
-                cycle.append(v)
-                seen[v] = True
-                v = p[v]
-            block = tuple(sorted(e + 1 for e in cycle))
-            # the cycle must send each entry to the next larger one
-            for a, b in zip(block, block[1:] + (block[0],)):
-                if p[a - 1] != b - 1:
-                    return None
-            blocks.append(block)
-        if not _is_noncrossing(blocks):
+            if not seen[start]:
+                block = []
+                v = start
+                while not seen[v]:
+                    seen[v] = True
+                    block.append(v + 1)
+                    v = p[v]
+                blocks.append(tuple(block))
+        if len(blocks) + _dual_cycles(p) != n + 1:
             return None
-        return self._wrap(blocks)
+        return Simple(self.kind, n, tuple(blocks))
+
+    def _simple_of_perm0(self, p) -> Simple:
+        r = self._from_perm0(p)
+        if r is None:
+            raise ValueError(
+                f"permutation {tuple(p)} is not a simple element of band({self.n})"
+            )
+        return r
+
+    def _not_simple(self, s: Simple) -> ValueError:
+        return ValueError(f"{s.key} is not a simple element of band({self.n})")
 
     def atoms(self) -> tuple[Simple, ...]:
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                singles = [(k,) for k in range(1, self.n + 1) if k not in (i, j)]
-                out.append(self._wrap(singles + [(i, j)]))
-        return tuple(out)
+        return tuple(
+            self.band_simple(i, j)
+            for i in range(1, self.n + 1)
+            for j in range(i + 1, self.n + 1)
+        )
 
     def simples(self) -> tuple[Simple, ...]:
         if self.n > self.cap:
@@ -429,7 +433,7 @@ class BandStructure(GarsideStructure):
                 f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
             )
         return tuple(
-            self._wrap(blocks)
+            Simple(self.kind, self.n, tuple(sorted(blocks)))
             for blocks in _noncrossing_partitions(tuple(range(1, self.n + 1)))
         )
 
@@ -445,31 +449,25 @@ class BandStructure(GarsideStructure):
             return None
         return r
 
+    def _block_labels(self, s: Simple) -> list:
+        labels = [0] * self.n
+        for i, block in enumerate(s.key):
+            for v in block:
+                labels[v - 1] = i
+        return labels
+
     def meet(self, a: Simple, b: Simple) -> Simple:
-        index_b = {}
-        for i, block in enumerate(b.key):
-            for v in block:
-                index_b[v] = i
+        # The common refinement; entries visited in increasing order give
+        # sorted blocks in order of their minima.
+        la, lb = self._block_labels(a), self._block_labels(b)
         pieces = {}
-        for i, block in enumerate(a.key):
-            for v in block:
-                pieces.setdefault((i, index_b[v]), []).append(v)
-        return self._wrap(pieces.values())
+        for v in range(self.n):
+            pieces.setdefault((la[v], lb[v]), []).append(v + 1)
+        return Simple(self.kind, self.n, tuple(map(tuple, pieces.values())))
 
     def left_divides(self, a: Simple, b: Simple) -> bool:
-        index_b = {}
-        for i, block in enumerate(b.key):
-            for v in block:
-                index_b[v] = i
-        return all(len({index_b[v] for v in block}) == 1 for block in a.key)
-
-    def _simple_of_perm0(self, p: tuple) -> Simple:
-        r = self._from_perm0(p)
-        if r is None:
-            raise ValueError(
-                f"permutation {p} is not a simple element of band({self.n})"
-            )
-        return r
+        lb = self._block_labels(b)
+        return all(len({lb[v - 1] for v in block}) == 1 for block in a.key)
 
     def left_quotient(self, t: Simple, s: Simple) -> Simple:
         return self._simple_of_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
@@ -486,28 +484,82 @@ class BandStructure(GarsideStructure):
     def left_complement(self, s: Simple) -> Simple:
         return self._simple_of_perm0(_pmul(self._delta_perm, _pinv(self._perm0(s))))
 
+    def twist_pow(self, s: Simple, k: int) -> Simple:
+        """delta^-k s delta^k: every strand index moves by k, mod n."""
+        n = self.n
+        k %= n
+        if k == 0:
+            return s
+        p = self._perm0(s)
+        return self._simple_of_perm0([(p[v - k] + k) % n for v in range(n)])
+
     def twist(self, s: Simple) -> Simple:
-        dp = self._delta_perm
-        return self._simple_of_perm0(_pmul(_pmul(_pinv(dp), self._perm0(s)), dp))
+        return self.twist_pow(s, 1)
 
     def untwist(self, s: Simple) -> Simple:
-        dp = self._delta_perm
-        return self._simple_of_perm0(_pmul(_pmul(dp, self._perm0(s)), _pinv(dp)))
+        return self.twist_pow(s, -1)
 
     def mirror(self, s: Simple) -> Simple:
-        m = self.n + 1
-        return self._wrap([m - v for v in block] for block in s.key)
+        # reflect the strands (v -> n-1-v) and invert, which makes the
+        # reflected cycles increase again
+        pi = _pinv(self._perm0(s))
+        n = self.n
+        return self._simple_of_perm0([n - 1 - pi[n - 1 - v] for v in range(n)])
+
+    def normalize_pair(self, x: Simple, y: Simple) -> tuple[Simple, Simple, bool]:
+        # t = meet(x^-1 delta, y) groups the entries by their cycle of
+        # c = x^-1 delta and their block of y.  The cycle count of c checks x
+        # (x is simple iff cycles(x) + cycles(c) = n + 1); y takes one more
+        # cycle walk.
+        n = self.n
+        xp = self._perm0(x)
+        c = [0] * n
+        for u, v in enumerate(xp):
+            c[v] = (u + 1) % n
+        label = [-1] * n
+        cycles = 0
+        for start in range(n):
+            if label[start] < 0:
+                v = start
+                while label[v] < 0:
+                    label[v] = cycles
+                    v = c[v]
+                cycles += 1
+        if len(x.key) + cycles != n + 1:
+            raise self._not_simple(x)
+        yp = self._perm0(y)
+        if len(y.key) + _dual_cycles(yp) != n + 1:
+            raise self._not_simple(y)
+        for v, i in enumerate(self._block_labels(y)):
+            label[v] = label[v] * n + i
+        if len(set(label)) == n:
+            return x, y, False
+        groups = {}
+        for v in range(n):
+            groups.setdefault(label[v], []).append(v)
+        t = [0] * n
+        tinv = [0] * n
+        for g in groups.values():
+            prev = g[-1]
+            for v in g:
+                t[prev] = v
+                tinv[v] = prev
+                prev = v
+        return (
+            self._simple_of_perm0([t[v] for v in xp]),
+            self._simple_of_perm0([yp[v] for v in tinv]),
+            True,
+        )
 
     def letter_simple(self, j: int) -> Simple:
         if not 1 <= j <= self.n - 1:
             raise ValueError(f"letter {j} out of range")
-        singles = [(k,) for k in range(1, self.n + 1) if k not in (j, j + 1)]
-        return self._wrap(singles + [(j, j + 1)])
+        return self.band_simple(j, j + 1)
 
     def band_simple(self, i: int, j: int) -> Simple:
-        i, j = min(i, j), max(i, j)
-        singles = [(k,) for k in range(1, self.n + 1) if k not in (i, j)]
-        return self._wrap(singles + [(i, j)])
+        p = list(range(self.n))
+        p[i - 1], p[j - 1] = j - 1, i - 1
+        return self._simple_of_perm0(p)
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         letters = []

@@ -100,6 +100,17 @@ def test_right_normal_form_more_strands():
     check_right_normal_forms(random.Random(10), 5, 8, 24)
 
 
+def test_first_right_factor_matches_right_normal_form():
+    rng = random.Random(12)
+    for n in range(3, 9):
+        for struct in (classical(n), band(n)):
+            for _ in range(12):
+                x = E.from_word(struct, rand_word(rng, n, rng.randint(0, 30)))
+                right = E.normal_form(struct, x.to_word(), "right").factors
+                expected = right[0] if right else struct.delta()
+                assert E._first_right_factor(x) == expected
+
+
 def test_inverse_needs_no_reweighting():
     rng = random.Random(11)
     for _ in range(30):

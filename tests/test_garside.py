@@ -10,7 +10,15 @@ import pytest
 import braidkit
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import Simple, band, classical, complement_and_twist, enumerate_simples, meet
+from braidkit.garside import (
+    GarsideStructure,
+    Simple,
+    band,
+    classical,
+    complement_and_twist,
+    enumerate_simples,
+    meet,
+)
 from braidkit.words import BraidWord
 
 
@@ -233,3 +241,115 @@ def test_band_rejects_crossing_key():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_band_normalize_pair_rejects_crossing_keys():
+    st = band(4)
+    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    for other in (st.identity(), st.letter_simple(1), st.delta()):
+        with pytest.raises(ValueError):
+            st.normalize_pair(other, crossing)
+        with pytest.raises(ValueError):
+            st.normalize_pair(crossing, other)
+    with pytest.raises(ValueError):
+        st.twist_pow(crossing, 1)
+
+
+# The band simplicity test before the cycle count, kept as its oracle: a
+# permutation is simple when each cycle sends every entry to the next larger
+# one and no two blocks cross.
+def _blocks_crossing(x: tuple, y: tuple) -> bool:
+    merged = sorted([(v, 0) for v in x] + [(v, 1) for v in y])
+    runs = 0
+    last = None
+    for _, tag in merged:
+        if tag != last:
+            runs += 1
+            last = tag
+    return runs >= 4
+
+
+def _is_noncrossing(blocks) -> bool:
+    blocks = [b for b in blocks if len(b) > 1]
+    return not any(
+        _blocks_crossing(x, y) for x, y in itertools.combinations(blocks, 2)
+    )
+
+
+def _noncrossing_blocks_pairwise(p: tuple):
+    n = len(p)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        v = p[start]
+        while v != start:
+            cycle.append(v)
+            seen[v] = True
+            v = p[v]
+        block = tuple(sorted(e + 1 for e in cycle))
+        for a, b in zip(block, block[1:] + (block[0],)):
+            if p[a - 1] != b - 1:
+                return None
+        blocks.append(block)
+    if not _is_noncrossing(blocks):
+        return None
+    return tuple(sorted(blocks))
+
+
+def test_cycle_count_test_matches_pairwise_noncrossing_check():
+    catalan = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
+    for n in range(1, 8):
+        st = band(n)
+        accepted = 0
+        for p in itertools.permutations(range(n)):
+            expected = _noncrossing_blocks_pairwise(p)
+            got = st._from_perm0(p)
+            if expected is None:
+                assert got is None, p
+            else:
+                assert got == Simple("band", n, expected), p
+                accepted += 1
+        assert accepted == catalan[n]
+
+
+def _random_band_simple(st, rng):
+    s = st.identity()
+    atoms = st.atoms()
+    for _ in range(rng.randint(0, 2 * st.n)):
+        t = st.mul(s, rng.choice(atoms))
+        if t is not None:
+            s = t
+    return s
+
+
+def test_band_normalize_pair_matches_generic_route():
+    # the generic route: meet, complement, mul and left_quotient
+    for n in range(1, 7):
+        st = band(n)
+        for x, y in itertools.product(st.simples(), repeat=2):
+            assert st.normalize_pair(x, y) == GarsideStructure.normalize_pair(st, x, y)
+    rng = random.Random(13)
+    for n in range(7, 13):
+        st = band(n)
+        moved = 0
+        for _ in range(300):
+            x, y = _random_band_simple(st, rng), _random_band_simple(st, rng)
+            got = st.normalize_pair(x, y)
+            assert got == GarsideStructure.normalize_pair(st, x, y)
+            moved += got[2]
+        assert 0 < moved < 300
+
+
+def test_band_twist_pow_is_repeated_twist():
+    for n in range(1, 9):
+        st = band(n)
+        for s in st.simples():
+            for k in range(-n - 1, n + 2):
+                expected = s
+                for _ in range(abs(k)):
+                    expected = st.twist(expected) if k > 0 else st.untwist(expected)
+                assert st.twist_pow(s, k) == expected
