@@ -37,6 +37,7 @@ from .garside import (
 from .engine import (
     ConjugacyCertificate,
     GarsideNormalForm,
+    SearchLimitExceeded,
     conjugacy_solve,
     cyclic_sliding,
     normal_form,

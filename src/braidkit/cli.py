@@ -1,8 +1,8 @@
 """Command-line surface for the toolkit.
 
 Braid words are read in the text form ``B<n>: k1 k2 ...``; exit status is 0
-on success, 1 when a verification check fails, and 2 on usage or input
-errors.
+on success, 1 when a verification check fails, 2 on usage or input errors,
+and 3 when a search stops at one of its limits (``SearchLimitExceeded``).
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except E.SearchLimitExceeded as exc:
+        print(f"braidkit: error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

@@ -16,15 +16,29 @@ Garside element and swaps prefixes with suffixes (Birman-Ko-Lee, Adv. Math.
 factor in reverse order, of the left normal form of the mirrored word.
 
 Conjugacy is decided through cyclic sliding: iterating the sliding map lands
-on a periodic circuit, and the set of all sliding circuits of an element is a
+on a periodic circuit, and the set SC of all elements on sliding circuits is a
 conjugacy-class invariant which we enumerate by closing under conjugation by
 simple elements.  Every search step records its conjugator, so membership
 answers come with verified witnesses.
+
+Three exact shortcuts keep the search small.  Circuit elements lie in the
+super summit set, whose inf and sup (the summit inf and sup) are conjugacy
+invariants (Elrifai-Morton, Quart. J. Math. 45, 1994); a conjugate y^s of a
+summit element y by a simple s has inf <= inf(y) and sup >= sup(y), with
+equality in both exactly when it is a summit element too.  SC is connected by
+conjugations by simples that stay inside it (Gebhardt-Gonzalez-Meneses,
+"Solving the conjugacy problem in Garside groups by cyclic sliding",
+J. Symbolic Comput. 45, 2010).  So the closure discards every conjugate that
+leaves the summit (inf, sup) window before sliding it, and still reaches all
+of SC; ``conjugacy_solve`` answers "not conjugate" when the two circuit
+representatives differ in (inf, sup); and it stops the closure at the first
+element equal to the representative of the second input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import words as W
 from .garside import GarsideStructure, Simple
@@ -32,6 +46,16 @@ from .words import BraidWord
 
 _SC_MAX = 20000
 _TRAJECTORY_MAX = 10000
+
+
+class SearchLimitExceeded(RuntimeError):
+    """A search outgrew one of its limits: ``limit`` is the limit that was
+    hit and ``reached`` the count at which the search stopped."""
+
+    def __init__(self, what: str, limit: int, reached: int):
+        super().__init__(f"{what} cap exceeded: reached {reached}, limit {limit}")
+        self.limit = limit
+        self.reached = reached
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,27 +305,33 @@ def _slide_to_circuit(
         trail = W.free_reduce(W.compose(trail, BraidWord(n, st.simple_word(p))))
         cur = nxt
         if len(traj) > _TRAJECTORY_MAX:
-            raise RuntimeError("sliding trajectory cap exceeded")
+            raise SearchLimitExceeded("sliding trajectory", _TRAJECTORY_MAX, len(traj))
     circuit = traj[start:]
     rep, rep_trail = min(circuit, key=lambda e: e[0].key())
     return rep, rep_trail, [e for e, _ in circuit]
 
 
-def sliding_circuits_with_trails(
-    st: GarsideStructure, w: BraidWord
-) -> dict[tuple, tuple[GarsideNormalForm, BraidWord]]:
-    """All elements on sliding circuits conjugate to w, each with a
-    conjugating word from w to it."""
-    st.simples()  # enforce the enumeration cap before searching
-    rep, trail, _ = _slide_to_circuit(from_word(st, w))
-    found: dict[tuple, tuple[GarsideNormalForm, BraidWord]] = {}
+def _circuit_search(
+    st: GarsideStructure, rep: GarsideNormalForm, trail: BraidWord
+) -> Iterator[tuple[tuple, tuple[GarsideNormalForm, BraidWord]]]:
+    """Yield every element of SC, the sliding circuits conjugate to the
+    circuit element rep, in discovery order as (key, (element, conjugating
+    word from the start)); trail conjugates the start to rep.
+
+    Every vertex lies in the super summit set, so every vertex has rep's
+    (inf, sup); a conjugate outside that window is not on any circuit and
+    SC stays connected without it.
+    """
+    proper_simples = [s for s in st.simples() if not st.is_identity(s)]
+    summit = (rep.inf, rep.sup)
+    found: set[tuple] = set()
     queue: list[tuple[GarsideNormalForm, BraidWord]] = []
 
-    def add_circuit(entry: GarsideNormalForm, entry_trail: BraidWord):
-        cur, cur_trail = entry, entry_trail
-        while cur.key() not in found:
-            found[cur.key()] = (cur, cur_trail)
+    def walk_circuit(cur: GarsideNormalForm, cur_trail: BraidWord):
+        while (key := cur.key()) not in found:
+            found.add(key)
             queue.append((cur, cur_trail))
+            yield key, (cur, cur_trail)
             nxt, p = _slide_step(cur)
             if st.is_identity(p):
                 break
@@ -310,23 +340,30 @@ def sliding_circuits_with_trails(
             )
             cur = nxt
 
-    add_circuit(rep, trail)
-    proper_simples = [s for s in st.simples() if not st.is_identity(s)]
+    yield from walk_circuit(rep, trail)
     while queue:
         y, y_trail = queue.pop()
         for s in proper_simples:
             z = conjugate(y, simple_nf(st, s))
-            if z.key() in found:
+            if (z.inf, z.sup) != summit or z.key() in found:
                 continue
             z_rep, z_trail, _ = _slide_to_circuit(z)
             if z_rep.key() not in found:
                 full = W.free_reduce(
                     W.compose(y_trail, BraidWord(st.n, st.simple_word(s)), z_trail)
                 )
-                add_circuit(z_rep, full)
+                yield from walk_circuit(z_rep, full)
                 if len(found) > _SC_MAX:
-                    raise RuntimeError("sliding circuit cap exceeded")
-    return found
+                    raise SearchLimitExceeded("sliding circuit", _SC_MAX, len(found))
+
+
+def sliding_circuits_with_trails(
+    st: GarsideStructure, w: BraidWord
+) -> dict[tuple, tuple[GarsideNormalForm, BraidWord]]:
+    """All elements on sliding circuits conjugate to w, each with a
+    conjugating word from w to it."""
+    rep, trail, _ = _slide_to_circuit(from_word(st, w))
+    return dict(_circuit_search(st, rep, trail))
 
 
 def sliding_circuits(st: GarsideStructure, w: BraidWord) -> tuple[GarsideNormalForm, ...]:
@@ -353,16 +390,18 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
         return ConjugacyCertificate(False)
     if W.permutation_of(a).cycle_type() != W.permutation_of(b).cycle_type():
         return ConjugacyCertificate(False)
-    sc_a = sliding_circuits_with_trails(st, a)
+    a_rep, a_trail, _ = _slide_to_circuit(from_word(st, a))
     b_rep, b_trail, _ = _slide_to_circuit(from_word(st, b))
-    hit = sc_a.get(b_rep.key())
-    if hit is None:
+    if (a_rep.inf, a_rep.sup) != (b_rep.inf, b_rep.sup):
         return ConjugacyCertificate(False)
-    _, a_trail = hit
-    u = W.free_reduce(W.compose(a_trail, W.inverse(b_trail)))
-    if not words_equal(st, W.conjugate(a, u), b):
-        raise AssertionError("conjugacy witness failed verification")
-    return ConjugacyCertificate(True, u)
+    target = b_rep.key()
+    for key, (_, trail) in _circuit_search(st, a_rep, a_trail):
+        if key == target:
+            u = W.free_reduce(W.compose(trail, W.inverse(b_trail)))
+            if not words_equal(st, W.conjugate(a, u), b):
+                raise AssertionError("conjugacy witness failed verification")
+            return ConjugacyCertificate(True, u)
+    return ConjugacyCertificate(False)
 
 
 def summit_length(st: GarsideStructure, w: BraidWord) -> int:

@@ -420,6 +420,12 @@ class BandStructure(GarsideStructure):
     def _not_simple(self, s: Simple) -> ValueError:
         return ValueError(f"{s.key} is not a simple element of band({self.n})")
 
+    def _checked_block_labels(self, s: Simple) -> list:
+        """The block labels of s, after the cycle-count test on its key."""
+        if len(s.key) + _dual_cycles(self._perm0(s)) != self.n + 1:
+            raise self._not_simple(s)
+        return self._block_labels(s)
+
     def atoms(self) -> tuple[Simple, ...]:
         return tuple(
             self.band_simple(i, j)
@@ -459,14 +465,15 @@ class BandStructure(GarsideStructure):
     def meet(self, a: Simple, b: Simple) -> Simple:
         # The common refinement; entries visited in increasing order give
         # sorted blocks in order of their minima.
-        la, lb = self._block_labels(a), self._block_labels(b)
+        la, lb = self._checked_block_labels(a), self._checked_block_labels(b)
         pieces = {}
         for v in range(self.n):
             pieces.setdefault((la[v], lb[v]), []).append(v + 1)
         return Simple(self.kind, self.n, tuple(map(tuple, pieces.values())))
 
     def left_divides(self, a: Simple, b: Simple) -> bool:
-        lb = self._block_labels(b)
+        self._checked_block_labels(a)
+        lb = self._checked_block_labels(b)
         return all(len({lb[v - 1] for v in block}) == 1 for block in a.key)
 
     def left_quotient(self, t: Simple, s: Simple) -> Simple:
@@ -557,6 +564,8 @@ class BandStructure(GarsideStructure):
         return self.band_simple(j, j + 1)
 
     def band_simple(self, i: int, j: int) -> Simple:
+        if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
+            raise ValueError(f"no band between strands {i} and {j} of band({self.n})")
         p = list(range(self.n))
         p[i - 1], p[j - 1] = j - 1, i - 1
         return self._simple_of_perm0(p)

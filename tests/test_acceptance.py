@@ -5,9 +5,13 @@ module, the command-line ``verify-paper`` run, and the JSON report all agree.
 Stated runtime budgets are asserted where given.
 """
 
+from pathlib import Path
+
 import pytest
 
 from braidkit import ledger as L
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_paper_seed1729.json"
 
 CRITERIA = [
     ("01", "c01-word-problem", 10_000),
@@ -61,3 +65,10 @@ def test_total_runtime_under_five_minutes(ledger_results):
     total = sum(r.elapsed_ms for r in ledger_results.values())
     print(f"total ledger runtime: {total / 1000:.1f}s")
     assert total < 300_000
+
+
+def test_report_matches_golden_file(ledger_results):
+    # `braidkit verify-paper --seed 1729 --json` prints this report plus a
+    # newline; the checked-in copy pins it byte for byte
+    report = L.report_json(list(ledger_results.values())) + "\n"
+    assert report.encode() == GOLDEN_REPORT.read_bytes()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from braidkit import engine as E
 from braidkit import ledger as L
 from braidkit import subgroups as S
 from braidkit.cli import main
@@ -99,6 +100,15 @@ def test_k4_rewrite_and_pi(capsys):
 def test_usage_errors(capsys):
     assert main(["nf", "garbage"]) == 2
     assert main(["char", "5,1", "4,1"]) == 2  # size mismatch
+
+
+def test_search_limit_exits_3_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(E, "_SC_MAX", 1)
+    code = main(["sc", "B3: 1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("braidkit: error: sliding circuit cap exceeded")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_verify_filter_eq16(capsys):

@@ -336,3 +336,153 @@ def test_pair_solver():
         assert u is not None
         assert E.words_equal(struct, W.conjugate(x, u), BraidWord(n, (1,)))
         assert E.words_equal(struct, W.conjugate(y, u), BraidWord(n, (2,)))
+
+
+# The closure without shortcuts, kept as the oracle of the circuit search:
+# conjugate every circuit element by every proper simple, slide each result
+# to its circuit, and decide conjugacy by lookup in the finished set.
+def exhaustive_sliding_circuits(struct, w):
+    rep, _, _ = E._slide_to_circuit(E.from_word(struct, w))
+    proper = [s for s in struct.simples() if not struct.is_identity(s)]
+    found = set()
+    queue = []
+
+    def add_circuit(x):
+        while x.key() not in found:
+            found.add(x.key())
+            queue.append(x)
+            nxt, p = E._slide_step(x)
+            if struct.is_identity(p):
+                break
+            x = nxt
+
+    add_circuit(rep)
+    while queue:
+        y = queue.pop()
+        for s in proper:
+            z = E.conjugate(y, E.simple_nf(struct, s))
+            if z.key() not in found:
+                add_circuit(E._slide_to_circuit(z)[0])
+    return found
+
+
+def exhaustive_conjugate(struct, a, b):
+    b_rep, _, _ = E._slide_to_circuit(E.from_word(struct, b))
+    return b_rep.key() in exhaustive_sliding_circuits(struct, a)
+
+
+def test_sliding_circuits_match_exhaustive_oracle():
+    rng = random.Random(51)
+    for n in (3, 4, 5):
+        for struct in (classical(n), band(n)):
+            for _ in range(4):
+                w = rand_word(rng, n, rng.randint(1, 7))
+                keys = {nf.key() for nf in E.sliding_circuits(struct, w)}
+                assert keys == exhaustive_sliding_circuits(struct, w), w.format()
+
+
+def test_conjugacy_solve_matches_exhaustive_oracle():
+    rng = random.Random(52)
+    pairs = []
+    for n in (3, 4, 5):
+        for _ in range(3):
+            x = rand_word(rng, n, rng.randint(1, 6))
+            pairs.append((x, W.conjugate(x, rand_word(rng, n, rng.randint(0, 6)))))
+            # random pairs that pass the exponent-sum and cycle-type tests,
+            # so that the summit test or the closure has to decide
+            a = rand_word(rng, n, rng.randint(1, 5))
+            while True:
+                b = rand_word(rng, n, len(a.letters))
+                if W.exponent_sum(a) == W.exponent_sum(b) and (
+                    W.permutation_of(a).cycle_type() == W.permutation_of(b).cycle_type()
+                ):
+                    break
+            pairs.append((a, b))
+    # not conjugate, though exponent sum, cycle type and summit inf/sup agree
+    neg = (BraidWord.parse("B4: 2 -3 -1"), BraidWord.parse("B4: 1 -3 -2"))
+    pairs.append(neg)
+    for a, b in pairs:
+        for struct in (classical(a.strands), band(a.strands)):
+            cert = E.conjugacy_solve(struct, a, b)
+            assert cert.conjugate == exhaustive_conjugate(struct, a, b), (a, b)
+            if cert.conjugate:
+                assert E.words_equal(struct, W.conjugate(a, cert.witness), b)
+    a, b = neg
+    assert W.exponent_sum(a) == W.exponent_sum(b)
+    assert W.permutation_of(a).cycle_type() == W.permutation_of(b).cycle_type()
+    for struct in (classical(4), band(4)):
+        ra = E._slide_to_circuit(E.from_word(struct, a))[0]
+        rb = E._slide_to_circuit(E.from_word(struct, b))[0]
+        assert (ra.inf, ra.sup) == (rb.inf, rb.sup)
+        assert not E.conjugacy_solve(struct, a, b).conjugate
+
+
+def record_slides(monkeypatch):
+    """Patch ``_slide_to_circuit`` to record the (inf, sup) of each input."""
+    real = E._slide_to_circuit
+    slid = []
+
+    def recording(x):
+        slid.append((x.inf, x.sup))
+        return real(x)
+
+    monkeypatch.setattr(E, "_slide_to_circuit", recording)
+    return slid
+
+
+@pytest.mark.parametrize("kind,a,b", [
+    ("band", "B9: 1", "B9: 2"),
+    ("classical", "B6: 1 2 3 4 5 -1 -2", "B6: 5 4 3 2 1 -5 -4"),
+])
+def test_pinned_instances_slide_few_summit_elements(monkeypatch, kind, a, b):
+    # a deterministic work gate: the first two slides are the inputs, every
+    # later one is a conjugate inside the summit (inf, sup) window
+    struct = band(9) if kind == "band" else classical(6)
+    a, b = BraidWord.parse(a), BraidWord.parse(b)
+    rep, _, _ = E._slide_to_circuit(E.from_word(struct, a))
+    slid = record_slides(monkeypatch)
+    cert = E.conjugacy_solve(struct, a, b)
+    assert cert.conjugate
+    assert E.words_equal(struct, W.conjugate(a, cert.witness), b)
+    assert 2 <= len(slid) <= 10
+    assert all(window == (rep.inf, rep.sup) for window in slid[2:])
+
+
+def test_closure_slides_only_summit_conjugates(monkeypatch):
+    # after sliding the input, the full closure slides only conjugates that
+    # kept the summit (inf, sup)
+    slid = record_slides(monkeypatch)
+    rng = random.Random(53)
+    for n in (3, 4, 5):
+        for struct in (classical(n), band(n)):
+            for _ in range(3):
+                slid.clear()
+                w = rand_word(rng, n, rng.randint(1, 7))
+                summit = E.sliding_circuits(struct, w)[0]
+                assert all(window == (summit.inf, summit.sup) for window in slid[1:])
+
+
+def test_summit_invariants_reject_without_search(monkeypatch):
+    # exponent sum and cycle type agree, the summit (inf, sup) does not
+    a, b = BraidWord.parse("B3: 2 1 1"), BraidWord.parse("B3: 1 1 1")
+    for struct in (classical(3), band(3)):
+        assert not exhaustive_conjugate(struct, a, b)
+
+    def no_search(*args):
+        raise AssertionError("the closure was entered")
+
+    monkeypatch.setattr(E, "_circuit_search", no_search)
+    for struct in (classical(3), band(3)):
+        assert not E.conjugacy_solve(struct, a, b).conjugate
+
+
+def test_search_limits_raise_typed_errors(monkeypatch):
+    monkeypatch.setattr(E, "_SC_MAX", 1)
+    with pytest.raises(E.SearchLimitExceeded, match="sliding circuit cap exceeded") as info:
+        E.sliding_circuits(classical(3), BraidWord(3, (1,)))
+    assert (info.value.limit, info.value.reached) == (1, 2)
+    monkeypatch.setattr(E, "_TRAJECTORY_MAX", 0)
+    with pytest.raises(E.SearchLimitExceeded, match="sliding trajectory cap exceeded") as info:
+        E.summit_length(classical(3), BraidWord(3, (-2, 1, 2)))
+    assert (info.value.limit, info.value.reached) == (0, 1)
+    assert isinstance(info.value, RuntimeError)

@@ -255,6 +255,26 @@ def test_band_normalize_pair_rejects_crossing_keys():
         st.twist_pow(crossing, 1)
 
 
+def test_band_meet_and_left_divides_reject_crossing_key():
+    st = band(4)
+    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    for other in (st.identity(), st.letter_simple(1), st.delta()):
+        for args in ((other, crossing), (crossing, other)):
+            with pytest.raises(ValueError, match="is not a simple element of band"):
+                st.meet(*args)
+            with pytest.raises(ValueError, match="is not a simple element of band"):
+                st.left_divides(*args)
+
+
+def test_band_simple_rejects_bad_strands():
+    st = band(4)
+    for i, j in ((0, 2), (2, 0), (1, 1), (3, 3), (1, 5), (5, 4), (-1, 2)):
+        with pytest.raises(ValueError, match="no band between strands"):
+            st.band_simple(i, j)
+    assert st.band_simple(3, 1) == st.band_simple(1, 3)
+    assert st.band_simple(1, 2) == st.letter_simple(1)
+
+
 # The band simplicity test before the cycle count, kept as its oracle: a
 # permutation is simple when each cycle sends every entry to the next larger
 # one and no two blocks cross.
