@@ -5,11 +5,24 @@ is a proper simple and every adjacent pair is left weighted.  Two braid words
 represent the same element exactly when their normal forms coincide, which
 turns the word problem into tuple comparison.
 
-Left weighting happens in one place, ``_combine``, which multiplication (and
-so ``from_word``) uses.  The other two forms come from the left form by
-formula.  The inverse of delta^p A_1 ... A_r is delta^(-p-r) followed by the
-twisted complements of A_r, ..., A_1, which are already left weighted
-(Elrifai-Morton, Quart. J. Math. 45, 1994).  Reversing a word and sending s_j
+Left weighting happens in one place, ``_insert``: it multiplies a left
+weighted sequence on the left by one simple.  A single forward pass does
+that (Epstein et al., *Word Processing in Groups*, 1992, ch. 9; Birman-Ko-Lee,
+Adv. Math. 139, 1998, for the band structure): weight the new simple against
+the first factor, then the remainder against the next factor, and stop as
+soon as nothing moves.  Pairs already passed stay weighted, because for a left
+weighted pair (A, B) and any positive x the greatest simple prefix of x A B
+is that of x A.  Only the first factor can become delta, and it goes into the
+power.  ``from_word`` blocks each run of same-sign letters into one simple
+while the product stays simple and inserts the blocks right to left; ``mul``
+inserts the twisted factors of its left operand.  The loop runs on each
+structure's permutation arrays through its kernel ``_weigh``; ``Simple``
+values are built only when a normal form is read in or handed out.
+
+The other two forms come from the left form by formula.  The inverse of
+delta^p A_1 ... A_r is delta^(-p-r) followed by the twisted complements of
+A_r, ..., A_1, which are already left weighted (Elrifai-Morton, Quart. J.
+Math. 45, 1994).  Reversing a word and sending s_j
 to s_(n-j) is an anti-automorphism of both Garside monoids that fixes the
 Garside element and swaps prefixes with suffixes (Birman-Ko-Lee, Adv. Math.
 139, 1998), so the right normal form of w is the mirror image, factor by
@@ -115,38 +128,42 @@ class GarsideNormalForm:
 # Normalisation and arithmetic
 
 
-def _strip(st: GarsideStructure, fs: list[Simple]) -> tuple[int, tuple[Simple, ...]]:
-    lo = 0
-    while lo < len(fs) and st.is_delta(fs[lo]):
-        lo += 1
-    hi = len(fs)
-    while hi > lo and st.is_identity(fs[hi - 1]):
-        hi -= 1
-    return lo, tuple(fs[lo:hi])
+def _insert(st: GarsideStructure, s: tuple, fs: list[tuple]) -> int:
+    """Multiply the left weighted list fs of proper simples on the left by
+    the simple s, in place, all as permutations; return 1 if the product
+    split off a delta, else 0."""
+    if s == st._id:
+        return 0
+    weigh = st._weigh
+    for i, y in enumerate(fs):
+        moved = weigh(s, y)
+        if moved is None:
+            fs.insert(i, s)
+            break
+        fs[i], s = moved
+        if s == st._id:
+            break
+    else:
+        fs.append(s)
+    if fs[0] == st._delta_perm:
+        del fs[0]
+        return 1
+    return 0
 
 
-def _combine(
-    st: GarsideStructure, left: list[Simple], right: list[Simple]
-) -> tuple[int, tuple[Simple, ...]]:
-    """Weight the concatenation of two already weighted sequences.
+def _insert_all(st: GarsideStructure, head: list[tuple], q: int, fs: list[tuple]) -> int:
+    """Multiply fs on the left by tau^q of the product of head, the simples
+    inserted right to left; return the number of deltas split off.  Each
+    delta moves left past the simples still to come, twisting them once
+    more."""
+    e = 0
+    for s in reversed(head):
+        e += _insert(st, st._twist_perm(s, q + e), fs)
+    return e
 
-    Work the junction forward; every change combs backwards, so weight that
-    frees up is carried as far left as it goes.
-    """
-    fs = left + right
-    start = len(left) - 1
-    if start >= 0:
-        for i in range(start, len(fs) - 1):
-            x, y, moved = st.normalize_pair(fs[i], fs[i + 1])
-            if not moved:
-                break
-            fs[i], fs[i + 1] = x, y
-            for j in range(i - 1, -1, -1):
-                x, y, moved = st.normalize_pair(fs[j], fs[j + 1])
-                if not moved:
-                    break
-                fs[j], fs[j + 1] = x, y
-    return _strip(st, [f for f in fs if not st.is_identity(f)])
+
+def _from_perms(st: GarsideStructure, inf: int, fs: list[tuple]) -> GarsideNormalForm:
+    return GarsideNormalForm(st, inf, tuple(map(st._simple_of_perm0, fs)))
 
 
 def identity_nf(st: GarsideStructure) -> GarsideNormalForm:
@@ -169,10 +186,9 @@ def mul(x: GarsideNormalForm, y: GarsideNormalForm) -> GarsideNormalForm:
     st = x.structure
     if (st.kind, st.n) != (y.structure.kind, y.structure.n):
         raise ValueError("structure mismatch")
-    q = y.inf
-    shifted = [st.twist_pow(a, q) for a in x.factors]
-    extra, factors = _combine(st, shifted, list(y.factors))
-    return GarsideNormalForm(st, x.inf + q + extra, factors)
+    fs = [st._perm0(f) for f in y.factors]
+    e = _insert_all(st, [st._perm0(f) for f in x.factors], y.inf, fs)
+    return _from_perms(st, x.inf + y.inf + e, fs)
 
 
 def inv(x: GarsideNormalForm) -> GarsideNormalForm:
@@ -203,21 +219,30 @@ def conjugate(x: GarsideNormalForm, g: GarsideNormalForm) -> GarsideNormalForm:
 
 
 def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
+    """Read the word right to left, one run of same-sign letters at a time.
+    A positive run extends its simple on the left while it stays simple; a
+    negative run b extends b^-1 on the right and enters as
+    delta^-1 . (delta b^-1)."""
     if w.strands != st.n:
         raise ValueError("strand count does not match the structure")
-    out = identity_nf(st)
-    for k in reversed(w.letters):
-        a = st.letter_simple(abs(k))
-        if k > 0:
-            letter = simple_nf(st, a)
+    letters = w.letters
+    fs: list[tuple] = []
+    e = 0
+    i = len(letters)
+    while i:
+        positive = letters[i - 1] > 0
+        p = st._id
+        while i and (letters[i - 1] > 0) == positive:
+            q = st._mul_letter(p, abs(letters[i - 1]), positive)
+            if q is None:
+                break
+            p = q
+            i -= 1
+        if positive:
+            e += _insert(st, st._twist_perm(p, e), fs)
         else:
-            lc = st.left_complement(a)
-            if st.is_identity(lc):
-                letter = delta_power(st, -1)
-            else:
-                letter = GarsideNormalForm(st, -1, (lc,))
-        out = mul(letter, out)
-    return out
+            e += _insert(st, st._twist_perm(st._left_complement_perm(p), e), fs) - 1
+    return _from_perms(st, e, fs)
 
 
 def _mirror(w: BraidWord) -> BraidWord:
@@ -454,10 +479,9 @@ def _first_right_factor(x: GarsideNormalForm) -> Simple:
     delta^p . tau^p(mirror(A_r)) ... tau^p(mirror(A_1)), tau the twist; the
     first right factor of x is the mirror of the last left factor of that."""
     st = x.structure
-    fs: tuple[Simple, ...] = ()
-    for f in reversed(x.factors):
-        _, fs = _combine(st, list(fs), [st.twist_pow(st.mirror(f), x.inf)])
-    return st.mirror(fs[-1]) if fs else st.delta()
+    fs: list[tuple] = []
+    _insert_all(st, [st._perm0(st.mirror(f)) for f in reversed(x.factors)], x.inf, fs)
+    return st.mirror(st._simple_of_perm0(fs[-1])) if fs else st.delta()
 
 
 def solve_pair_to_generators(

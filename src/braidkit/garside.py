@@ -9,12 +9,15 @@ Simple elements are stored in canonical form (a permutation, or the blocks of
 a partition), never as words; words are produced on demand.  Equality and
 hashing are therefore O(1) dictionary operations.
 
-The band primitives compute on 0-based permutation arrays and read the result
-back into blocks through one checked conversion.  Its simplicity test is the
-cycle count: a permutation p is a band simple exactly when it lies below delta
-in absolute order, i.e. cycles(p) + cycles(p^-1 delta) = n + 1 (Bessis, "The
-dual braid monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  Nothing
-is cached.
+Both structures compute on the 0-based permutation of a simple (``_perm0``,
+which for the classical structure is the key itself).  Each has one
+weighting kernel on those arrays, ``_weigh``, which the engine's normal forms
+run on; ``normalize_pair`` is its wrapper on ``Simple`` values.  The band
+structure reads a permutation back into blocks through one checked
+conversion.  Its simplicity test is the cycle count: a permutation p is a band
+simple exactly when it lies below delta in absolute order, i.e. cycles(p) +
+cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid monoid", Ann. Sci. ENS
+36, 2003), two O(n) cycle walks.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -74,10 +77,12 @@ class GarsideStructure:
             raise ValueError("need at least one strand")
         self.n = n
         self.cap = cap
+        self._id = tuple(range(n))
 
     # built once by each subclass
     _identity: Simple
     _delta: Simple
+    _delta_perm: tuple
 
     def identity(self) -> Simple:
         return self._identity
@@ -110,21 +115,6 @@ class GarsideStructure:
         """t^-1 s for a prefix t of s."""
         raise NotImplementedError
 
-    def complement(self, s: Simple) -> Simple:
-        """s^-1 . delta."""
-        raise NotImplementedError
-
-    def left_complement(self, s: Simple) -> Simple:
-        """delta . s^-1."""
-        raise NotImplementedError
-
-    def twist(self, s: Simple) -> Simple:
-        """delta^-1 s delta."""
-        raise NotImplementedError
-
-    def untwist(self, s: Simple) -> Simple:
-        raise NotImplementedError
-
     def mirror(self, s: Simple) -> Simple:
         """Image of s under the anti-automorphism that reverses a word and
         sends s_j to s_(n-j); it fixes delta and swaps prefixes with suffixes."""
@@ -147,19 +137,32 @@ class GarsideStructure:
     def is_delta(self, s: Simple) -> bool:
         return s == self._delta
 
+    def complement(self, s: Simple) -> Simple:
+        """s^-1 . delta."""
+        return self._simple_of_perm0(_pmul(_pinv(self._perm0(s)), self._delta_perm))
+
+    def left_complement(self, s: Simple) -> Simple:
+        """delta . s^-1."""
+        return self._simple_of_perm0(self._left_complement_perm(self._perm0(s)))
+
     def twist_pow(self, s: Simple, k: int) -> Simple:
-        k %= self.twist_order
-        for _ in range(k):
-            s = self.twist(s)
-        return s
+        """delta^-k s delta^k."""
+        return self._simple_of_perm0(self._twist_perm(self._perm0(s), k))
+
+    def twist(self, s: Simple) -> Simple:
+        """delta^-1 s delta."""
+        return self.twist_pow(s, 1)
+
+    def untwist(self, s: Simple) -> Simple:
+        return self.twist_pow(s, -1)
 
     def normalize_pair(self, x: Simple, y: Simple) -> tuple[Simple, Simple, bool]:
         """Make the adjacent pair (x, y) left weighted by moving the
         largest possible prefix of y onto x."""
-        t = self.meet(self.complement(x), y)
-        if self.is_identity(t):
+        moved = self._weigh(self._perm0(x), self._perm0(y))
+        if moved is None:
             return x, y, False
-        return self.mul(x, t), self.left_quotient(t, y), True
+        return self._simple_of_perm0(moved[0]), self._simple_of_perm0(moved[1]), True
 
     def pair_is_left_weighted(self, x: Simple, y: Simple) -> bool:
         return self.is_identity(self.meet(self.complement(x), y))
@@ -174,8 +177,31 @@ class GarsideStructure:
     def simple_permutation(self, s: Simple) -> Permutation:
         return Permutation(tuple(v + 1 for v in self._perm0(s)))
 
+    # the engine's working arrays: 0-based permutations, as tuples ----------
     def _perm0(self, s: Simple) -> tuple:
         raise NotImplementedError
+
+    def _simple_of_perm0(self, p) -> Simple:
+        """The simple whose permutation is p; ValueError if there is none."""
+        raise NotImplementedError
+
+    def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
+        """The weighting kernel: for simples x, y given as permutations,
+        the left weighted pair (x t, t^-1 y) with t = meet(x^-1 delta, y),
+        or None when t is trivial, i.e. (x, y) is already left weighted."""
+        raise NotImplementedError
+
+    def _twist_perm(self, p: tuple, k: int) -> tuple:
+        """delta^-k p delta^k."""
+        raise NotImplementedError
+
+    def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
+        """s_j p (left) or p s_j if that is a simple one atom longer than p,
+        else None."""
+        raise NotImplementedError
+
+    def _left_complement_perm(self, p: tuple) -> tuple:
+        return _pmul(self._delta_perm, _pinv(p))
 
 
 class ClassicalStructure(GarsideStructure):
@@ -186,12 +212,16 @@ class ClassicalStructure(GarsideStructure):
 
     def __init__(self, n: int, cap: int = 8):
         super().__init__(n, cap)
-        self._id = tuple(range(n))
+        self._delta_perm = tuple(range(n - 1, -1, -1))
         self._identity = Simple(self.kind, n, self._id)
-        self._delta = Simple(self.kind, n, tuple(range(n - 1, -1, -1)))
+        self._delta = Simple(self.kind, n, self._delta_perm)
 
-    def _wrap(self, key: tuple) -> Simple:
-        return Simple(self.kind, self.n, key)
+    def _perm0(self, s: Simple) -> tuple:
+        return s.key
+
+    def _simple_of_perm0(self, p: tuple) -> Simple:
+        # every permutation is a classical simple
+        return Simple(self.kind, self.n, p)
 
     def atoms(self) -> tuple[Simple, ...]:
         return tuple(self.letter_simple(j) for j in range(1, self.n))
@@ -202,7 +232,7 @@ class ClassicalStructure(GarsideStructure):
                 f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
             )
         return tuple(
-            self._wrap(p) for p in itertools.permutations(range(self.n))
+            self._simple_of_perm0(p) for p in itertools.permutations(range(self.n))
         )
 
     def atom_length(self, s: Simple) -> int:
@@ -212,7 +242,7 @@ class ClassicalStructure(GarsideStructure):
         c = _pmul(a.key, b.key)
         if _inversions(a.key) + _inversions(b.key) != _inversions(c):
             return None
-        return self._wrap(c)
+        return self._simple_of_perm0(c)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
         # Greedy common-prefix extraction: any letter starting both operands
@@ -226,7 +256,7 @@ class ClassicalStructure(GarsideStructure):
                 None,
             )
             if j is None:
-                return self._wrap(tuple(m))
+                return self._simple_of_perm0(tuple(m))
             pj, pj1 = m.index(j), m.index(j + 1)
             m[pj], m[pj1] = j + 1, j
             x[j], x[j + 1] = x[j + 1], x[j]
@@ -237,7 +267,7 @@ class ClassicalStructure(GarsideStructure):
         return _inversions(a.key) + _inversions(q) == _inversions(b.key)
 
     def left_quotient(self, t: Simple, s: Simple) -> Simple:
-        return self._wrap(_pmul(_pinv(t.key), s.key))
+        return self._simple_of_perm0(_pmul(_pinv(t.key), s.key))
 
     def right_meet(self, a: Simple, b: Simple) -> Simple:
         # Mirror of meet: grow a common suffix from shared final letters.
@@ -255,41 +285,31 @@ class ClassicalStructure(GarsideStructure):
                 None,
             )
             if j is None:
-                return self._wrap(tuple(m))
+                return self._simple_of_perm0(tuple(m))
             m[j], m[j + 1] = m[j + 1], m[j]
             for arr, inv_arr in ((x, xi), (y, yi)):
                 pj, pj1 = inv_arr[j], inv_arr[j + 1]
                 arr[pj], arr[pj1] = j + 1, j
                 inv_arr[j], inv_arr[j + 1] = pj1, pj
 
-    def complement(self, s: Simple) -> Simple:
-        si = _pinv(s.key)
+    def _twist_perm(self, p: tuple, k: int) -> tuple:
+        # conjugating by the half twist reverses positions and values
+        if k % 2 == 0:
+            return p
         n = self.n
-        return self._wrap(tuple(n - 1 - si[i] for i in range(n)))
-
-    def left_complement(self, s: Simple) -> Simple:
-        si = _pinv(s.key)
-        n = self.n
-        return self._wrap(tuple(si[n - 1 - i] for i in range(n)))
-
-    def twist(self, s: Simple) -> Simple:
-        k = s.key
-        n = self.n
-        return self._wrap(tuple(n - 1 - k[n - 1 - i] for i in range(n)))
-
-    untwist = twist
+        return tuple(n - 1 - p[n - 1 - i] for i in range(n))
 
     def mirror(self, s: Simple) -> Simple:
         si = _pinv(s.key)
         n = self.n
-        return self._wrap(tuple(n - 1 - si[n - 1 - i] for i in range(n)))
+        return self._simple_of_perm0(tuple(n - 1 - si[n - 1 - i] for i in range(n)))
 
     def letter_simple(self, j: int) -> Simple:
         if not 1 <= j <= self.n - 1:
             raise ValueError(f"letter {j} out of range")
         key = list(self._id)
         key[j - 1], key[j] = key[j], key[j - 1]
-        return self._wrap(tuple(key))
+        return self._simple_of_perm0(tuple(key))
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         x = list(s.key)
@@ -302,35 +322,45 @@ class ClassicalStructure(GarsideStructure):
             letters.append(j + 1)
             x[j], x[j + 1] = x[j + 1], x[j]
 
-    def normalize_pair(self, x: Simple, y: Simple) -> tuple[Simple, Simple, bool]:
-        # Descent transfer: move letters from the head of y to the tail of x
-        # while some letter starts y but does not finish x.
+    def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
+        # Descent transfer: move the letter s_(j+1) from the head of y to the
+        # tail of x while it starts y but does not finish x.  A move changes
+        # the descents of both only at j - 1, j and j + 1, so the scan
+        # resumes at j - 1.
         n = self.n
-        a = list(x.key)
+        a = list(x)
         ai = [0] * n
-        for i, v in enumerate(a):
+        for i, v in enumerate(x):
             ai[v] = i
-        b = list(y.key)
-        changed = False
-        while True:
-            j = next(
-                (
-                    j
-                    for j in range(n - 1)
-                    if b[j] > b[j + 1] and not ai[j] > ai[j + 1]
-                ),
-                None,
-            )
-            if j is None:
-                break
-            changed = True
-            pj, pj1 = ai[j], ai[j + 1]
-            a[pj], a[pj1] = j + 1, j
-            ai[j], ai[j + 1] = pj1, pj
-            b[j], b[j + 1] = b[j + 1], b[j]
-        if not changed:
-            return x, y, False
-        return self._wrap(tuple(a)), self._wrap(tuple(b)), True
+        b = list(y)
+        moved = False
+        j = 0
+        while j < n - 1:
+            if b[j] > b[j + 1] and ai[j] < ai[j + 1]:
+                moved = True
+                pj, pj1 = ai[j], ai[j + 1]
+                a[pj], a[pj1] = j + 1, j
+                ai[j], ai[j + 1] = pj1, pj
+                b[j], b[j + 1] = b[j + 1], b[j]
+                j = max(j - 1, 0)
+            else:
+                j += 1
+        return (tuple(a), tuple(b)) if moved else None
+
+    def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
+        # s_j p swaps the images of j - 1 and j, p s_j swaps the values; the
+        # product is longer exactly when the swapped pair was in order
+        q = list(p)
+        if left:
+            if p[j - 1] > p[j]:
+                return None
+            q[j - 1], q[j] = p[j], p[j - 1]
+        else:
+            u, v = p.index(j - 1), p.index(j)
+            if u > v:
+                return None
+            q[u], q[v] = j, j - 1
+        return tuple(q)
 
     def pair_is_left_weighted(self, x: Simple, y: Simple) -> bool:
         ai = _pinv(x.key)
@@ -341,8 +371,20 @@ class ClassicalStructure(GarsideStructure):
             if b[j] > b[j + 1]
         )
 
-    def _perm0(self, s: Simple) -> tuple:
-        return s.key
+
+def _cycle_labels(p) -> tuple[int, list]:
+    """The number of cycles of p and, for each entry, the index of its cycle
+    (cycles numbered in order of their minima)."""
+    labels = [-1] * len(p)
+    count = 0
+    for start in range(len(p)):
+        if labels[start] < 0:
+            v = start
+            while labels[v] < 0:
+                labels[v] = count
+                v = p[v]
+            count += 1
+    return count, labels
 
 
 def _dual_cycles(p) -> int:
@@ -412,18 +454,16 @@ class BandStructure(GarsideStructure):
     def _simple_of_perm0(self, p) -> Simple:
         r = self._from_perm0(p)
         if r is None:
-            raise ValueError(
-                f"permutation {tuple(p)} is not a simple element of band({self.n})"
-            )
+            raise self._not_simple(f"permutation {tuple(p)}")
         return r
 
-    def _not_simple(self, s: Simple) -> ValueError:
-        return ValueError(f"{s.key} is not a simple element of band({self.n})")
+    def _not_simple(self, what) -> ValueError:
+        return ValueError(f"{what} is not a simple element of band({self.n})")
 
     def _checked_block_labels(self, s: Simple) -> list:
         """The block labels of s, after the cycle-count test on its key."""
         if len(s.key) + _dual_cycles(self._perm0(s)) != self.n + 1:
-            raise self._not_simple(s)
+            raise self._not_simple(s.key)
         return self._block_labels(s)
 
     def atoms(self) -> tuple[Simple, ...]:
@@ -485,26 +525,13 @@ class BandStructure(GarsideStructure):
     def right_meet(self, a: Simple, b: Simple) -> Simple:
         return self.meet(a, b)
 
-    def complement(self, s: Simple) -> Simple:
-        return self._simple_of_perm0(_pmul(_pinv(self._perm0(s)), self._delta_perm))
-
-    def left_complement(self, s: Simple) -> Simple:
-        return self._simple_of_perm0(_pmul(self._delta_perm, _pinv(self._perm0(s))))
-
-    def twist_pow(self, s: Simple, k: int) -> Simple:
-        """delta^-k s delta^k: every strand index moves by k, mod n."""
+    def _twist_perm(self, p: tuple, k: int) -> tuple:
+        # every strand index moves by k, mod n
         n = self.n
         k %= n
         if k == 0:
-            return s
-        p = self._perm0(s)
-        return self._simple_of_perm0([(p[v - k] + k) % n for v in range(n)])
-
-    def twist(self, s: Simple) -> Simple:
-        return self.twist_pow(s, 1)
-
-    def untwist(self, s: Simple) -> Simple:
-        return self.twist_pow(s, -1)
+            return p
+        return tuple((p[v - k] + k) % n for v in range(n))
 
     def mirror(self, s: Simple) -> Simple:
         # reflect the strands (v -> n-1-v) and invert, which makes the
@@ -513,34 +540,24 @@ class BandStructure(GarsideStructure):
         n = self.n
         return self._simple_of_perm0([n - 1 - pi[n - 1 - v] for v in range(n)])
 
-    def normalize_pair(self, x: Simple, y: Simple) -> tuple[Simple, Simple, bool]:
+    def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         # t = meet(x^-1 delta, y) groups the entries by their cycle of
-        # c = x^-1 delta and their block of y.  The cycle count of c checks x
-        # (x is simple iff cycles(x) + cycles(c) = n + 1); y takes one more
-        # cycle walk.
+        # c = x^-1 delta and their cycle (block) of y.  The cycle counts of
+        # x, c, y and delta^-1 y check that both inputs are simple.
         n = self.n
-        xp = self._perm0(x)
         c = [0] * n
-        for u, v in enumerate(xp):
+        for u, v in enumerate(x):
             c[v] = (u + 1) % n
-        label = [-1] * n
-        cycles = 0
-        for start in range(n):
-            if label[start] < 0:
-                v = start
-                while label[v] < 0:
-                    label[v] = cycles
-                    v = c[v]
-                cycles += 1
-        if len(x.key) + cycles != n + 1:
-            raise self._not_simple(x)
-        yp = self._perm0(y)
-        if len(y.key) + _dual_cycles(yp) != n + 1:
-            raise self._not_simple(y)
-        for v, i in enumerate(self._block_labels(y)):
-            label[v] = label[v] * n + i
+        cycles, label = _cycle_labels(c)
+        if _cycle_labels(x)[0] + cycles != n + 1:
+            raise self._not_simple(f"permutation {x}")
+        cycles, block = _cycle_labels(y)
+        if cycles + _dual_cycles(y) != n + 1:
+            raise self._not_simple(f"permutation {y}")
+        for v in range(n):
+            label[v] = label[v] * n + block[v]
         if len(set(label)) == n:
-            return x, y, False
+            return None
         groups = {}
         for v in range(n):
             groups.setdefault(label[v], []).append(v)
@@ -552,11 +569,22 @@ class BandStructure(GarsideStructure):
                 t[prev] = v
                 tinv[v] = prev
                 prev = v
-        return (
-            self._simple_of_perm0([t[v] for v in xp]),
-            self._simple_of_perm0([yp[v] for v in tinv]),
-            True,
-        )
+        return tuple(t[v] for v in x), tuple(y[v] for v in tinv)
+
+    def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
+        # s_j p swaps the images of j - 1 and j, p s_j swaps the values; the
+        # product is a simple one atom longer when it has one cycle fewer and
+        # passes the cycle count
+        q = list(p)
+        if left:
+            q[j - 1], q[j] = p[j], p[j - 1]
+        else:
+            u, v = p.index(j - 1), p.index(j)
+            q[u], q[v] = j, j - 1
+        cycles = _cycle_labels(q)[0]
+        if cycles != _cycle_labels(p)[0] - 1 or cycles + _dual_cycles(q) != self.n + 1:
+            return None
+        return tuple(q)
 
     def letter_simple(self, j: int) -> Simple:
         if not 1 <= j <= self.n - 1:

@@ -496,13 +496,15 @@ def check_product_dichotomy(rng: random.Random):
         Z = W.compose(X, Y)
         atom_powers_k = {E.power(E.simple_nf(st, a), k).key() for a in atoms}
         atom_powers_l = {E.power(E.simple_nf(st, a), l).key() for a in atoms}
+        xnf, ynf, znf = (E.from_word(st, v) for v in (X, Y, Z))
 
         def realizes(u: BraidWord) -> bool:
-            xu = E.from_word(st, W.conjugate(X, u))
-            yu = E.from_word(st, W.conjugate(Y, u))
+            unf = E.from_word(st, u)
+            xu = E.conjugate(xnf, unf)
+            yu = E.conjugate(ynf, unf)
             if xu.key() in atom_powers_k and yu.key() in atom_powers_l:
                 return True
-            zu = E.from_word(st, W.conjugate(Z, u))
+            zu = E.conjugate(znf, unf)
             if zu.canonical_length == xu.canonical_length + yu.canonical_length:
                 zrep, _, circuit = E._slide_to_circuit(zu)
                 if any(c.key() == zu.key() for c in circuit):
@@ -513,7 +515,7 @@ def check_product_dichotomy(rng: random.Random):
         sc = E.sliding_circuits_with_trails(st, Z)
         for _nf, trail in sc.values():
             candidates.append(trail)
-            zt = E.from_word(st, W.conjugate(Z, trail))
+            zt = E.conjugate(znf, E.from_word(st, trail))
             for m in (-2, -1, 1, 2):
                 candidates.append(
                     W.free_reduce(W.compose(trail, E.power(zt, m).to_word()))

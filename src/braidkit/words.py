@@ -93,9 +93,6 @@ class Permutation:
     def sign(self) -> int:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
-    def is_even(self) -> bool:
-        return self.sign() == 1
-
     def __str__(self) -> str:
         cycles = self.cycles()
         if not cycles:

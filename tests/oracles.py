@@ -1,0 +1,75 @@
+"""Slow reference paths, kept as test oracles for the library's fast ones.
+
+``generic_normalize_pair`` weights a pair through the lattice operations
+(``meet``, ``complement``, ``mul``, ``left_quotient``) instead of a
+structure's kernel.  ``combine``, ``mul`` and ``from_word`` are the
+normal-form arithmetic on ``Simple`` values before the forward-pass insertion,
+run on that generic pair weighting: weight the junction of two weighted
+sequences forward and comb every change backwards, and read a word one letter
+at a time.
+"""
+
+from braidkit import engine as E
+
+
+def generic_normalize_pair(st, x, y):
+    """Make (x, y) left weighted by moving t = meet(x^-1 delta, y) onto x."""
+    t = st.meet(st.complement(x), y)
+    if st.is_identity(t):
+        return x, y, False
+    return st.mul(x, t), st.left_quotient(t, y), True
+
+
+def combine(st, left, right):
+    """Weight the concatenation of two weighted sequences: work the junction
+    forward; every change combs backwards.  Returns the number of leading
+    deltas and the remaining factors."""
+    fs = left + right
+    start = len(left) - 1
+    if start >= 0:
+        for i in range(start, len(fs) - 1):
+            x, y, moved = generic_normalize_pair(st, fs[i], fs[i + 1])
+            if not moved:
+                break
+            fs[i], fs[i + 1] = x, y
+            for j in range(i - 1, -1, -1):
+                x, y, moved = generic_normalize_pair(st, fs[j], fs[j + 1])
+                if not moved:
+                    break
+                fs[j], fs[j + 1] = x, y
+    fs = [f for f in fs if not st.is_identity(f)]
+    lo = 0
+    while lo < len(fs) and st.is_delta(fs[lo]):
+        lo += 1
+    return lo, tuple(fs[lo:])
+
+
+def mul(x, y):
+    st = x.structure
+    q = y.inf
+    shifted = [st.twist_pow(a, q) for a in x.factors]
+    extra, factors = combine(st, shifted, list(y.factors))
+    return E.GarsideNormalForm(st, x.inf + q + extra, factors)
+
+
+def from_word(st, w):
+    """Multiply in one letter at a time, right to left; s_j^-1 enters as
+    delta^-1 . (delta s_j^-1)."""
+    out = E.identity_nf(st)
+    for k in reversed(w.letters):
+        a = st.letter_simple(abs(k))
+        if k > 0:
+            letter = E.simple_nf(st, a)
+        else:
+            lc = st.left_complement(a)
+            letter = E.GarsideNormalForm(st, -1, () if st.is_identity(lc) else (lc,))
+        out = mul(letter, out)
+    return out
+
+
+def right_normal_form(st, w):
+    """The mirror, factor by factor in reverse order, of the left form of the
+    mirrored word."""
+    x = from_word(st, E._mirror(w))
+    factors = tuple(st.mirror(f) for f in reversed(x.factors))
+    return E.GarsideNormalForm(st, x.inf, factors, side="right")

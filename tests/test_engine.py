@@ -210,7 +210,7 @@ def test_sliding_circuits_conjugation_invariant():
         assert sc1 == sc2
 
 
-def test_conjugacy_solver():
+def test_conjugacy_solver(monkeypatch):
     struct = classical(4)
     cert = E.conjugacy_solve(struct, BraidWord(4, (1,)), BraidWord(4, (2,)))
     assert cert.conjugate
@@ -224,10 +224,25 @@ def test_conjugacy_solver():
         g = rand_word(rng, n, rng.randint(0, 6))
         cert = E.conjugacy_solve(struct, x, W.conjugate(x, g))
         assert cert.conjugate
-    # honest negatives beyond the shortcuts: same exponent sum and cycle type
+    # same exponent sum, but cycle types (1, 1, 1) and (3,): refused by the
+    # cycle-type test before any sliding
     assert not E.conjugacy_solve(
         classical(3), BraidWord(3, (1, 1, 2, 2)), BraidWord(3, (1, 1, 1, 2))
     ).conjugate
+    # an honest negative beyond the shortcuts: exponent sum, cycle type and
+    # summit (inf, sup) agree, so the circuit closure has to decide
+    real = E._circuit_search
+    entered = []
+
+    def spy(*args):
+        entered.append(args[0].kind)
+        return real(*args)
+
+    monkeypatch.setattr(E, "_circuit_search", spy)
+    a, b = BraidWord.parse("B4: 2 -3 -1"), BraidWord.parse("B4: 1 -3 -2")
+    for struct in (classical(4), band(4)):
+        assert not E.conjugacy_solve(struct, a, b).conjugate
+    assert entered == ["classical", "band"]
 
 
 def test_band_and_classical_conjugacy_agree():

@@ -11,7 +11,6 @@ import braidkit
 from braidkit import engine as E
 from braidkit import words as W
 from braidkit.garside import (
-    GarsideStructure,
     Simple,
     band,
     classical,
@@ -20,6 +19,7 @@ from braidkit.garside import (
     meet,
 )
 from braidkit.words import BraidWord
+from oracles import generic_normalize_pair
 
 
 def all_structures(ns=(2, 3, 4)):
@@ -351,7 +351,7 @@ def test_band_normalize_pair_matches_generic_route():
     for n in range(1, 7):
         st = band(n)
         for x, y in itertools.product(st.simples(), repeat=2):
-            assert st.normalize_pair(x, y) == GarsideStructure.normalize_pair(st, x, y)
+            assert st.normalize_pair(x, y) == generic_normalize_pair(st, x, y)
     rng = random.Random(13)
     for n in range(7, 13):
         st = band(n)
@@ -359,9 +359,37 @@ def test_band_normalize_pair_matches_generic_route():
         for _ in range(300):
             x, y = _random_band_simple(st, rng), _random_band_simple(st, rng)
             got = st.normalize_pair(x, y)
-            assert got == GarsideStructure.normalize_pair(st, x, y)
+            assert got == generic_normalize_pair(st, x, y)
             moved += got[2]
         assert 0 < moved < 300
+
+
+def test_classical_normalize_pair_matches_generic_route():
+    for n in range(1, 6):
+        st = classical(n)
+        for x, y in itertools.product(st.simples(), repeat=2):
+            assert st.normalize_pair(x, y) == generic_normalize_pair(st, x, y)
+    rng = random.Random(14)
+    for n in range(6, 13):
+        st = classical(n)
+        moved = 0
+        for _ in range(300):
+            x, y = (Simple("classical", n, tuple(rng.sample(range(n), n))) for _ in "xy")
+            got = st.normalize_pair(x, y)
+            assert got == generic_normalize_pair(st, x, y)
+            moved += got[2]
+        assert 0 < moved < 300
+
+
+def test_letter_products_match_mul():
+    # the blocking step of from_word: s_j p and p s_j, when simple
+    for st in all_structures((2, 3, 4, 5)):
+        for p in st.simples():
+            for j in range(1, st.n):
+                a = st.letter_simple(j)
+                for left, product in ((True, st.mul(a, p)), (False, st.mul(p, a))):
+                    got = st._mul_letter(st._perm0(p), j, left)
+                    assert got == (None if product is None else st._perm0(product))
 
 
 def test_band_twist_pow_is_repeated_twist():
