@@ -34,6 +34,16 @@ conjugacy-class invariant which we enumerate by closing under conjugation by
 simple elements.  Every search step records its conjugator, so membership
 answers come with verified witnesses.
 
+Conjugation by a simple s is one backward and one forward pass on the
+arrays, ``_conjugate_simple``.  ``_append`` multiplies a weighted sequence on
+the right by s, weighting the pairs from the right end back and stopping at
+the first pair that does not move; then ``_insert`` puts the twisted
+complement of s in front, since s^-1 delta^p = delta^(p-1) tau^p(delta s^-1).
+For r factors that is at most 2r + 1 kernel calls.  ``conjugate`` takes its
+conjugator one factor at a time this way, so each slide and each step of the
+circuit closure is one such conjugation; the atom-pair walk calls
+``_conjugate_simple`` on permutations directly.
+
 Three exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
 invariants (Elrifai-Morton, Quart. J. Math. 45, 1994); a conjugate y^s of a
@@ -162,6 +172,41 @@ def _insert_all(st: GarsideStructure, head: list[tuple], q: int, fs: list[tuple]
     return e
 
 
+def _append(st: GarsideStructure, fs: list[tuple], s: tuple) -> int:
+    """Multiply the left weighted list fs of proper simples on the right by
+    the simple s, in place, all as permutations; return 1 if the product
+    split off a delta, else 0.  The mirror of ``_insert``: weight the pairs
+    from the right end back, and stop at the first pair that does not move."""
+    if s == st._id:
+        return 0
+    weigh = st._weigh
+    fs.append(s)
+    for j in range(len(fs) - 2, -1, -1):
+        moved = weigh(fs[j], fs[j + 1])
+        if moved is None:
+            break
+        fs[j], fs[j + 1] = moved
+    if fs[-1] == st._id:
+        fs.pop()
+    if fs and fs[0] == st._delta_perm:
+        del fs[0]
+        return 1
+    return 0
+
+
+def _conjugate_simple(
+    st: GarsideStructure, p: int, fs: tuple, s: tuple
+) -> tuple[int, list[tuple]]:
+    """y^s for y = delta^p fs and a simple s, all as permutations, returned
+    as (inf, factors).  With s^-1 = delta^-1 (delta s^-1),
+    y^s = delta^(p-1) tau^p(delta s^-1) . fs . s: append s, then insert the
+    twisted left complement, at most 2r + 1 kernel calls for r factors."""
+    fs = list(fs)
+    e = _append(st, fs, s)
+    e += _insert(st, st._twist_perm(st._left_complement_perm(s), p + e), fs)
+    return p - 1 + e, fs
+
+
 def _from_perms(st: GarsideStructure, inf: int, fs: list[tuple]) -> GarsideNormalForm:
     return GarsideNormalForm(st, inf, tuple(map(st._simple_of_perm0, fs)))
 
@@ -214,8 +259,15 @@ def power(x: GarsideNormalForm, k: int) -> GarsideNormalForm:
 
 
 def conjugate(x: GarsideNormalForm, g: GarsideNormalForm) -> GarsideNormalForm:
-    """x^g = g^-1 x g."""
-    return mul(mul(inv(g), x), g)
+    """x^g = g^-1 x g.  For g = delta^k A_1 ... A_m, twist x's factors k
+    times, then conjugate by A_1, ..., A_m in turn on the arrays."""
+    st = x.structure
+    if (st.kind, st.n) != (g.structure.kind, g.structure.n):
+        raise ValueError("structure mismatch")
+    p, fs = x.inf, [st._twist_perm(st._perm0(f), g.inf) for f in x.factors]
+    for f in g.factors:
+        p, fs = _conjugate_simple(st, p, fs, st._perm0(f))
+    return _from_perms(st, p, fs)
 
 
 def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
@@ -347,7 +399,9 @@ def _circuit_search(
     (inf, sup); a conjugate outside that window is not on any circuit and
     SC stays connected without it.
     """
-    proper_simples = [s for s in st.simples() if not st.is_identity(s)]
+    proper_simples = [
+        (s, simple_nf(st, s)) for s in st.simples() if not st.is_identity(s)
+    ]
     summit = (rep.inf, rep.sup)
     found: set[tuple] = set()
     queue: list[tuple[GarsideNormalForm, BraidWord]] = []
@@ -368,8 +422,8 @@ def _circuit_search(
     yield from walk_circuit(rep, trail)
     while queue:
         y, y_trail = queue.pop()
-        for s in proper_simples:
-            z = conjugate(y, simple_nf(st, s))
+        for s, g in proper_simples:
+            z = conjugate(y, g)
             if (z.inf, z.sup) != summit or z.key() in found:
                 continue
             z_rep, z_trail, _ = _slide_to_circuit(z)
@@ -551,27 +605,29 @@ def solve_pair_to_generators(
 
 def _atom_pair_walk(st: GarsideStructure, x: Simple, y: Simple) -> BraidWord | None:
     """Breadth-first search through pairs of atoms conjugated by simples,
-    from (x, y) to the pair of the first two Artin letters."""
+    from (x, y) to the pair of the first two Artin letters.
+
+    Runs on permutations.  A conjugate of an atom with inf 0 and one factor
+    is an atom, because the exponent sum is a conjugacy invariant."""
     n = st.n
-    target = (st.letter_simple(1), st.letter_simple(2))
-    start = (x, y)
+    target = (st._perm0(st.letter_simple(1)), st._perm0(st.letter_simple(2)))
+    start = (st._perm0(x), st._perm0(y))
     if start == target:
         return BraidWord.identity(n)
-    proper = [s for s in st.simples() if not st.is_identity(s)]
-    frontier: dict[tuple[Simple, Simple], BraidWord] = {start: BraidWord.identity(n)}
+    proper = [(s, st._perm0(s)) for s in st.simples() if not st.is_identity(s)]
+    frontier: dict[tuple[tuple, tuple], BraidWord] = {start: BraidWord.identity(n)}
     seen = {start}
     while frontier:
-        new_frontier: dict[tuple[Simple, Simple], BraidWord] = {}
+        new_frontier: dict[tuple[tuple, tuple], BraidWord] = {}
         for (a, b), trail in frontier.items():
-            for s in proper:
-                se = simple_nf(st, s)
-                a2 = conjugate(simple_nf(st, a), se)
-                if not is_atom_nf(a2):
+            for s, sp in proper:
+                p, a2 = _conjugate_simple(st, 0, (a,), sp)
+                if p or len(a2) != 1:
                     continue
-                b2 = conjugate(simple_nf(st, b), se)
-                if not is_atom_nf(b2):
+                p, b2 = _conjugate_simple(st, 0, (b,), sp)
+                if p or len(b2) != 1:
                     continue
-                state = (a2.factors[0], b2.factors[0])
+                state = (a2[0], b2[0])
                 if state in seen:
                     continue
                 seen.add(state)

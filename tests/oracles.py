@@ -6,10 +6,14 @@ structure's kernel.  ``combine``, ``mul`` and ``from_word`` are the
 normal-form arithmetic on ``Simple`` values before the forward-pass insertion,
 run on that generic pair weighting: weight the junction of two weighted
 sequences forward and comb every change backwards, and read a word one letter
-at a time.
+at a time.  ``conjugate`` is g^-1 x g as two such products, and
+``atom_pair_walk`` the atom-pair search on normal forms with that
+conjugation.
 """
 
 from braidkit import engine as E
+from braidkit import words as W
+from braidkit.words import BraidWord
 
 
 def generic_normalize_pair(st, x, y):
@@ -73,3 +77,42 @@ def right_normal_form(st, w):
     x = from_word(st, E._mirror(w))
     factors = tuple(st.mirror(f) for f in reversed(x.factors))
     return E.GarsideNormalForm(st, x.inf, factors, side="right")
+
+
+def conjugate(x, g):
+    return mul(mul(E.inv(g), x), g)
+
+
+def atom_pair_walk(st, x, y):
+    """Breadth-first search through pairs of atoms conjugated by simples,
+    from (x, y) to the pair of the first two Artin letters, on normal
+    forms."""
+    n = st.n
+    target = (st.letter_simple(1), st.letter_simple(2))
+    start = (x, y)
+    if start == target:
+        return BraidWord.identity(n)
+    proper = [s for s in st.simples() if not st.is_identity(s)]
+    frontier = {start: BraidWord.identity(n)}
+    seen = {start}
+    while frontier:
+        new_frontier = {}
+        for (a, b), trail in frontier.items():
+            for s in proper:
+                se = E.simple_nf(st, s)
+                a2 = conjugate(E.simple_nf(st, a), se)
+                if not E.is_atom_nf(a2):
+                    continue
+                b2 = conjugate(E.simple_nf(st, b), se)
+                if not E.is_atom_nf(b2):
+                    continue
+                state = (a2.factors[0], b2.factors[0])
+                if state in seen:
+                    continue
+                seen.add(state)
+                t2 = W.free_reduce(W.compose(trail, BraidWord(n, st.simple_word(s))))
+                if state == target:
+                    return t2
+                new_frontier[state] = t2
+        frontier = new_frontier
+    return None

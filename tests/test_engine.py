@@ -394,6 +394,14 @@ def test_sliding_circuits_match_exhaustive_oracle():
                 w = rand_word(rng, n, rng.randint(1, 7))
                 keys = {nf.key() for nf in E.sliding_circuits(struct, w)}
                 assert keys == exhaustive_sliding_circuits(struct, w), w.format()
+    # SC has 6 and 18 elements; conjugating each vertex only by its minimal
+    # super-summit simples (one per atom) and sliding reaches 2 and 6 of them
+    struct = classical(5)
+    for w, size in (("B5: -1 4", 6), ("B5: 3 -2 3", 18)):
+        w = BraidWord.parse(w)
+        keys = {nf.key() for nf in E.sliding_circuits(struct, w)}
+        assert len(keys) == size
+        assert keys == exhaustive_sliding_circuits(struct, w), w.format()
 
 
 def test_conjugacy_solve_matches_exhaustive_oracle():

@@ -1,5 +1,5 @@
-"""The forward-pass insertion against the letter-by-letter oracle, and the
-group laws of normal-form arithmetic."""
+"""The forward-pass insertion and the conjugation kernel against the slow
+oracles, and the group laws of normal-form arithmetic."""
 
 import random
 
@@ -75,6 +75,101 @@ def test_band_weighting_rejects_crossing_key_in_normal_forms():
     for x, y in ((bad, good), (good, bad), (E.identity_nf(bs), bad)):
         with pytest.raises(ValueError, match="is not a simple element of band"):
             E.mul(x, y)
+    # a factor with an unsorted block comes back in canonical form
+    unsorted = E.GarsideNormalForm(bs, 0, (Simple("band", 4, ((3, 1), (2,), (4,))),))
+    canonical = E.GarsideNormalForm(bs, 0, (bs.band_simple(1, 3),))
+    assert E.mul(E.identity_nf(bs), unsorted).key() == canonical.key()
+    assert E.conjugate(unsorted, E.identity_nf(bs)).key() == canonical.key()
+
+
+def sample_simples(rng, struct, count):
+    """Every simple for n <= 4; above that delta and count products of
+    random atoms, each grown while it stays simple."""
+    if struct.n <= 4:
+        return list(struct.simples())
+    out = [struct.delta()]
+    for _ in range(count):
+        s = struct.identity()
+        for _ in range(rng.randint(1, struct.n * struct.n // 2)):
+            t = struct.mul(s, struct.letter_simple(rng.randint(1, struct.n - 1)))
+            s = t if t is not None else s
+        out.append(s)
+    return out
+
+
+def short_seeded_words(rng, count):
+    """Words with n 2..12 and 0..60 letters, styles as in seeded_words."""
+    return [
+        BraidWord(w.strands, w.letters[: rng.randint(0, 60)])
+        for w in seeded_words(rng, count)
+    ]
+
+
+def test_conjugation_on_arrays_matches_oracle():
+    # _append against mul and the letter-by-letter oracle; conjugate, by a
+    # simple and by a whole normal form, against g^-1 x g on the oracle
+    rng = random.Random(71)
+    for w in short_seeded_words(rng, 24):
+        n = w.strands
+        for struct in (classical(n), band(n)):
+            x = E.from_word(struct, w)
+            fs = [struct._perm0(f) for f in x.factors]
+            ox = O.from_word(struct, w)
+            for s in sample_simples(rng, struct, 4):
+                g = E.simple_nf(struct, s)
+                right = list(fs)
+                e = E._append(struct, right, struct._perm0(s))
+                product = E._from_perms(struct, x.inf + e, right)
+                assert product.key() == E.mul(x, g).key()
+                assert product.key() == O.mul(ox, g).key()
+                assert E.conjugate(x, g).key() == O.conjugate(ox, g).key(), (w.format(), s)
+            v = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+            g = E.from_word(struct, BraidWord(n, tuple(v)))
+            assert E.conjugate(x, g).key() == O.conjugate(ox, g).key(), (w.format(), v)
+
+
+def count_kernel_calls(monkeypatch, struct):
+    real = struct._weigh
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(struct, "_weigh", counting)
+    return calls
+
+
+def test_conjugation_by_a_simple_makes_at_most_2r_plus_1_kernel_calls(monkeypatch):
+    # a deterministic work gate: one backward and one forward pass; the
+    # product mul(mul(inv(g), x), g) inserts x's r factors one at a time and
+    # exceeds it on long forms.  A slide finds its prefix with a meet, so it
+    # is held to the same bound.
+    rng = random.Random(72)
+    longest = 0
+    for w in short_seeded_words(rng, 16):
+        for struct in (classical(w.strands), band(w.strands)):
+            x = E.from_word(struct, w)
+            r = len(x.factors)
+            longest = max(longest, r)
+            calls = count_kernel_calls(monkeypatch, struct)
+            for s in sample_simples(rng, struct, 4):
+                calls.clear()
+                E.conjugate(x, E.simple_nf(struct, s))
+                assert len(calls) <= 2 * r + 1, (w.format(), s, r, len(calls))
+            calls.clear()
+            E._slide_step(x)
+            assert len(calls) <= 2 * r + 1
+    assert longest >= 10
+
+
+def test_atom_pair_walk_matches_oracle():
+    # the same trail, or None, for every ordered pair of atoms
+    for n in (3, 4, 5):
+        struct = band(n)
+        for x in struct.atoms():
+            for y in struct.atoms():
+                assert E._atom_pair_walk(struct, x, y) == O.atom_pair_walk(struct, x, y)
 
 
 def words_on(n_strands):
