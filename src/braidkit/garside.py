@@ -10,14 +10,20 @@ a partition), never as words; words are produced on demand.  Equality and
 hashing are therefore O(1) dictionary operations.
 
 Both structures compute on the 0-based permutation of a simple (``_perm0``,
-which for the classical structure is the key itself).  Each has one
-weighting kernel on those arrays, ``_weigh``, which the engine's normal forms
-run on; ``normalize_pair`` is its wrapper on ``Simple`` values.  The band
-structure reads a permutation back into blocks through one checked
-conversion.  Its simplicity test is the cycle count: a permutation p is a band
-simple exactly when it lies below delta in absolute order, i.e. cycles(p) +
-cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid monoid", Ann. Sci. ENS
-36, 2003), two O(n) cycle walks.  Nothing is cached.
+which for the classical structure is the key itself), and a simple of either
+structure multiplies, divides and mirrors as its permutation does.  So each
+structure supplies only its conversions (``_perm0`` and ``_from_perm0``), its
+weighting kernel ``_weigh`` (the engine's normal forms run on it;
+``normalize_pair`` is its wrapper on ``Simple`` values), its twist, its letter
+products, ``meet``, ``left_divides``, enumeration and words.  The base class
+derives the rest once: the checked conversion, ``mul``, ``left_quotient``,
+``mirror``, the complements and the twists.
+
+Every permutation is a classical simple.  The band structure reads a
+permutation back into blocks, and its simplicity test is the cycle count: a
+permutation p is a band simple exactly when it lies below delta in absolute
+order, i.e. cycles(p) + cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid
+monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -65,9 +71,15 @@ def _inversions(a: tuple) -> int:
 class GarsideStructure:
     """Shared interface of the two structures.
 
-    Subclasses provide the canonical-form arithmetic; everything generic
-    (normal forms, sliding, conjugacy) lives in the engine module and only
-    calls these methods.
+    A subclass supplies the conversions between a ``Simple`` and its 0-based
+    permutation (``_perm0``, and ``_from_perm0``, which returns None for a
+    permutation that is not simple), the kernels on permutations (``_weigh``,
+    ``_twist_perm``, ``_mul_letter``), ``meet``, ``left_divides``,
+    ``atom_length``, enumeration and words.  From these the class derives
+    the checked conversion ``_simple_of_perm0``, ``mul``, ``left_quotient``,
+    ``mirror``, the complements, the twists and ``normalize_pair``.
+    Everything generic (normal forms, sliding, conjugacy) lives in the engine
+    module and only calls these methods.
     """
 
     kind: str
@@ -100,24 +112,11 @@ class GarsideStructure:
     def atom_length(self, s: Simple) -> int:
         raise NotImplementedError
 
-    def mul(self, a: Simple, b: Simple) -> Simple | None:
-        """The product a.b if it is again simple, else None."""
-        raise NotImplementedError
-
     def meet(self, a: Simple, b: Simple) -> Simple:
         """Greatest common prefix of a and b."""
         raise NotImplementedError
 
     def left_divides(self, a: Simple, b: Simple) -> bool:
-        raise NotImplementedError
-
-    def left_quotient(self, t: Simple, s: Simple) -> Simple:
-        """t^-1 s for a prefix t of s."""
-        raise NotImplementedError
-
-    def mirror(self, s: Simple) -> Simple:
-        """Image of s under the anti-automorphism that reverses a word and
-        sends s_j to s_(n-j); it fixes delta and swaps prefixes with suffixes."""
         raise NotImplementedError
 
     twist_order: int
@@ -130,7 +129,26 @@ class GarsideStructure:
         """A positive Artin word for s (deterministic)."""
         raise NotImplementedError
 
-    # shared ----------------------------------------------------------------
+    # derived ---------------------------------------------------------------
+    def mul(self, a: Simple, b: Simple) -> Simple | None:
+        """The product a.b if it is again simple, else None."""
+        r = self._from_perm0(_pmul(self._perm0(a), self._perm0(b)))
+        if r is None or self.atom_length(a) + self.atom_length(b) != self.atom_length(r):
+            return None
+        return r
+
+    def left_quotient(self, t: Simple, s: Simple) -> Simple:
+        """t^-1 s for a prefix t of s."""
+        return self._simple_of_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
+
+    def mirror(self, s: Simple) -> Simple:
+        """Image of s under the anti-automorphism that reverses a word and
+        sends s_j to s_(n-j); it fixes delta and swaps prefixes with suffixes.
+        On permutations: reflect the strands (v -> n-1-v) and invert."""
+        pi = _pinv(self._perm0(s))
+        n = self.n
+        return self._simple_of_perm0(tuple(n - 1 - pi[n - 1 - v] for v in range(n)))
+
     def is_identity(self, s: Simple) -> bool:
         return s == self._identity
 
@@ -164,16 +182,6 @@ class GarsideStructure:
             return x, y, False
         return self._simple_of_perm0(moved[0]), self._simple_of_perm0(moved[1]), True
 
-    def pair_is_left_weighted(self, x: Simple, y: Simple) -> bool:
-        return self.is_identity(self.meet(self.complement(x), y))
-
-    def right_meet(self, a: Simple, b: Simple) -> Simple:
-        """Greatest common suffix of a and b."""
-        raise NotImplementedError
-
-    def pair_is_right_weighted(self, x: Simple, y: Simple) -> bool:
-        return self.is_identity(self.right_meet(x, self.left_complement(y)))
-
     def simple_permutation(self, s: Simple) -> Permutation:
         return Permutation(tuple(v + 1 for v in self._perm0(s)))
 
@@ -181,9 +189,19 @@ class GarsideStructure:
     def _perm0(self, s: Simple) -> tuple:
         raise NotImplementedError
 
+    def _from_perm0(self, p) -> Simple | None:
+        """The simple whose permutation is p, or None if there is none."""
+        raise NotImplementedError
+
     def _simple_of_perm0(self, p) -> Simple:
         """The simple whose permutation is p; ValueError if there is none."""
-        raise NotImplementedError
+        r = self._from_perm0(p)
+        if r is None:
+            raise self._not_simple(f"permutation {tuple(p)}")
+        return r
+
+    def _not_simple(self, what) -> ValueError:
+        return ValueError(f"{what} is not a simple element of {self.kind}({self.n})")
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         """The weighting kernel: for simples x, y given as permutations,
@@ -219,7 +237,7 @@ class ClassicalStructure(GarsideStructure):
     def _perm0(self, s: Simple) -> tuple:
         return s.key
 
-    def _simple_of_perm0(self, p: tuple) -> Simple:
+    def _from_perm0(self, p: tuple) -> Simple:
         # every permutation is a classical simple
         return Simple(self.kind, self.n, p)
 
@@ -237,12 +255,6 @@ class ClassicalStructure(GarsideStructure):
 
     def atom_length(self, s: Simple) -> int:
         return _inversions(s.key)
-
-    def mul(self, a: Simple, b: Simple) -> Simple | None:
-        c = _pmul(a.key, b.key)
-        if _inversions(a.key) + _inversions(b.key) != _inversions(c):
-            return None
-        return self._simple_of_perm0(c)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
         # Greedy common-prefix extraction: any letter starting both operands
@@ -266,43 +278,12 @@ class ClassicalStructure(GarsideStructure):
         q = _pmul(_pinv(a.key), b.key)
         return _inversions(a.key) + _inversions(q) == _inversions(b.key)
 
-    def left_quotient(self, t: Simple, s: Simple) -> Simple:
-        return self._simple_of_perm0(_pmul(_pinv(t.key), s.key))
-
-    def right_meet(self, a: Simple, b: Simple) -> Simple:
-        # Mirror of meet: grow a common suffix from shared final letters.
-        x, y = list(a.key), list(b.key)
-        xi, yi = list(_pinv(a.key)), list(_pinv(b.key))
-        m = list(self._id)
-        n = self.n
-        while True:
-            j = next(
-                (
-                    j
-                    for j in range(n - 1)
-                    if xi[j] > xi[j + 1] and yi[j] > yi[j + 1]
-                ),
-                None,
-            )
-            if j is None:
-                return self._simple_of_perm0(tuple(m))
-            m[j], m[j + 1] = m[j + 1], m[j]
-            for arr, inv_arr in ((x, xi), (y, yi)):
-                pj, pj1 = inv_arr[j], inv_arr[j + 1]
-                arr[pj], arr[pj1] = j + 1, j
-                inv_arr[j], inv_arr[j + 1] = pj1, pj
-
     def _twist_perm(self, p: tuple, k: int) -> tuple:
         # conjugating by the half twist reverses positions and values
         if k % 2 == 0:
             return p
         n = self.n
         return tuple(n - 1 - p[n - 1 - i] for i in range(n))
-
-    def mirror(self, s: Simple) -> Simple:
-        si = _pinv(s.key)
-        n = self.n
-        return self._simple_of_perm0(tuple(n - 1 - si[n - 1 - i] for i in range(n)))
 
     def letter_simple(self, j: int) -> Simple:
         if not 1 <= j <= self.n - 1:
@@ -361,15 +342,6 @@ class ClassicalStructure(GarsideStructure):
                 return None
             q[u], q[v] = j, j - 1
         return tuple(q)
-
-    def pair_is_left_weighted(self, x: Simple, y: Simple) -> bool:
-        ai = _pinv(x.key)
-        b = y.key
-        return all(
-            ai[j] > ai[j + 1]
-            for j in range(self.n - 1)
-            if b[j] > b[j + 1]
-        )
 
 
 def _cycle_labels(p) -> tuple[int, list]:
@@ -451,15 +423,6 @@ class BandStructure(GarsideStructure):
             return None
         return Simple(self.kind, n, tuple(blocks))
 
-    def _simple_of_perm0(self, p) -> Simple:
-        r = self._from_perm0(p)
-        if r is None:
-            raise self._not_simple(f"permutation {tuple(p)}")
-        return r
-
-    def _not_simple(self, what) -> ValueError:
-        return ValueError(f"{what} is not a simple element of band({self.n})")
-
     def _checked_block_labels(self, s: Simple) -> list:
         """The block labels of s, after the cycle-count test on its key."""
         if len(s.key) + _dual_cycles(self._perm0(s)) != self.n + 1:
@@ -486,15 +449,6 @@ class BandStructure(GarsideStructure):
     def atom_length(self, s: Simple) -> int:
         return self.n - len(s.key)
 
-    def mul(self, a: Simple, b: Simple) -> Simple | None:
-        c = _pmul(self._perm0(a), self._perm0(b))
-        r = self._from_perm0(c)
-        if r is None:
-            return None
-        if self.atom_length(a) + self.atom_length(b) != self.atom_length(r):
-            return None
-        return r
-
     def _block_labels(self, s: Simple) -> list:
         labels = [0] * self.n
         for i, block in enumerate(s.key):
@@ -516,15 +470,6 @@ class BandStructure(GarsideStructure):
         lb = self._checked_block_labels(b)
         return all(len({lb[v - 1] for v in block}) == 1 for block in a.key)
 
-    def left_quotient(self, t: Simple, s: Simple) -> Simple:
-        return self._simple_of_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
-
-    # Left and right divisors of a band simple coincide (reflection length is
-    # invariant under inversion and conjugation), so the suffix lattice is the
-    # same refinement lattice.
-    def right_meet(self, a: Simple, b: Simple) -> Simple:
-        return self.meet(a, b)
-
     def _twist_perm(self, p: tuple, k: int) -> tuple:
         # every strand index moves by k, mod n
         n = self.n
@@ -532,13 +477,6 @@ class BandStructure(GarsideStructure):
         if k == 0:
             return p
         return tuple((p[v - k] + k) % n for v in range(n))
-
-    def mirror(self, s: Simple) -> Simple:
-        # reflect the strands (v -> n-1-v) and invert, which makes the
-        # reflected cycles increase again
-        pi = _pinv(self._perm0(s))
-        n = self.n
-        return self._simple_of_perm0([n - 1 - pi[n - 1 - v] for v in range(n)])
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         # t = meet(x^-1 delta, y) groups the entries by their cycle of

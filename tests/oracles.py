@@ -9,10 +9,16 @@ sequences forward and comb every change backwards, and read a word one letter
 at a time.  ``conjugate`` is g^-1 x g as two such products, and
 ``atom_pair_walk`` the atom-pair search on normal forms with that
 conjugation.
+
+``pair_is_left_weighted``, ``right_meet`` and ``pair_is_right_weighted`` are
+the definitional checks of the normal forms.  The classical ``right_meet`` is
+computed from shared final letters, independently of the mirror, which the
+library's right normal form goes through.
 """
 
 from braidkit import engine as E
 from braidkit import words as W
+from braidkit.garside import _pinv
 from braidkit.words import BraidWord
 
 
@@ -22,6 +28,46 @@ def generic_normalize_pair(st, x, y):
     if st.is_identity(t):
         return x, y, False
     return st.mul(x, t), st.left_quotient(t, y), True
+
+
+def pair_is_left_weighted(st, x, y):
+    """meet(x^-1 delta, y) is trivial.  Classically: every letter that can
+    start y already finishes x, read off the descents of y and of x^-1."""
+    if st.kind == "classical":
+        ai = _pinv(x.key)
+        b = y.key
+        return all(ai[j] > ai[j + 1] for j in range(st.n - 1) if b[j] > b[j + 1])
+    return st.is_identity(st.meet(st.complement(x), y))
+
+
+def right_meet(st, a, b):
+    """Greatest common suffix of a and b."""
+    if st.kind != "classical":
+        # Left and right divisors of a band simple coincide (reflection
+        # length is invariant under inversion and conjugation), so the suffix
+        # lattice is the same refinement lattice.
+        return st.meet(a, b)
+    # Mirror of meet: grow a common suffix from shared final letters.
+    x, y = list(a.key), list(b.key)
+    xi, yi = list(_pinv(a.key)), list(_pinv(b.key))
+    m = list(range(st.n))
+    while True:
+        j = next(
+            (j for j in range(st.n - 1) if xi[j] > xi[j + 1] and yi[j] > yi[j + 1]),
+            None,
+        )
+        if j is None:
+            return st._simple_of_perm0(tuple(m))
+        m[j], m[j + 1] = m[j + 1], m[j]
+        for arr, inv_arr in ((x, xi), (y, yi)):
+            pj, pj1 = inv_arr[j], inv_arr[j + 1]
+            arr[pj], arr[pj1] = j + 1, j
+            inv_arr[j], inv_arr[j + 1] = pj1, pj
+
+
+def pair_is_right_weighted(st, x, y):
+    """right_meet(x, delta y^-1) is trivial."""
+    return st.is_identity(right_meet(st, x, st.left_complement(y)))
 
 
 def combine(st, left, right):

@@ -19,7 +19,7 @@ from braidkit.garside import (
     meet,
 )
 from braidkit.words import BraidWord
-from oracles import generic_normalize_pair
+from oracles import generic_normalize_pair, right_meet
 
 
 def all_structures(ns=(2, 3, 4)):
@@ -78,6 +78,24 @@ def test_meet_matches_brute_force():
     for st in all_structures():
         for a, b in itertools.product(st.simples(), repeat=2):
             assert st.meet(a, b) == meet_brute(st, a, b)
+
+
+def test_right_meet_oracle_matches_brute_force():
+    # the suffixes of a are the s with t.s = a for some simple t, read off the
+    # table of all products, so the check does not go through the mirror
+    for st in all_structures((1, 2, 3, 4)):
+        simples = st.simples()
+        suffixes = {a: set() for a in simples}
+        for t, s in itertools.product(simples, repeat=2):
+            ts = st.mul(t, s)
+            if ts is not None:
+                suffixes[ts].add(s)
+        for a, b in itertools.product(simples, repeat=2):
+            common = suffixes[a] & suffixes[b]
+            m = right_meet(st, a, b)
+            assert m in common
+            assert st.atom_length(m) == max(map(st.atom_length, common))
+            assert suffixes[m] == common
 
 
 def test_meet_matches_brute_force_sampled_n5():
@@ -216,7 +234,7 @@ from braidkit.garside import Simple, band
 
 st = band(4)
 crossing = Simple("band", 4, ((1, 3), (2, 4)))
-for name in ("complement", "left_complement", "twist", "untwist"):
+for name in ("complement", "left_complement", "twist", "untwist", "mirror"):
     try:
         getattr(st, name)(crossing)
     except ValueError:
@@ -229,7 +247,7 @@ print(sys.flags.optimize)
 def test_band_rejects_crossing_key():
     st = band(4)
     crossing = Simple("band", 4, ((1, 3), (2, 4)))
-    for name in ("complement", "left_complement", "twist", "untwist"):
+    for name in ("complement", "left_complement", "twist", "untwist", "mirror"):
         with pytest.raises(ValueError):
             getattr(st, name)(crossing)
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
