@@ -31,8 +31,10 @@ factor in reverse order, of the left normal form of the mirrored word.
 Conjugacy is decided through cyclic sliding: iterating the sliding map lands
 on a periodic circuit, and the set SC of all elements on sliding circuits is a
 conjugacy-class invariant which we enumerate by closing under conjugation by
-simple elements.  Every search step records its conjugator, so membership
-answers come with verified witnesses.
+simple elements.  Only ``_slide_to_circuit`` slides; it records each
+element's preferred prefix, so every circuit is slid once and the
+conjugators of its elements, hence verified witnesses, come from that
+record.  A trajectory stops at the first circuit already found.
 
 Conjugation by a simple s is one backward and one forward pass on the
 arrays, ``_conjugate_simple``.  ``_append`` multiplies a weighted sequence on
@@ -354,84 +356,79 @@ def cyclic_sliding(st: GarsideStructure, w: BraidWord) -> BraidWord:
     return y.to_word()
 
 
+def _then(st: GarsideStructure, trail: BraidWord, s: Simple, sign: int = 1) -> BraidWord:
+    """The word trail . s (trail . s^-1 for sign -1), freely reduced."""
+    step = BraidWord(st.n, st.simple_word(s))
+    return W.free_reduce(W.compose(trail, step if sign > 0 else W.inverse(step)))
+
+
 def _slide_to_circuit(
-    x: GarsideNormalForm,
-) -> tuple[GarsideNormalForm, BraidWord, list[GarsideNormalForm]]:
+    x: GarsideNormalForm, known: set[tuple] | frozenset[tuple] = frozenset()
+) -> tuple[GarsideNormalForm, BraidWord, list[tuple[GarsideNormalForm, Simple]]] | None:
     """Iterate sliding until the trajectory becomes periodic.
 
-    Returns a canonical element of the circuit reached, a conjugating word
-    from x to it, and the circuit itself.
+    Returns the circuit's element of least key, a conjugating word from x to
+    it, and the circuit as (element, preferred prefix) pairs in sliding order
+    from that element; None as soon as the trajectory meets a key in known,
+    a union of whole circuits.
     """
     st = x.structure
-    n = st.n
     seen: dict[tuple, int] = {}
-    traj: list[tuple[GarsideNormalForm, BraidWord]] = []
+    traj: list[tuple[GarsideNormalForm, Simple]] = []
     cur = x
-    trail = BraidWord.identity(n)
-    while True:
-        k = cur.key()
-        if k in seen:
-            start = seen[k]
-            break
-        seen[k] = len(traj)
-        traj.append((cur, trail))
-        nxt, p = _slide_step(cur)
-        if st.is_identity(p):
-            start = seen[k]
-            break
-        trail = W.free_reduce(W.compose(trail, BraidWord(n, st.simple_word(p))))
-        cur = nxt
+    while (k := cur.key()) not in seen:
+        if k in known:
+            return None
         if len(traj) > _TRAJECTORY_MAX:
             raise SearchLimitExceeded("sliding trajectory", _TRAJECTORY_MAX, len(traj))
-    circuit = traj[start:]
-    rep, rep_trail = min(circuit, key=lambda e: e[0].key())
-    return rep, rep_trail, [e for e, _ in circuit]
+        seen[k] = len(traj)
+        nxt, p = _slide_step(cur)
+        traj.append((cur, p))
+        cur = nxt
+    r = min(range(seen[k], len(traj)), key=lambda j: traj[j][0].key())
+    trail = BraidWord.identity(st.n)
+    for _, p in traj[:r]:
+        trail = _then(st, trail, p)
+    return traj[r][0], trail, traj[r:] + traj[seen[k]:r]
 
 
 def _circuit_search(
-    st: GarsideStructure, rep: GarsideNormalForm, trail: BraidWord
+    st: GarsideStructure, circuit: list[tuple[GarsideNormalForm, Simple]], trail: BraidWord
 ) -> Iterator[tuple[tuple, tuple[GarsideNormalForm, BraidWord]]]:
-    """Yield every element of SC, the sliding circuits conjugate to the
-    circuit element rep, in discovery order as (key, (element, conjugating
-    word from the start)); trail conjugates the start to rep.
+    """Yield every element of SC, the sliding circuits conjugate to circuit,
+    in discovery order as (key, (element, conjugating word from the start));
+    trail conjugates the start to the circuit's first element.
 
-    Every vertex lies in the super summit set, so every vertex has rep's
-    (inf, sup); a conjugate outside that window is not on any circuit and
-    SC stays connected without it.
+    Every vertex lies in the super summit set, so every vertex has the
+    circuit's (inf, sup); a conjugate outside that window is not on any
+    circuit and SC stays connected without it.
     """
     proper_simples = [
         (s, simple_nf(st, s)) for s in st.simples() if not st.is_identity(s)
     ]
-    summit = (rep.inf, rep.sup)
+    summit = (circuit[0][0].inf, circuit[0][0].sup)
     found: set[tuple] = set()
     queue: list[tuple[GarsideNormalForm, BraidWord]] = []
 
-    def walk_circuit(cur: GarsideNormalForm, cur_trail: BraidWord):
-        while (key := cur.key()) not in found:
+    def add(circuit, trail):
+        for x, p in circuit:
+            key = x.key()
             found.add(key)
-            queue.append((cur, cur_trail))
-            yield key, (cur, cur_trail)
-            nxt, p = _slide_step(cur)
-            if st.is_identity(p):
-                break
-            cur_trail = W.free_reduce(
-                W.compose(cur_trail, BraidWord(st.n, st.simple_word(p)))
-            )
-            cur = nxt
+            queue.append((x, trail))
+            yield key, (x, trail)
+            trail = _then(st, trail, p)
 
-    yield from walk_circuit(rep, trail)
+    yield from add(circuit, trail)
     while queue:
         y, y_trail = queue.pop()
         for s, g in proper_simples:
             z = conjugate(y, g)
             if (z.inf, z.sup) != summit or z.key() in found:
                 continue
-            z_rep, z_trail, _ = _slide_to_circuit(z)
-            if z_rep.key() not in found:
-                full = W.free_reduce(
-                    W.compose(y_trail, BraidWord(st.n, st.simple_word(s)), z_trail)
-                )
-                yield from walk_circuit(z_rep, full)
+            reached = _slide_to_circuit(z, found)
+            if reached is not None:
+                _, z_trail, z_circuit = reached
+                yield from add(z_circuit, W.free_reduce(W.compose(_then(st, y_trail, s), z_trail)))
                 if len(found) > _SC_MAX:
                     raise SearchLimitExceeded("sliding circuit", _SC_MAX, len(found))
 
@@ -441,8 +438,8 @@ def sliding_circuits_with_trails(
 ) -> dict[tuple, tuple[GarsideNormalForm, BraidWord]]:
     """All elements on sliding circuits conjugate to w, each with a
     conjugating word from w to it."""
-    rep, trail, _ = _slide_to_circuit(from_word(st, w))
-    return dict(_circuit_search(st, rep, trail))
+    _, trail, circuit = _slide_to_circuit(from_word(st, w))
+    return dict(_circuit_search(st, circuit, trail))
 
 
 def sliding_circuits(st: GarsideStructure, w: BraidWord) -> tuple[GarsideNormalForm, ...]:
@@ -469,12 +466,12 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
         return ConjugacyCertificate(False)
     if W.permutation_of(a).cycle_type() != W.permutation_of(b).cycle_type():
         return ConjugacyCertificate(False)
-    a_rep, a_trail, _ = _slide_to_circuit(from_word(st, a))
+    a_rep, a_trail, a_circuit = _slide_to_circuit(from_word(st, a))
     b_rep, b_trail, _ = _slide_to_circuit(from_word(st, b))
     if (a_rep.inf, a_rep.sup) != (b_rep.inf, b_rep.sup):
         return ConjugacyCertificate(False)
     target = b_rep.key()
-    for key, (_, trail) in _circuit_search(st, a_rep, a_trail):
+    for key, (_, trail) in _circuit_search(st, a_circuit, a_trail):
         if key == target:
             u = W.free_reduce(W.compose(trail, W.inverse(b_trail)))
             if not words_equal(st, W.conjugate(a, u), b):
@@ -538,6 +535,17 @@ def _first_right_factor(x: GarsideNormalForm) -> Simple:
     return st.mirror(st._simple_of_perm0(fs[-1])) if fs else st.delta()
 
 
+def _stripping_conjugators(st: GarsideStructure, x: GarsideNormalForm, b_p: Simple, y: Simple):
+    """The candidate conjugators that strip the outer level of x, in order,
+    as (normal form, simple, sign): B_p^-1 when B_p y is simple, then C_p,
+    the first right factor of x, when y C_p is simple."""
+    if st.mul(b_p, y) is not None:
+        yield inv(simple_nf(st, b_p)), b_p, -1
+    c_p = _first_right_factor(x)
+    if st.mul(y, c_p) is not None:
+        yield simple_nf(st, c_p), c_p, 1
+
+
 def solve_pair_to_generators(
     st: GarsideStructure, x_word: BraidWord, y_word: BraidWord
 ) -> BraidWord | None:
@@ -562,34 +570,15 @@ def solve_pair_to_generators(
         shape = atom_conjugate_shape(x)
         if shape is None:
             return None
-        _, _, _, b_list = shape
         length_before = x.canonical_length
-        bp = b_list[-1]
-        y_elem = simple_nf(st, y)
-        moved = False
-        if st.mul(bp, y) is not None:
-            v = simple_nf(st, bp)
-            y_new = mul(mul(v, y_elem), inv(v))  # B_p y B_p^-1
+        for g, s, sign in _stripping_conjugators(st, x, shape[3][-1], y):
+            y_new = conjugate(simple_nf(st, y), g)
             if is_atom_nf(y_new):
-                x = conjugate(x, inv(v))
-                y = y_new.factors[0]
-                u = W.free_reduce(
-                    W.compose(u, W.inverse(BraidWord(n, st.simple_word(bp))))
-                )
-                moved = True
-        if not moved:
-            cp = _first_right_factor(x)
-            if st.mul(y, cp) is not None:
-                v = simple_nf(st, cp)
-                y_new = conjugate(y_elem, v)  # C_p^-1 y C_p
-                if is_atom_nf(y_new):
-                    x = conjugate(x, v)
-                    y = y_new.factors[0]
-                    u = W.free_reduce(
-                        W.compose(u, BraidWord(n, st.simple_word(cp)))
-                    )
-                    moved = True
-        if not moved or x.canonical_length >= length_before:
+                x, y, u = conjugate(x, g), y_new.factors[0], _then(st, u, s, sign)
+                break
+        else:
+            return None
+        if x.canonical_length >= length_before:
             return None
 
     tail = _atom_pair_walk(st, x.factors[0], y)
@@ -615,25 +604,22 @@ def _atom_pair_walk(st: GarsideStructure, x: Simple, y: Simple) -> BraidWord | N
     if start == target:
         return BraidWord.identity(n)
     proper = [(s, st._perm0(s)) for s in st.simples() if not st.is_identity(s)]
-    frontier: dict[tuple[tuple, tuple], BraidWord] = {start: BraidWord.identity(n)}
+    queue = [(start, BraidWord.identity(n))]
     seen = {start}
-    while frontier:
-        new_frontier: dict[tuple[tuple, tuple], BraidWord] = {}
-        for (a, b), trail in frontier.items():
-            for s, sp in proper:
-                p, a2 = _conjugate_simple(st, 0, (a,), sp)
-                if p or len(a2) != 1:
-                    continue
-                p, b2 = _conjugate_simple(st, 0, (b,), sp)
-                if p or len(b2) != 1:
-                    continue
-                state = (a2[0], b2[0])
-                if state in seen:
-                    continue
-                seen.add(state)
-                t2 = W.free_reduce(W.compose(trail, BraidWord(n, st.simple_word(s))))
-                if state == target:
-                    return t2
-                new_frontier[state] = t2
-        frontier = new_frontier
+    for (a, b), trail in queue:  # appends below extend the iteration: FIFO
+        for s, sp in proper:
+            p, a2 = _conjugate_simple(st, 0, (a,), sp)
+            if p or len(a2) != 1:
+                continue
+            p, b2 = _conjugate_simple(st, 0, (b,), sp)
+            if p or len(b2) != 1:
+                continue
+            state = (a2[0], b2[0])
+            if state in seen:
+                continue
+            seen.add(state)
+            t2 = _then(st, trail, s)
+            if state == target:
+                return t2
+            queue.append((state, t2))
     return None

@@ -507,15 +507,14 @@ def check_product_dichotomy(rng: random.Random):
             zu = E.conjugate(znf, unf)
             if zu.canonical_length == xu.canonical_length + yu.canonical_length:
                 zrep, _, circuit = E._slide_to_circuit(zu)
-                if any(c.key() == zu.key() for c in circuit):
+                if any(c.key() == zu.key() for c, _ in circuit):
                     return True
             return False
 
         candidates = [BraidWord.identity(n)]
         sc = E.sliding_circuits_with_trails(st, Z)
-        for _nf, trail in sc.values():
+        for zt, trail in sc.values():
             candidates.append(trail)
-            zt = E.conjugate(znf, E.from_word(st, trail))
             for m in (-2, -1, 1, 2):
                 candidates.append(
                     W.free_reduce(W.compose(trail, E.power(zt, m).to_word()))

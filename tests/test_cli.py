@@ -79,6 +79,15 @@ def test_kernel_ab_file(capsys, tmp_path):
     assert code == 0 and blob["invariant_factors"] == [0, 0, 0, 0]
 
 
+def test_kernel_ab_unreadable_path_exits_2_with_one_line(capsys, tmp_path):
+    # a directory is not a presentation file: one error line, not a traceback
+    code = main(["kernel-ab", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_char_decompose_nu(capsys):
     code, out = run(capsys, "char", "5,1", "3,3")
     assert code == 0 and out.strip() == "-1"

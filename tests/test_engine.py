@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,9 +447,9 @@ def record_slides(monkeypatch):
     real = E._slide_to_circuit
     slid = []
 
-    def recording(x):
+    def recording(x, *known):
         slid.append((x.inf, x.sup))
-        return real(x)
+        return real(x, *known)
 
     monkeypatch.setattr(E, "_slide_to_circuit", recording)
     return slid
@@ -484,6 +485,56 @@ def test_closure_slides_only_summit_conjugates(monkeypatch):
                 w = rand_word(rng, n, rng.randint(1, 7))
                 summit = E.sliding_circuits(struct, w)[0]
                 assert all(window == (summit.inf, summit.sup) for window in slid[1:])
+
+
+def record_slide_callers(monkeypatch):
+    """Patch ``_slide_step`` to record the name of the function calling it."""
+    real = E._slide_step
+    callers = []
+
+    def recording(x):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(x)
+
+    monkeypatch.setattr(E, "_slide_step", recording)
+    return callers
+
+
+def test_search_slides_only_in_slide_to_circuit(monkeypatch):
+    # every element is slid once, to find its circuit; the closure walks the
+    # circuit it was handed instead of sliding it again
+    callers = record_slide_callers(monkeypatch)
+    rng = random.Random(54)
+    for n in (3, 4, 5):
+        for struct in (classical(n), band(n)):
+            for _ in range(3):
+                w = rand_word(rng, n, rng.randint(1, 7))
+                E.sliding_circuits(struct, w)
+                E.conjugacy_solve(struct, w, W.conjugate(w, rand_word(rng, n, 4)))
+    assert callers and set(callers) == {"_slide_to_circuit"}
+
+
+@pytest.mark.parametrize("kind,w,size,most", [
+    ("band", "B5: 3 -2 3", 90, 90),
+    ("classical", "B5: -1 4", 6, 600),
+])
+def test_sliding_circuits_slide_count(monkeypatch, kind, w, size, most):
+    # a deterministic work gate: a trajectory stops at the first circuit
+    # already found instead of running round it
+    struct = band(5) if kind == "band" else classical(5)
+    callers = record_slide_callers(monkeypatch)
+    assert len(E.sliding_circuits(struct, BraidWord.parse(w))) == size
+    assert len(callers) <= most
+
+
+def test_sliding_circuit_trails_conjugate_to_their_element():
+    rng = random.Random(55)
+    for n in (3, 4, 5):
+        for struct in (classical(n), band(n)):
+            for _ in range(3):
+                w = rand_word(rng, n, rng.randint(1, 7))
+                for nf, trail in E.sliding_circuits_with_trails(struct, w).values():
+                    assert E.words_equal(struct, W.conjugate(w, trail), nf.to_word())
 
 
 def test_summit_invariants_reject_without_search(monkeypatch):
