@@ -42,9 +42,11 @@ the right by s, weighting the pairs from the right end back and stopping at
 the first pair that does not move; then ``_insert`` puts the twisted
 complement of s in front, since s^-1 delta^p = delta^(p-1) tau^p(delta s^-1).
 For r factors that is at most 2r + 1 kernel calls.  ``conjugate`` takes its
-conjugator one factor at a time this way, so each slide and each step of the
-circuit closure is one such conjugation; the atom-pair walk calls
-``_conjugate_simple`` on permutations directly.
+conjugator one factor at a time this way, so each slide is one such
+conjugation.  The circuit closure and the atom-pair walk call
+``_conjugate_simple`` on permutations directly and ask it to stop as soon as
+the inf has dropped: unless appending s split off a delta, the inf is kept
+only if the first step of the insertion makes the first factor delta.
 
 Three exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
@@ -57,7 +59,9 @@ J. Symbolic Comput. 45, 2010).  So the closure discards every conjugate that
 leaves the summit (inf, sup) window before sliding it, and still reaches all
 of SC; ``conjugacy_solve`` answers "not conjugate" when the two circuit
 representatives differ in (inf, sup); and it stops the closure at the first
-element equal to the representative of the second input.
+element equal to the representative of the second input.  The closure holds
+its vertices as (inf, permutations) and builds a normal form only for a new
+conjugate inside the window, the one it slides.
 """
 
 from __future__ import annotations
@@ -140,12 +144,16 @@ class GarsideNormalForm:
 # Normalisation and arithmetic
 
 
-def _insert(st: GarsideStructure, s: tuple, fs: list[tuple]) -> int:
+def _insert(
+    st: GarsideStructure, s: tuple, fs: list[tuple], need_delta: bool = False
+) -> int | None:
     """Multiply the left weighted list fs of proper simples on the left by
     the simple s, in place, all as permutations; return 1 if the product
-    split off a delta, else 0."""
+    split off a delta, else 0.  Only the first step can make the first
+    factor delta, so with need_delta the pass stops there and returns None
+    when it did not (fs is then left half weighted)."""
     if s == st._id:
-        return 0
+        return None if need_delta else 0
     weigh = st._weigh
     for i, y in enumerate(fs):
         moved = weigh(s, y)
@@ -153,6 +161,8 @@ def _insert(st: GarsideStructure, s: tuple, fs: list[tuple]) -> int:
             fs.insert(i, s)
             break
         fs[i], s = moved
+        if need_delta and not i and fs[0] != st._delta_perm:
+            return None
         if s == st._id:
             break
     else:
@@ -160,7 +170,7 @@ def _insert(st: GarsideStructure, s: tuple, fs: list[tuple]) -> int:
     if fs[0] == st._delta_perm:
         del fs[0]
         return 1
-    return 0
+    return None if need_delta else 0
 
 
 def _insert_all(st: GarsideStructure, head: list[tuple], q: int, fs: list[tuple]) -> int:
@@ -197,16 +207,22 @@ def _append(st: GarsideStructure, fs: list[tuple], s: tuple) -> int:
 
 
 def _conjugate_simple(
-    st: GarsideStructure, p: int, fs: tuple, s: tuple
-) -> tuple[int, list[tuple]]:
+    st: GarsideStructure, p: int, fs: tuple, s: tuple, keep_inf: bool = False
+) -> tuple[int, list[tuple]] | None:
     """y^s for y = delta^p fs and a simple s, all as permutations, returned
     as (inf, factors).  With s^-1 = delta^-1 (delta s^-1),
     y^s = delta^(p-1) tau^p(delta s^-1) . fs . s: append s, then insert the
-    twisted left complement, at most 2r + 1 kernel calls for r factors."""
+    twisted left complement, at most 2r + 1 kernel calls for r factors.
+
+    With keep_inf, return None as soon as inf(y^s) < p is certain: when
+    appending s split off no delta and the first step of the insertion
+    splits off none either."""
     fs = list(fs)
     e = _append(st, fs, s)
-    e += _insert(st, st._twist_perm(st._left_complement_perm(s), p + e), fs)
-    return p - 1 + e, fs
+    d = _insert(st, st._twist_perm(st._left_complement_perm(s), p + e), fs, keep_inf and not e)
+    if d is None:
+        return None
+    return p - 1 + e + d, fs
 
 
 def _from_perms(st: GarsideStructure, inf: int, fs: list[tuple]) -> GarsideNormalForm:
@@ -401,31 +417,41 @@ def _circuit_search(
 
     Every vertex lies in the super summit set, so every vertex has the
     circuit's (inf, sup); a conjugate outside that window is not on any
-    circuit and SC stays connected without it.
+    circuit and SC stays connected without it.  Vertices are conjugated as
+    permutations, and a conjugate becomes a normal form only when it is
+    inside the window and new.  A conjugate slid before is skipped: its
+    trajectory now ends at a circuit in found.  Inside the window the inf is
+    fixed and simple and permutation determine each other, so the factor
+    arrays are an exact key.
     """
-    proper_simples = [
-        (s, simple_nf(st, s)) for s in st.simples() if not st.is_identity(s)
-    ]
-    summit = (circuit[0][0].inf, circuit[0][0].sup)
+    proper = [(s, st._perm0(s)) for s in st.simples() if not st.is_identity(s)]
+    inf, r = circuit[0][0].inf, circuit[0][0].canonical_length
     found: set[tuple] = set()
-    queue: list[tuple[GarsideNormalForm, BraidWord]] = []
+    tried: set[tuple] = set()
+    queue: list[tuple[tuple, BraidWord]] = []
 
     def add(circuit, trail):
         for x, p in circuit:
             key = x.key()
             found.add(key)
-            queue.append((x, trail))
+            fs = tuple(map(st._perm0, x.factors))
+            tried.add(fs)
+            queue.append((fs, trail))
             yield key, (x, trail)
             trail = _then(st, trail, p)
 
     yield from add(circuit, trail)
     while queue:
-        y, y_trail = queue.pop()
-        for s, g in proper_simples:
-            z = conjugate(y, g)
-            if (z.inf, z.sup) != summit or z.key() in found:
+        fs, y_trail = queue.pop()
+        for s, sp in proper:
+            z = _conjugate_simple(st, inf, fs, sp, keep_inf=True)
+            if z is None or z[0] != inf or len(z[1]) != r:
                 continue
-            reached = _slide_to_circuit(z, found)
+            zs = tuple(z[1])
+            if zs in tried:
+                continue
+            tried.add(zs)
+            reached = _slide_to_circuit(_from_perms(st, inf, z[1]), found)
             if reached is not None:
                 _, z_trail, z_circuit = reached
                 yield from add(z_circuit, W.free_reduce(W.compose(_then(st, y_trail, s), z_trail)))
@@ -608,13 +634,13 @@ def _atom_pair_walk(st: GarsideStructure, x: Simple, y: Simple) -> BraidWord | N
     seen = {start}
     for (a, b), trail in queue:  # appends below extend the iteration: FIFO
         for s, sp in proper:
-            p, a2 = _conjugate_simple(st, 0, (a,), sp)
-            if p or len(a2) != 1:
+            a2 = _conjugate_simple(st, 0, (a,), sp, keep_inf=True)
+            if a2 is None or a2[0] or len(a2[1]) != 1:
                 continue
-            p, b2 = _conjugate_simple(st, 0, (b,), sp)
-            if p or len(b2) != 1:
+            b2 = _conjugate_simple(st, 0, (b,), sp, keep_inf=True)
+            if b2 is None or b2[0] or len(b2[1]) != 1:
                 continue
-            state = (a2[0], b2[0])
+            state = (a2[1][0], b2[1][0])
             if state in seen:
                 continue
             seen.add(state)

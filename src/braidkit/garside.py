@@ -23,7 +23,10 @@ Every permutation is a classical simple.  The band structure reads a
 permutation back into blocks, and its simplicity test is the cycle count: a
 permutation p is a band simple exactly when it lies below delta in absolute
 order, i.e. cycles(p) + cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid
-monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  Nothing is cached.
+monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  Keys are tested
+where they become arrays (``_perm0``) and arrays where they become keys
+(``_from_perm0``); the kernels take and return simples only, so the band
+``_weigh`` checks nothing.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -323,7 +326,8 @@ class ClassicalStructure(GarsideStructure):
                 a[pj], a[pj1] = j + 1, j
                 ai[j], ai[j + 1] = pj1, pj
                 b[j], b[j + 1] = b[j + 1], b[j]
-                j = max(j - 1, 0)
+                if j:
+                    j -= 1
             else:
                 j += 1
         return (tuple(a), tuple(b)) if moved else None
@@ -393,10 +397,21 @@ class BandStructure(GarsideStructure):
 
     # block/permutation conversions
     def _perm0(self, s: Simple) -> tuple:
-        images = list(range(self.n))
+        """The permutation of s; ValueError unless the blocks partition the
+        strands and pass the cycle count, so every array the kernels see is
+        a simple's."""
+        n = self.n
+        images = [-1] * n
         for block in s.key:
-            for a, b in zip(block, block[1:] + (block[0],)):
+            for a, b in zip(block, block[1:] + block[:1]):
                 images[a - 1] = b - 1
+        # n entries filling every slot are a partition, one cycle per block
+        if (
+            min(images) < 0
+            or sum(map(len, s.key)) != n
+            or len(s.key) + _dual_cycles(images) != n + 1
+        ):
+            raise self._not_simple(s.key)
         return tuple(images)
 
     def _from_perm0(self, p) -> Simple | None:
@@ -422,12 +437,6 @@ class BandStructure(GarsideStructure):
         if len(blocks) + _dual_cycles(p) != n + 1:
             return None
         return Simple(self.kind, n, tuple(blocks))
-
-    def _checked_block_labels(self, s: Simple) -> list:
-        """The block labels of s, after the cycle-count test on its key."""
-        if len(s.key) + _dual_cycles(self._perm0(s)) != self.n + 1:
-            raise self._not_simple(s.key)
-        return self._block_labels(s)
 
     def atoms(self) -> tuple[Simple, ...]:
         return tuple(
@@ -459,15 +468,16 @@ class BandStructure(GarsideStructure):
     def meet(self, a: Simple, b: Simple) -> Simple:
         # The common refinement; entries visited in increasing order give
         # sorted blocks in order of their minima.
-        la, lb = self._checked_block_labels(a), self._checked_block_labels(b)
+        self._perm0(a), self._perm0(b)  # refuse keys that are not simple
+        la, lb = self._block_labels(a), self._block_labels(b)
         pieces = {}
         for v in range(self.n):
             pieces.setdefault((la[v], lb[v]), []).append(v + 1)
         return Simple(self.kind, self.n, tuple(map(tuple, pieces.values())))
 
     def left_divides(self, a: Simple, b: Simple) -> bool:
-        self._checked_block_labels(a)
-        lb = self._checked_block_labels(b)
+        self._perm0(a), self._perm0(b)  # refuse keys that are not simple
+        lb = self._block_labels(b)
         return all(len({lb[v - 1] for v in block}) == 1 for block in a.key)
 
     def _twist_perm(self, p: tuple, k: int) -> tuple:
@@ -479,34 +489,47 @@ class BandStructure(GarsideStructure):
         return tuple((p[v - k] + k) % n for v in range(n))
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
-        # t = meet(x^-1 delta, y) groups the entries by their cycle of
-        # c = x^-1 delta and their cycle (block) of y.  The cycle counts of
-        # x, c, y and delta^-1 y check that both inputs are simple.
+        # t = meet(x^-1 delta, y) is the common refinement of the cycles of
+        # c = x^-1 delta and the blocks (cycles) of y.  Label the cycles of
+        # c; then walk each cycle of y from its minimum, which for a simple
+        # visits the block in increasing order, and chain the entries of
+        # each label into one cycle of t.  Both inputs are simple: every
+        # array the engine holds comes from a checked conversion or a kernel.
         n = self.n
         c = [0] * n
         for u, v in enumerate(x):
             c[v] = (u + 1) % n
-        cycles, label = _cycle_labels(c)
-        if _cycle_labels(x)[0] + cycles != n + 1:
-            raise self._not_simple(f"permutation {x}")
-        cycles, block = _cycle_labels(y)
-        if cycles + _dual_cycles(y) != n + 1:
-            raise self._not_simple(f"permutation {y}")
-        for v in range(n):
-            label[v] = label[v] * n + block[v]
-        if len(set(label)) == n:
+        label = _cycle_labels(c)[1]
+        t = list(range(n))
+        first = [0] * n
+        last = [-1] * n  # per label, its latest entry in the current cycle of y
+        done = [False] * n
+        moved = False
+        for start in range(n):
+            if done[start]:
+                continue
+            opened = []
+            v = start
+            while not done[v]:
+                done[v] = True
+                k = label[v]
+                u = last[k]
+                if u < 0:
+                    first[k] = v
+                    opened.append(k)
+                else:
+                    t[u] = v
+                    moved = True
+                last[k] = v
+                v = y[v]
+            for k in opened:
+                t[last[k]] = first[k]
+                last[k] = -1
+        if not moved:
             return None
-        groups = {}
-        for v in range(n):
-            groups.setdefault(label[v], []).append(v)
-        t = [0] * n
         tinv = [0] * n
-        for g in groups.values():
-            prev = g[-1]
-            for v in g:
-                t[prev] = v
-                tinv[v] = prev
-                prev = v
+        for u, v in enumerate(t):
+            tinv[v] = u
         return tuple(t[v] for v in x), tuple(y[v] for v in tinv)
 
     def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:

@@ -129,10 +129,10 @@ def conjugate(x, g):
     return mul(mul(E.inv(g), x), g)
 
 
-def atom_pair_walk(st, x, y):
+def atom_pair_walk(st, x, y, seen=None):
     """Breadth-first search through pairs of atoms conjugated by simples,
     from (x, y) to the pair of the first two Artin letters, on normal
-    forms."""
+    forms.  The pairs reached are added to seen, if given."""
     n = st.n
     target = (st.letter_simple(1), st.letter_simple(2))
     start = (x, y)
@@ -140,7 +140,8 @@ def atom_pair_walk(st, x, y):
         return BraidWord.identity(n)
     proper = [s for s in st.simples() if not st.is_identity(s)]
     frontier = {start: BraidWord.identity(n)}
-    seen = {start}
+    seen = set() if seen is None else seen
+    seen.add(start)
     while frontier:
         new_frontier = {}
         for (a, b), trail in frontier.items():

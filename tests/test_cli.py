@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidkit
 from braidkit import engine as E
 from braidkit import ledger as L
 from braidkit import subgroups as S
@@ -190,3 +194,15 @@ def test_seeded_full_report_stability():
         results = [L.run_check(cid, seed=99) for cid in ids]
         blobs.append(L.report_json(results))
     assert blobs[0] == blobs[1]
+
+
+def test_python_m_braidkit_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(braidkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidkit", "nf", "B3: 1 2 1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "inf=1" in proc.stdout

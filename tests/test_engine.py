@@ -527,6 +527,34 @@ def test_sliding_circuits_slide_count(monkeypatch, kind, w, size, most):
     assert len(callers) <= most
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to count its calls."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,w,forms,kernel", [
+    ("band", "B5: 3 -2 3", 96, 15713),
+    ("classical", "B5: -1 4", 169, 2967),
+])
+def test_sliding_circuits_conjugate_on_arrays(monkeypatch, kind, w, forms, kernel):
+    # a deterministic work gate: the closure conjugates vertices as
+    # permutation arrays, stops a conjugation once its inf has dropped, and
+    # builds a normal form only for a new conjugate inside the summit window
+    struct = band(5) if kind == "band" else classical(5)
+    built = count_calls(monkeypatch, E, "_from_perms")
+    weighed = count_calls(monkeypatch, struct, "_weigh")
+    E.sliding_circuits(struct, BraidWord.parse(w))
+    assert (len(built), len(weighed)) == (forms, kernel)
+
+
 def test_sliding_circuit_trails_conjugate_to_their_element():
     rng = random.Random(55)
     for n in (3, 4, 5):

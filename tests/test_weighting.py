@@ -1,11 +1,15 @@
 """The forward-pass insertion and the conjugation kernel against the slow
 oracles, and the group laws of normal-form arithmetic."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidkit
 import oracles as O
 from braidkit import engine as E
 from braidkit import words as W
@@ -128,6 +132,75 @@ def test_conjugation_on_arrays_matches_oracle():
             assert E.conjugate(x, g).key() == O.conjugate(ox, g).key(), (w.format(), v)
 
 
+def test_early_stopping_conjugation_matches_oracle():
+    # with keep_inf, None exactly when inf(y^s) < inf(y), otherwise the
+    # same form as g^-1 y g on the oracle; on seeded forms and on their
+    # circuit elements, whose conjugates the sliding-circuit closure takes
+    rng = random.Random(74)
+    for w in short_seeded_words(rng, 24):
+        n = w.strands
+        for struct in (classical(n), band(n)):
+            x = E.from_word(struct, w)
+            for y in (x, E._slide_to_circuit(x)[0]):
+                fs = tuple(struct._perm0(f) for f in y.factors)
+                for s in sample_simples(rng, struct, 4):
+                    expected = O.conjugate(y, E.simple_nf(struct, s))
+                    z = E._conjugate_simple(struct, y.inf, fs, struct._perm0(s), keep_inf=True)
+                    if expected.inf < y.inf:
+                        assert z is None, (w.format(), s)
+                    else:
+                        assert E._from_perms(struct, *z).key() == expected.key(), (w.format(), s)
+
+
+# Run in process and again under ``python -O``, which strips asserts: a band
+# key that is not a non-crossing partition, or whose blocks are not cycles
+# below delta, is refused by arithmetic, conjugation and the circuit closure.
+MALFORMED_KEY_CHECK = """
+import sys
+from braidkit import engine as E
+from braidkit.garside import Simple, band
+from braidkit.words import BraidWord
+
+st = band(4)
+good = E.from_word(st, BraidWord(4, (1, 2, -3)))
+accepted = []
+for key in (((1, 3), (2, 4)), ((1, 3, 2), (4,)), ((1, 2), (2, 3), (4,)), ((1, 2),)):
+    bad = Simple("band", 4, key)
+    form = E.GarsideNormalForm(st, 0, (bad,))
+    for name, call in (
+        ("mul", lambda: st.mul(bad, st.identity())),
+        ("mul", lambda: st.mul(st.identity(), bad)),
+        ("engine mul", lambda: E.mul(good, form)),
+        ("engine mul", lambda: E.mul(form, good)),
+        ("conjugate", lambda: E.conjugate(good, form)),
+        ("conjugate", lambda: E.conjugate(form, good)),
+        ("circuit closure", lambda: list(
+            E._circuit_search(st, [(form, st.identity())], BraidWord.identity(4)))),
+    ):
+        try:
+            call()
+        except ValueError as e:
+            if "is not a simple element of band(4)" in str(e):
+                continue
+        accepted.append((name, key))
+print(accepted, sys.flags.optimize)
+"""
+
+
+def test_band_refuses_malformed_keys(capsys):
+    exec(MALFORMED_KEY_CHECK, {})
+    assert capsys.readouterr().out.strip() == f"[] {sys.flags.optimize}"
+    src = os.path.dirname(os.path.dirname(braidkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MALFORMED_KEY_CHECK],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[] 1"
+
+
 def count_kernel_calls(monkeypatch, struct):
     real = struct._weigh
     calls = []
@@ -164,12 +237,24 @@ def test_conjugation_by_a_simple_makes_at_most_2r_plus_1_kernel_calls(monkeypatc
 
 
 def test_atom_pair_walk_matches_oracle():
-    # the same trail, or None, for every ordered pair of atoms
+    # the same trail, or None, for every ordered pair of atoms.  A move by s
+    # is undone by a move by the complement of s and then moves by delta
+    # until the twist comes round, so the pairs an unsuccessful oracle walk
+    # reached form a whole component without the target, and the oracle
+    # answers None from each of them.
     for n in (3, 4, 5):
         struct = band(n)
+        unreachable = set()
         for x in struct.atoms():
             for y in struct.atoms():
-                assert E._atom_pair_walk(struct, x, y) == O.atom_pair_walk(struct, x, y)
+                if (x, y) in unreachable:
+                    assert E._atom_pair_walk(struct, x, y) is None
+                    continue
+                reached = set()
+                expected = O.atom_pair_walk(struct, x, y, reached)
+                if expected is None:
+                    unreachable |= reached
+                assert E._atom_pair_walk(struct, x, y) == expected
 
 
 def words_on(n_strands):
