@@ -26,7 +26,8 @@ Math. 45, 1994).  Reversing a word and sending s_j
 to s_(n-j) is an anti-automorphism of both Garside monoids that fixes the
 Garside element and swaps prefixes with suffixes (Birman-Ko-Lee, Adv. Math.
 139, 1998), so the right normal form of w is the mirror image, factor by
-factor in reverse order, of the left normal form of the mirrored word.
+factor in reverse order, of the left normal form of the mirrored word.  It is
+for output only: the arithmetic reads factors as a left form and refuses it.
 
 Conjugacy is decided through cyclic sliding: iterating the sliding map lands
 on a periodic circuit, and the set SC of all elements on sliding circuits is a
@@ -245,10 +246,21 @@ def simple_nf(st: GarsideStructure, s: Simple) -> GarsideNormalForm:
     return GarsideNormalForm(st, 0, (s,))
 
 
+def _left_forms(*xs: GarsideNormalForm) -> GarsideStructure:
+    """The common structure of the operands; ValueError unless they are
+    left normal forms of one structure.  The arithmetic reads factors as a
+    left form, so a right form would give another braid."""
+    st = xs[0].structure
+    for x in xs:
+        if x.side != "left":
+            raise ValueError("arithmetic needs left normal forms, got a right one")
+        if (x.structure.kind, x.structure.n) != (st.kind, st.n):
+            raise ValueError("structure mismatch")
+    return st
+
+
 def mul(x: GarsideNormalForm, y: GarsideNormalForm) -> GarsideNormalForm:
-    st = x.structure
-    if (st.kind, st.n) != (y.structure.kind, y.structure.n):
-        raise ValueError("structure mismatch")
+    st = _left_forms(x, y)
     fs = [st._perm0(f) for f in y.factors]
     e = _insert_all(st, [st._perm0(f) for f in x.factors], y.inf, fs)
     return _from_perms(st, x.inf + y.inf + e, fs)
@@ -258,7 +270,7 @@ def inv(x: GarsideNormalForm) -> GarsideNormalForm:
     """The twisted complements, in reverse order, are already the left normal
     form of the inverse; each is the complement of a proper simple, hence
     proper."""
-    st = x.structure
+    st = _left_forms(x)
     p, fs = x.inf, x.factors
     r = len(fs)
     factors = tuple(
@@ -269,7 +281,7 @@ def inv(x: GarsideNormalForm) -> GarsideNormalForm:
 
 
 def power(x: GarsideNormalForm, k: int) -> GarsideNormalForm:
-    acc = identity_nf(x.structure)
+    acc = identity_nf(_left_forms(x))
     base = x if k >= 0 else inv(x)
     for _ in range(abs(k)):
         acc = mul(acc, base)
@@ -279,9 +291,7 @@ def power(x: GarsideNormalForm, k: int) -> GarsideNormalForm:
 def conjugate(x: GarsideNormalForm, g: GarsideNormalForm) -> GarsideNormalForm:
     """x^g = g^-1 x g.  For g = delta^k A_1 ... A_m, twist x's factors k
     times, then conjugate by A_1, ..., A_m in turn on the arrays."""
-    st = x.structure
-    if (st.kind, st.n) != (g.structure.kind, g.structure.n):
-        raise ValueError("structure mismatch")
+    st = _left_forms(x, g)
     p, fs = x.inf, [st._twist_perm(st._perm0(f), g.inf) for f in x.factors]
     for f in g.factors:
         p, fs = _conjugate_simple(st, p, fs, st._perm0(f))
@@ -350,7 +360,7 @@ def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
 
 def preferred_prefix(x: GarsideNormalForm) -> Simple:
     """Meet of the initial factors of x and of x^-1."""
-    st = x.structure
+    st = _left_forms(x)
     if not x.factors:
         return st.identity()
     initial = st.twist_pow(x.factors[0], -x.inf)

@@ -9,24 +9,25 @@ Simple elements are stored in canonical form (a permutation, or the blocks of
 a partition), never as words; words are produced on demand.  Equality and
 hashing are therefore O(1) dictionary operations.
 
-Both structures compute on the 0-based permutation of a simple (``_perm0``,
-which for the classical structure is the key itself), and a simple of either
-structure multiplies, divides and mirrors as its permutation does.  So each
-structure supplies only its conversions (``_perm0`` and ``_from_perm0``), its
-weighting kernel ``_weigh`` (the engine's normal forms run on it;
-``normalize_pair`` is its wrapper on ``Simple`` values), its twist, its letter
-products, ``meet``, ``left_divides``, enumeration and words.  The base class
-derives the rest once: the checked conversion, ``mul``, ``left_quotient``,
-``mirror``, the complements and the twists.
+A simple of either structure is determined by its 0-based permutation
+(``_perm0``) and multiplies, divides, mirrors and twists as that permutation
+does: the twist is conjugation by the Garside element's permutation, and in
+both structures the atom of the letter s_j swaps j - 1 and j.  So
+``GarsideStructure`` derives all of that once, and each structure supplies
+only what differs (listed in the class docstring).
 
 Every permutation is a classical simple.  The band structure reads a
 permutation back into blocks, and its simplicity test is the cycle count: a
 permutation p is a band simple exactly when it lies below delta in absolute
 order, i.e. cycles(p) + cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid
-monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  Keys are tested
-where they become arrays (``_perm0``) and arrays where they become keys
-(``_from_perm0``); the kernels take and return simples only, so the band
-``_weigh`` checks nothing.  Nothing is cached.
+monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  So in both
+structures a is a prefix of b exactly when a^-1 b is simple and the atom
+lengths add (Birman-Ko-Lee, Adv. Math. 139, 1998; Bessis 2003).  Keys are
+tested where they become arrays (``_perm0`` refuses a simple of another
+structure, a classical key that is not a permutation of range(n) and a band
+key that is not a partition passing the cycle count) and arrays where they
+become keys (``_from_perm0``); the kernels take and return simples only, so
+neither ``_weigh`` checks anything.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -74,30 +75,38 @@ def _inversions(a: tuple) -> int:
 class GarsideStructure:
     """Shared interface of the two structures.
 
-    A subclass supplies the conversions between a ``Simple`` and its 0-based
-    permutation (``_perm0``, and ``_from_perm0``, which returns None for a
-    permutation that is not simple), the kernels on permutations (``_weigh``,
-    ``_twist_perm``, ``_mul_letter``), ``meet``, ``left_divides``,
-    ``atom_length``, enumeration and words.  From these the class derives
-    the checked conversion ``_simple_of_perm0``, ``mul``, ``left_quotient``,
-    ``mirror``, the complements, the twists and ``normalize_pair``.
-    Everything generic (normal forms, sliding, conjugacy) lives in the engine
-    module and only calls these methods.
+    A subclass sets ``kind`` and ``twist_order``, passes the permutation of
+    its Garside element to ``__init__`` and supplies the conversions between
+    a ``Simple`` and its 0-based permutation (``_perm0``, which refuses a
+    key that is not simple, and ``_from_perm0``, which returns None for a
+    permutation that is not simple), the weighting kernel ``_weigh`` that
+    the engine's normal forms run on, the length test ``_grows`` of the
+    letter products, ``meet``, ``atom_length``, ``atoms``, ``_enumerate``
+    and ``simple_word``.  From these the class derives the identity and
+    Garside element, the checked conversion ``_simple_of_perm0``, ``mul``,
+    ``left_quotient``, ``left_divides``, ``mirror``, the complements, the
+    twists, the letter atoms and products, the capped ``simples`` and
+    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
+    Everything generic (normal forms, sliding, conjugacy) lives in the
+    engine module and only calls these methods.
     """
 
     kind: str
+    twist_order: int
 
-    def __init__(self, n: int, cap: int):
+    def __init__(self, n: int, cap: int, delta_perm: tuple):
         if n < 1:
             raise ValueError("need at least one strand")
         self.n = n
         self.cap = cap
         self._id = tuple(range(n))
-
-    # built once by each subclass
-    _identity: Simple
-    _delta: Simple
-    _delta_perm: tuple
+        self._delta_perm = delta_perm
+        # the permutations of delta^k for k = 0 .. twist_order - 1
+        self._delta_powers = [self._id]
+        for _ in range(self.twist_order - 1):
+            self._delta_powers.append(_pmul(self._delta_powers[-1], delta_perm))
+        self._identity = self._simple_of_perm0(self._id)
+        self._delta = self._simple_of_perm0(delta_perm)
 
     def identity(self) -> Simple:
         return self._identity
@@ -109,9 +118,6 @@ class GarsideStructure:
     def atoms(self) -> tuple[Simple, ...]:
         raise NotImplementedError
 
-    def simples(self) -> tuple[Simple, ...]:
-        raise NotImplementedError
-
     def atom_length(self, s: Simple) -> int:
         raise NotImplementedError
 
@@ -119,20 +125,31 @@ class GarsideStructure:
         """Greatest common prefix of a and b."""
         raise NotImplementedError
 
-    def left_divides(self, a: Simple, b: Simple) -> bool:
-        raise NotImplementedError
-
-    twist_order: int
-
-    def letter_simple(self, j: int) -> Simple:
-        """The atom of the positive Artin letter j."""
-        raise NotImplementedError
-
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         """A positive Artin word for s (deterministic)."""
         raise NotImplementedError
 
+    def _enumerate(self) -> tuple[Simple, ...]:
+        """Every simple, in a fixed order."""
+        raise NotImplementedError
+
     # derived ---------------------------------------------------------------
+    def simples(self) -> tuple[Simple, ...]:
+        if self.n > self.cap:
+            raise ValueError(
+                f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
+            )
+        return self._enumerate()
+
+    def letter_simple(self, j: int) -> Simple:
+        """The atom of the positive Artin letter j; in both structures it
+        swaps j - 1 and j."""
+        if not 1 <= j <= self.n - 1:
+            raise ValueError(f"letter {j} out of range")
+        p = list(self._id)
+        p[j - 1], p[j] = j, j - 1
+        return self._simple_of_perm0(tuple(p))
+
     def mul(self, a: Simple, b: Simple) -> Simple | None:
         """The product a.b if it is again simple, else None."""
         r = self._from_perm0(_pmul(self._perm0(a), self._perm0(b)))
@@ -143,6 +160,11 @@ class GarsideStructure:
     def left_quotient(self, t: Simple, s: Simple) -> Simple:
         """t^-1 s for a prefix t of s."""
         return self._simple_of_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
+
+    def left_divides(self, a: Simple, b: Simple) -> bool:
+        """Whether a is a prefix of b: a^-1 b is simple and the lengths add."""
+        q = self._from_perm0(_pmul(_pinv(self._perm0(a)), self._perm0(b)))
+        return q is not None and self.atom_length(a) + self.atom_length(q) == self.atom_length(b)
 
     def mirror(self, s: Simple) -> Simple:
         """Image of s under the anti-automorphism that reverses a word and
@@ -190,6 +212,8 @@ class GarsideStructure:
 
     # the engine's working arrays: 0-based permutations, as tuples ----------
     def _perm0(self, s: Simple) -> tuple:
+        """The permutation of s; ValueError unless s is a simple of this
+        structure."""
         raise NotImplementedError
 
     def _from_perm0(self, p) -> Simple | None:
@@ -212,14 +236,31 @@ class GarsideStructure:
         or None when t is trivial, i.e. (x, y) is already left weighted."""
         raise NotImplementedError
 
+    def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
+        """For a simple p and q, p with its entries at u and v swapped:
+        whether q is a simple one atom longer than p."""
+        raise NotImplementedError
+
     def _twist_perm(self, p: tuple, k: int) -> tuple:
         """delta^-k p delta^k."""
-        raise NotImplementedError
+        k %= self.twist_order
+        if not k:
+            return p
+        d, di = self._delta_powers[k], self._delta_powers[-k]
+        return tuple(d[p[u]] for u in di)
 
     def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
         """s_j p (left) or p s_j if that is a simple one atom longer than p,
-        else None."""
-        raise NotImplementedError
+        else None.  s_j p swaps the images of j - 1 and j, p s_j swaps the
+        values."""
+        q = list(p)
+        if left:
+            u, v = j - 1, j
+            q[u], q[v] = p[v], p[u]
+        else:
+            u, v = p.index(j - 1), p.index(j)
+            q[u], q[v] = j, j - 1
+        return tuple(q) if self._grows(p, q, u, v) else None
 
     def _left_complement_perm(self, p: tuple) -> tuple:
         return _pmul(self._delta_perm, _pinv(p))
@@ -232,13 +273,17 @@ class ClassicalStructure(GarsideStructure):
     twist_order = 2
 
     def __init__(self, n: int, cap: int = 8):
-        super().__init__(n, cap)
-        self._delta_perm = tuple(range(n - 1, -1, -1))
-        self._identity = Simple(self.kind, n, self._id)
-        self._delta = Simple(self.kind, n, self._delta_perm)
+        super().__init__(n, cap, tuple(range(n - 1, -1, -1)))
+        self._id_set = frozenset(self._id)
 
     def _perm0(self, s: Simple) -> tuple:
-        return s.key
+        if s.kind != self.kind or s.n != self.n:
+            raise self._not_simple(s)
+        # a key is simple when it is a permutation of range(n)
+        key = s.key
+        if len(key) != self.n or set(key) != self._id_set:
+            raise self._not_simple(key)
+        return key
 
     def _from_perm0(self, p: tuple) -> Simple:
         # every permutation is a classical simple
@@ -247,11 +292,7 @@ class ClassicalStructure(GarsideStructure):
     def atoms(self) -> tuple[Simple, ...]:
         return tuple(self.letter_simple(j) for j in range(1, self.n))
 
-    def simples(self) -> tuple[Simple, ...]:
-        if self.n > self.cap:
-            raise ValueError(
-                f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
-            )
+    def _enumerate(self) -> tuple[Simple, ...]:
         return tuple(
             self._simple_of_perm0(p) for p in itertools.permutations(range(self.n))
         )
@@ -262,7 +303,7 @@ class ClassicalStructure(GarsideStructure):
     def meet(self, a: Simple, b: Simple) -> Simple:
         # Greedy common-prefix extraction: any letter starting both operands
         # starts the meet, and the quotients reduce the problem.
-        x, y = list(a.key), list(b.key)
+        x, y = list(self._perm0(a)), list(self._perm0(b))
         m = list(self._id)
         n = self.n
         while True:
@@ -276,24 +317,6 @@ class ClassicalStructure(GarsideStructure):
             m[pj], m[pj1] = j + 1, j
             x[j], x[j + 1] = x[j + 1], x[j]
             y[j], y[j + 1] = y[j + 1], y[j]
-
-    def left_divides(self, a: Simple, b: Simple) -> bool:
-        q = _pmul(_pinv(a.key), b.key)
-        return _inversions(a.key) + _inversions(q) == _inversions(b.key)
-
-    def _twist_perm(self, p: tuple, k: int) -> tuple:
-        # conjugating by the half twist reverses positions and values
-        if k % 2 == 0:
-            return p
-        n = self.n
-        return tuple(n - 1 - p[n - 1 - i] for i in range(n))
-
-    def letter_simple(self, j: int) -> Simple:
-        if not 1 <= j <= self.n - 1:
-            raise ValueError(f"letter {j} out of range")
-        key = list(self._id)
-        key[j - 1], key[j] = key[j], key[j - 1]
-        return self._simple_of_perm0(tuple(key))
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         x = list(s.key)
@@ -332,20 +355,9 @@ class ClassicalStructure(GarsideStructure):
                 j += 1
         return (tuple(a), tuple(b)) if moved else None
 
-    def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
-        # s_j p swaps the images of j - 1 and j, p s_j swaps the values; the
-        # product is longer exactly when the swapped pair was in order
-        q = list(p)
-        if left:
-            if p[j - 1] > p[j]:
-                return None
-            q[j - 1], q[j] = p[j], p[j - 1]
-        else:
-            u, v = p.index(j - 1), p.index(j)
-            if u > v:
-                return None
-            q[u], q[v] = j, j - 1
-        return tuple(q)
+    def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
+        # one inversion more exactly when the swapped pair was in order
+        return u < v and p[u] < p[v]
 
 
 def _cycle_labels(p) -> tuple[int, list]:
@@ -389,11 +401,8 @@ class BandStructure(GarsideStructure):
     kind = "band"
 
     def __init__(self, n: int, cap: int = 10):
-        super().__init__(n, cap)
         self.twist_order = max(n, 1)
-        self._identity = Simple(self.kind, n, tuple((i,) for i in range(1, n + 1)))
-        self._delta = Simple(self.kind, n, (tuple(range(1, n + 1)),))
-        self._delta_perm = tuple((i + 1) % n for i in range(n))
+        super().__init__(n, cap, tuple((i + 1) % n for i in range(n)))
 
     # block/permutation conversions
     def _perm0(self, s: Simple) -> tuple:
@@ -401,6 +410,8 @@ class BandStructure(GarsideStructure):
         strands and pass the cycle count, so every array the kernels see is
         a simple's."""
         n = self.n
+        if s.kind != self.kind or s.n != n:
+            raise self._not_simple(s)
         images = [-1] * n
         for block in s.key:
             for a, b in zip(block, block[1:] + block[:1]):
@@ -445,11 +456,7 @@ class BandStructure(GarsideStructure):
             for j in range(i + 1, self.n + 1)
         )
 
-    def simples(self) -> tuple[Simple, ...]:
-        if self.n > self.cap:
-            raise ValueError(
-                f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
-            )
+    def _enumerate(self) -> tuple[Simple, ...]:
         return tuple(
             Simple(self.kind, self.n, tuple(sorted(blocks)))
             for blocks in _noncrossing_partitions(tuple(range(1, self.n + 1)))
@@ -458,35 +465,15 @@ class BandStructure(GarsideStructure):
     def atom_length(self, s: Simple) -> int:
         return self.n - len(s.key)
 
-    def _block_labels(self, s: Simple) -> list:
-        labels = [0] * self.n
-        for i, block in enumerate(s.key):
-            for v in block:
-                labels[v - 1] = i
-        return labels
-
     def meet(self, a: Simple, b: Simple) -> Simple:
-        # The common refinement; entries visited in increasing order give
-        # sorted blocks in order of their minima.
-        self._perm0(a), self._perm0(b)  # refuse keys that are not simple
-        la, lb = self._block_labels(a), self._block_labels(b)
+        # The common refinement of the cycles; entries visited in increasing
+        # order give sorted blocks in order of their minima.
+        la = _cycle_labels(self._perm0(a))[1]
+        lb = _cycle_labels(self._perm0(b))[1]
         pieces = {}
         for v in range(self.n):
             pieces.setdefault((la[v], lb[v]), []).append(v + 1)
         return Simple(self.kind, self.n, tuple(map(tuple, pieces.values())))
-
-    def left_divides(self, a: Simple, b: Simple) -> bool:
-        self._perm0(a), self._perm0(b)  # refuse keys that are not simple
-        lb = self._block_labels(b)
-        return all(len({lb[v - 1] for v in block}) == 1 for block in a.key)
-
-    def _twist_perm(self, p: tuple, k: int) -> tuple:
-        # every strand index moves by k, mod n
-        n = self.n
-        k %= n
-        if k == 0:
-            return p
-        return tuple((p[v - k] + k) % n for v in range(n))
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         # t = meet(x^-1 delta, y) is the common refinement of the cycles of
@@ -532,25 +519,10 @@ class BandStructure(GarsideStructure):
             tinv[v] = u
         return tuple(t[v] for v in x), tuple(y[v] for v in tinv)
 
-    def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
-        # s_j p swaps the images of j - 1 and j, p s_j swaps the values; the
-        # product is a simple one atom longer when it has one cycle fewer and
-        # passes the cycle count
-        q = list(p)
-        if left:
-            q[j - 1], q[j] = p[j], p[j - 1]
-        else:
-            u, v = p.index(j - 1), p.index(j)
-            q[u], q[v] = j, j - 1
+    def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
+        # one cycle fewer, and q passes the cycle count
         cycles = _cycle_labels(q)[0]
-        if cycles != _cycle_labels(p)[0] - 1 or cycles + _dual_cycles(q) != self.n + 1:
-            return None
-        return tuple(q)
-
-    def letter_simple(self, j: int) -> Simple:
-        if not 1 <= j <= self.n - 1:
-            raise ValueError(f"letter {j} out of range")
-        return self.band_simple(j, j + 1)
+        return cycles == _cycle_labels(p)[0] - 1 and cycles + _dual_cycles(q) == self.n + 1
 
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):

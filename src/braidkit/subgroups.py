@@ -677,7 +677,13 @@ def action_matrix(x, context: str) -> IntMatrix:
 
 def free_words_check(generators: Sequence[Sequence[Sequence[int]]], max_len: int) -> bool:
     """True when no nonempty reduced word over the matrices and their
-    inverses of length at most ``max_len`` evaluates to the identity."""
+    inverses of length at most ``max_len`` evaluates to the identity.
+    ValueError for an empty generator list or ``max_len`` below 1, for
+    which there is no word to test."""
+    if not generators:
+        raise ValueError("free_words_check needs at least one generator")
+    if max_len < 1:
+        raise ValueError(f"free_words_check needs max_len >= 1, got {max_len}")
     mats = [tuple(tuple(row) for row in m) for m in generators]
     k = len(mats)
     size = len(mats[0])

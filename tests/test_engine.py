@@ -113,6 +113,33 @@ def test_first_right_factor_matches_right_normal_form():
                 assert E._first_right_factor(x) == expected
 
 
+def test_arithmetic_refuses_right_normal_forms():
+    # the arithmetic reads factors as a left normal form; read that way the
+    # right form of w is another braid, so a right form is refused
+    w = BraidWord.parse("B4: 1 -2 3 2 -1 3")
+    v = BraidWord.parse("B4: 2 -3 1")
+    for struct in (classical(4), band(4)):
+        right = E.normal_form(struct, w, "right")
+        left = E.normal_form(struct, w)
+        assert right.factors != left.factors
+        g = E.from_word(struct, v)
+        for call in (
+            lambda: E.mul(right, g),
+            lambda: E.mul(g, right),
+            lambda: E.inv(right),
+            lambda: E.conjugate(right, g),
+            lambda: E.conjugate(g, right),
+            lambda: E.preferred_prefix(right),
+            lambda: E.power(right, 2),
+            lambda: E.power(right, -1),
+            lambda: E.power(right, 0),
+        ):
+            with pytest.raises(ValueError, match="left normal forms"):
+                call()
+        # the left form still gives w.v
+        assert E.words_equal(struct, E.mul(left, g).to_word(), W.compose(w, v))
+
+
 def test_inverse_needs_no_reweighting():
     rng = random.Random(11)
     for _ in range(30):

@@ -149,10 +149,22 @@ def test_complement_iteration():
             assert out == s
 
 
+def normal_form_factors(rng, st, words=4, length=30):
+    """The factors of the normal forms of seeded words, sorted."""
+    letters = [k for k in range(1 - st.n, st.n) if k]
+    out = set()
+    for _ in range(words):
+        w = BraidWord(st.n, tuple(rng.choice(letters) for _ in range(length)))
+        out.update(E.from_word(st, w).factors)
+    return sorted(out)
+
+
 def test_twist_is_conjugation_by_garside_element():
-    for st in all_structures((2, 3, 4)):
+    # every simple for n <= 4, normal-form factors for n 5..12
+    rng = random.Random(152)
+    for st in all_structures(range(2, 13)):
         dword = BraidWord(st.n, st.simple_word(st.delta()))
-        for s in st.simples():
+        for s in st.simples() if st.n <= 4 else normal_form_factors(rng, st):
             lhs = BraidWord(st.n, st.simple_word(st.twist(s)))
             rhs = W.conjugate(BraidWord(st.n, st.simple_word(s)), dword)
             assert E.words_equal(st, lhs, rhs)
@@ -411,8 +423,9 @@ def test_letter_products_match_mul():
 
 
 def test_band_twist_pow_is_repeated_twist():
-    for n in range(1, 9):
-        st = band(n)
+    # the classical twist too, which no other test takes to |k| > 1
+    for st in [band(n) for n in range(1, 9)] + [classical(n) for n in range(1, 7)]:
+        n = st.n
         for s in st.simples():
             for k in range(-n - 1, n + 2):
                 expected = s

@@ -310,6 +310,15 @@ def test_free_words_check():
     assert S.free_words_check([S.T_MATRIX, S.U_MATRIX], 10)
     assert not S.free_words_check([S.S1_MATRIX, S.S2_MATRIX], 6)
     assert S.free_words_check([S.T_MATRIX], 10)
+    # no generators, or no length to test, is refused rather than answered
+    with pytest.raises(ValueError, match="at least one generator"):
+        S.free_words_check([], 4)
+    for max_len in (0, -1):
+        with pytest.raises(ValueError, match="max_len"):
+            S.free_words_check([((1, 0), (0, 1))], max_len)
+        with pytest.raises(ValueError, match="max_len"):
+            S.free_words_check([S.T_MATRIX, S.U_MATRIX], max_len)
+    assert not S.free_words_check([((1, 0), (0, 1))], 1)
 
 
 # -- structural facts ----------------------------------------------------------

@@ -154,35 +154,49 @@ def test_early_stopping_conjugation_matches_oracle():
 
 # Run in process and again under ``python -O``, which strips asserts: a band
 # key that is not a non-crossing partition, or whose blocks are not cycles
-# below delta, is refused by arithmetic, conjugation and the circuit closure.
+# below delta, a classical key that is not a permutation of range(n), and a
+# simple of another structure or strand count are refused by arithmetic,
+# meet, complement, conjugation and the circuit closure.
 MALFORMED_KEY_CHECK = """
 import sys
 from braidkit import engine as E
-from braidkit.garside import Simple, band
+from braidkit.garside import Simple, band, classical
 from braidkit.words import BraidWord
 
-st = band(4)
-good = E.from_word(st, BraidWord(4, (1, 2, -3)))
+cases = [(band(4), Simple("band", 4, key)) for key in (
+    ((1, 3), (2, 4)), ((1, 3, 2), (4,)), ((1, 2), (2, 3), (4,)), ((1, 2),))]
+cases += [(classical(3), Simple("classical", 3, key)) for key in (
+    (0, 0, 1), (0, 1), (0, 1, 3), (0, 1, 2, 3))]
+cases += [
+    (classical(3), Simple("band", 3, ((1, 2), (3,)))),
+    (classical(3), Simple("classical", 4, (1, 0, 2, 3))),
+    (band(3), Simple("classical", 3, (1, 0, 2))),
+    (band(3), Simple("band", 4, ((1, 2), (3,), (4,)))),
+]
 accepted = []
-for key in (((1, 3), (2, 4)), ((1, 3, 2), (4,)), ((1, 2), (2, 3), (4,)), ((1, 2),)):
-    bad = Simple("band", 4, key)
+for st, bad in cases:
+    n = st.n
+    good = E.from_word(st, BraidWord(n, (1, 2, 1 - n)))
     form = E.GarsideNormalForm(st, 0, (bad,))
     for name, call in (
         ("mul", lambda: st.mul(bad, st.identity())),
         ("mul", lambda: st.mul(st.identity(), bad)),
+        ("meet", lambda: st.meet(bad, st.delta())),
+        ("meet", lambda: st.meet(st.delta(), bad)),
+        ("complement", lambda: st.complement(bad)),
         ("engine mul", lambda: E.mul(good, form)),
         ("engine mul", lambda: E.mul(form, good)),
         ("conjugate", lambda: E.conjugate(good, form)),
         ("conjugate", lambda: E.conjugate(form, good)),
         ("circuit closure", lambda: list(
-            E._circuit_search(st, [(form, st.identity())], BraidWord.identity(4)))),
+            E._circuit_search(st, [(form, st.identity())], BraidWord.identity(n)))),
     ):
         try:
             call()
         except ValueError as e:
-            if "is not a simple element of band(4)" in str(e):
+            if f"is not a simple element of {st.kind}({n})" in str(e):
                 continue
-        accepted.append((name, key))
+        accepted.append((name, bad))
 print(accepted, sys.flags.optimize)
 """
 
