@@ -36,7 +36,7 @@ import functools
 import itertools
 from typing import Iterable, NamedTuple
 
-from .words import Permutation, band_generator
+from .words import Permutation
 
 
 class Simple(NamedTuple):
@@ -81,12 +81,13 @@ class GarsideStructure:
     key that is not simple, and ``_from_perm0``, which returns None for a
     permutation that is not simple), the weighting kernel ``_weigh`` that
     the engine's normal forms run on, the length test ``_grows`` of the
-    letter products, ``meet``, ``atom_length``, ``atoms``, ``_enumerate``
+    letter products, ``meet``, ``_key_length``, ``atoms``, ``_enumerate``
     and ``simple_word``.  From these the class derives the identity and
-    Garside element, the checked conversion ``_simple_of_perm0``, ``mul``,
-    ``left_quotient``, ``left_divides``, ``mirror``, the complements, the
-    twists, the letter atoms and products, the capped ``simples`` and
-    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
+    Garside element, the checked conversion ``_simple_of_perm0``,
+    ``atom_length``, ``mul``, ``left_quotient``, ``left_divides``,
+    ``mirror``, the complements, the twists, the letter atoms and products,
+    the capped ``simples`` and ``normalize_pair``, the kernel's wrapper on
+    ``Simple`` values.
     Everything generic (normal forms, sliding, conjugacy) lives in the
     engine module and only calls these methods.
     """
@@ -118,7 +119,8 @@ class GarsideStructure:
     def atoms(self) -> tuple[Simple, ...]:
         raise NotImplementedError
 
-    def atom_length(self, s: Simple) -> int:
+    def _key_length(self, key) -> int:
+        """The number of atoms of the simple with this key."""
         raise NotImplementedError
 
     def meet(self, a: Simple, b: Simple) -> Simple:
@@ -150,10 +152,17 @@ class GarsideStructure:
         p[j - 1], p[j] = j, j - 1
         return self._simple_of_perm0(tuple(p))
 
+    def atom_length(self, s: Simple) -> int:
+        """The number of atoms of s; ValueError unless s is a simple of this
+        structure."""
+        self._perm0(s)
+        return self._key_length(s.key)
+
     def mul(self, a: Simple, b: Simple) -> Simple | None:
         """The product a.b if it is again simple, else None."""
         r = self._from_perm0(_pmul(self._perm0(a), self._perm0(b)))
-        if r is None or self.atom_length(a) + self.atom_length(b) != self.atom_length(r):
+        length = self._key_length
+        if r is None or length(a.key) + length(b.key) != length(r.key):
             return None
         return r
 
@@ -164,7 +173,8 @@ class GarsideStructure:
     def left_divides(self, a: Simple, b: Simple) -> bool:
         """Whether a is a prefix of b: a^-1 b is simple and the lengths add."""
         q = self._from_perm0(_pmul(_pinv(self._perm0(a)), self._perm0(b)))
-        return q is not None and self.atom_length(a) + self.atom_length(q) == self.atom_length(b)
+        length = self._key_length
+        return q is not None and length(a.key) + length(q.key) == length(b.key)
 
     def mirror(self, s: Simple) -> Simple:
         """Image of s under the anti-automorphism that reverses a word and
@@ -297,8 +307,8 @@ class ClassicalStructure(GarsideStructure):
             self._simple_of_perm0(p) for p in itertools.permutations(range(self.n))
         )
 
-    def atom_length(self, s: Simple) -> int:
-        return _inversions(s.key)
+    def _key_length(self, key) -> int:
+        return _inversions(key)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
         # Greedy common-prefix extraction: any letter starting both operands
@@ -319,7 +329,7 @@ class ClassicalStructure(GarsideStructure):
             y[j], y[j + 1] = y[j + 1], y[j]
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
-        x = list(s.key)
+        x = list(self._perm0(s))
         n = self.n
         letters = []
         while True:
@@ -462,8 +472,8 @@ class BandStructure(GarsideStructure):
             for blocks in _noncrossing_partitions(tuple(range(1, self.n + 1)))
         )
 
-    def atom_length(self, s: Simple) -> int:
-        return self.n - len(s.key)
+    def _key_length(self, key) -> int:
+        return self.n - len(key)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
         # The common refinement of the cycles; entries visited in increasing
@@ -532,11 +542,15 @@ class BandStructure(GarsideStructure):
         return self._simple_of_perm0(p)
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
+        # each block's descending cycle as bands between neighbours t > u,
+        # each spelled as band_generator(u, t) does: s_(t-1) ... s_u and back
+        self._perm0(s)
         letters = []
         for block in s.key:
             desc = sorted(block, reverse=True)
             for t, u in zip(desc, desc[1:]):
-                letters.extend(band_generator(u, t, self.n).letters)
+                letters += range(t - 1, u - 1, -1)
+                letters += range(-u - 1, -t, -1)
         return tuple(letters)
 
 

@@ -679,33 +679,52 @@ def free_words_check(generators: Sequence[Sequence[Sequence[int]]], max_len: int
     """True when no nonempty reduced word over the matrices and their
     inverses of length at most ``max_len`` evaluates to the identity.
     ValueError for an empty generator list or ``max_len`` below 1, for
-    which there is no word to test."""
+    which there is no word to test, and for matrices that are not square
+    of one size.
+
+    Meet in the middle.  A reduced relation w of length m <= max_len is
+    u v^-1 with u its first ceil(m/2) letters, so u and v are distinct
+    reduced words of length at most h = ceil(max_len/2) with equal matrices.
+    Conversely two distinct reduced words u, v with equal matrices give the
+    nonempty relation u v^-1, of reduced length at most |u| + |v|.  So the
+    reduced words of length <= h are multiplied out breadth first, keeping
+    for each matrix the length of the shortest word that reaches it, and the
+    search stops when a word and that shortest one have lengths adding up to
+    at most ``max_len``.  It multiplies out about (2k - 1)^h words for k
+    generators: 13 120 for two generators at ``max_len`` 16, the largest it
+    is meant for (the ledger uses 10).
+    """
     if not generators:
         raise ValueError("free_words_check needs at least one generator")
     if max_len < 1:
         raise ValueError(f"free_words_check needs max_len >= 1, got {max_len}")
     mats = [tuple(tuple(row) for row in m) for m in generators]
-    k = len(mats)
     size = len(mats[0])
+    if not size or any(len(m) != size or any(len(r) != size for r in m) for m in mats):
+        raise ValueError("free_words_check needs square matrices of one size")
     ident = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
     alphabet = []
     for i, m in enumerate(mats):
         inv = _mat_inv_general(m)
         alphabet.append((i + 1, m))
         alphabet.append((-(i + 1), inv))
-
-    def dfs(prod, last, depth):
-        for label, m in alphabet:
-            if label == -last:
-                continue
-            nxt = mat_mul(prod, m)
-            if nxt == ident:
-                return False
-            if depth + 1 < max_len and not dfs(nxt, label, depth + 1):
-                return False
-        return True
-
-    return dfs(ident, 0, 0)
+    shortest = {ident: 0}
+    frontier = [(ident, 0)]  # (matrix, last letter) of the words of one length
+    for length in range(1, (max_len + 1) // 2 + 1):
+        grown = []
+        for prod, last in frontier:
+            for label, m in alphabet:
+                if label == -last:
+                    continue
+                nxt = mat_mul(prod, m)
+                other = shortest.get(nxt)
+                if other is None:
+                    shortest[nxt] = length
+                elif length + other <= max_len:
+                    return False
+                grown.append((nxt, label))
+        frontier = grown
+    return True
 
 
 def _mat_inv_general(m):

@@ -19,6 +19,7 @@ library's right normal form goes through.
 from braidkit import engine as E
 from braidkit import words as W
 from braidkit.garside import _pinv
+from braidkit.subgroups import _mat_inv_general, mat_mul
 from braidkit.words import BraidWord
 
 
@@ -163,3 +164,29 @@ def atom_pair_walk(st, x, y, seen=None):
                 new_frontier[state] = t2
         frontier = new_frontier
     return None
+
+
+def free_words_check_dfs(generators, max_len):
+    """True when no nonempty reduced word of length at most max_len >= 1
+    over the matrices and their inverses evaluates to the identity."""
+    mats = [tuple(tuple(row) for row in m) for m in generators]
+    size = len(mats[0])
+    ident = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    alphabet = []
+    for i, m in enumerate(mats):
+        inv = _mat_inv_general(m)
+        alphabet.append((i + 1, m))
+        alphabet.append((-(i + 1), inv))
+
+    def dfs(prod, last, depth):
+        for label, m in alphabet:
+            if label == -last:
+                continue
+            nxt = mat_mul(prod, m)
+            if nxt == ident:
+                return False
+            if depth + 1 < max_len and not dfs(nxt, label, depth + 1):
+                return False
+        return True
+
+    return dfs(ident, 0, 0)

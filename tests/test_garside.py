@@ -296,6 +296,18 @@ def test_band_meet_and_left_divides_reject_crossing_key():
                 st.left_divides(*args)
 
 
+def test_atom_length_and_simple_word_refuse_foreign_keys():
+    for st, bad in (
+        (classical(3), Simple("band", 3, ((1, 2), (3,)))),
+        (band(3), Simple("classical", 3, (0, 0, 1))),
+        (classical(3), Simple("classical", 3, (0, 0, 1))),
+        (band(4), Simple("band", 4, ((1, 3), (2, 4)))),
+    ):
+        for name in ("atom_length", "simple_word"):
+            with pytest.raises(ValueError, match=f"is not a simple element of {st.kind}"):
+                getattr(st, name)(bad)
+
+
 def test_band_simple_rejects_bad_strands():
     st = band(4)
     for i, j in ((0, 2), (2, 0), (1, 1), (3, 3), (1, 5), (5, 4), (-1, 2)):

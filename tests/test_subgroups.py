@@ -8,6 +8,7 @@ from braidkit import subgroups as S
 from braidkit import words as W
 from braidkit.garside import classical
 from braidkit.words import AutomorphismSpec, BraidWord, Permutation, named_element
+from oracles import free_words_check_dfs
 
 
 # -- parsing ----------------------------------------------------------------
@@ -319,6 +320,50 @@ def test_free_words_check():
         with pytest.raises(ValueError, match="max_len"):
             S.free_words_check([S.T_MATRIX, S.U_MATRIX], max_len)
     assert not S.free_words_check([((1, 0), (0, 1))], 1)
+    for gens in (
+        [((1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))],
+        [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 1), (0, 1))],
+        [((1, 2, 3), (0, 1, 0))],
+        [()],
+    ):
+        with pytest.raises(ValueError, match="square matrices of one size"):
+            S.free_words_check(gens, 3)
+
+
+def _unimodular(rng, size):
+    """A seeded integer matrix of determinant +-1: a few elementary row
+    operations, then now and then a signed row permutation, for torsion."""
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(size), 2)
+        e = rng.choice((1, -1))
+        m[i] = [a + e * b for a, b in zip(m[i], m[j])]
+    if rng.random() < 0.3:
+        rows = rng.sample(range(size), size)
+        m = [[sign * v for v in m[r]] for r, sign in zip(rows, rng.choices((1, -1), k=size))]
+    return tuple(map(tuple, m))
+
+
+def test_free_words_check_matches_depth_first_oracle():
+    rng = random.Random(33)
+    for k, top, tuples in ((1, 9, 8), (2, 9, 6), (3, 6, 6)):
+        for t in range(tuples):
+            gens = [_unimodular(rng, 2 + t % 2) for _ in range(k)]
+            for max_len in range(1, top + 1):
+                expect = free_words_check_dfs(gens, max_len)
+                assert S.free_words_check(gens, max_len) == expect, (gens, max_len)
+    # the reduced-length bound: S^2 = S^-2 collide at L = 3, but their
+    # relation S^4 has length 4 > 3
+    order4 = ((0, -1), (1, 0))
+    edges = [
+        ([order4], 3, True), ([order4], 4, False),
+        ([S.T_MATRIX, S.T_MATRIX], 1, True), ([S.T_MATRIX, S.T_MATRIX], 2, False),
+        ([S.T_MATRIX, S.mat_inv2(S.T_MATRIX)], 2, False),
+        ([((1, 0), (0, 1))], 1, False),
+    ]
+    for gens, max_len, expect in edges:
+        assert S.free_words_check(gens, max_len) is expect, (gens, max_len)
+        assert free_words_check_dfs(gens, max_len) is expect, (gens, max_len)
 
 
 # -- structural facts ----------------------------------------------------------
