@@ -417,20 +417,28 @@ class BandStructure(GarsideStructure):
     # block/permutation conversions
     def _perm0(self, s: Simple) -> tuple:
         """The permutation of s; ValueError unless the blocks partition the
-        strands and pass the cycle count, so every array the kernels see is
-        a simple's."""
+        strands in order of their minima and pass the cycle count, so every
+        array the kernels see is a simple's.  A block may start at any of
+        its entries: it is the same cycle."""
         n = self.n
         if s.kind != self.kind or s.n != n:
             raise self._not_simple(s)
         images = [-1] * n
-        for block in s.key:
-            for a, b in zip(block, block[1:] + block[:1]):
-                images[a - 1] = b - 1
+        try:  # an entry out of range, or an empty block
+            for block in s.key:
+                prev = block[-1]
+                for a in block:
+                    images[prev - 1] = a - 1
+                    prev = a
+        except IndexError:
+            raise self._not_simple(s.key) from None
+        minima = list(map(min, s.key))
         # n entries filling every slot are a partition, one cycle per block
         if (
             min(images) < 0
             or sum(map(len, s.key)) != n
             or len(s.key) + _dual_cycles(images) != n + 1
+            or minima != sorted(minima)
         ):
             raise self._not_simple(s.key)
         return tuple(images)

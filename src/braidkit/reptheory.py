@@ -19,6 +19,7 @@ from .words import Permutation
 Partition = tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, weakly decreasing, in reverse lex order."""
 
@@ -92,16 +93,30 @@ def hook_dimension(lam: Partition) -> int:
     return math.factorial(n) // hooks
 
 
-def inner_product(chi1, chi2, n: int) -> int:
-    """Exact inner product of two class functions given as callables on
-    cycle types."""
-    total = 0
+def _weighted_classes(chi, n: int) -> list[tuple[int, Partition]]:
+    """(class size times chi, cycle type) over the classes where chi is
+    nonzero."""
+    out = []
     for rho in partitions(n):
-        total += class_size(rho) * chi1(rho) * chi2(rho)
-    q, r = divmod(total, math.factorial(n))
+        w = class_size(rho) * chi(rho)
+        if w:
+            out.append((w, rho))
+    return out
+
+
+def _average(weighted: list[tuple[int, Partition]], chi, n: int) -> int:
+    """Inner product of chi with the class function whose weighted classes
+    are given; ValueError unless it is an integer."""
+    q, r = divmod(sum(w * chi(rho) for w, rho in weighted), math.factorial(n))
     if r:
         raise ValueError("inner product is not an integer")
     return q
+
+
+def inner_product(chi1, chi2, n: int) -> int:
+    """Exact inner product of two class functions given as callables on
+    cycle types."""
+    return _average(_weighted_classes(chi1, n), chi2, n)
 
 
 def _square_type(rho: Partition) -> Partition:
@@ -150,9 +165,12 @@ def decompose(target: str, n: int) -> dict[Partition, int]:
     else:
         raise ValueError(f"unknown decomposition target {target!r}")
 
+    # chi is weighed once per class; each irreducible is one dot product
+    weighted = _weighted_classes(chi, n)
     out: dict[Partition, int] = {}
     for lam in partitions(n):
-        mult = inner_product(chi, lambda rho: character_value(lam, rho), n)
+        beta = _beta(lam)
+        mult = _average(weighted, lambda rho: _strip_value(beta, rho), n)
         if mult:
             out[lam] = mult
     return out

@@ -6,6 +6,14 @@ image's Cayley graph, one rewritten relator per coset, then Smith reduction
 of the relation matrix.  The same machinery yields exact coordinates for
 kernel elements, which is what basis and rank checks consume.
 
+The Cayley graph is held as integer tables, successor and predecessor state
+and Schreier label per state and generator, so rewriting walks indices.
+Relation matrices from Schreier rewriting are sparse and nearly all their
+pivots are units (Havas, Holt and Rees, Linear Algebra Appl. 192, 1993).
+The Smith reduction keeps its greedy minimal pivot rule but stops the pivot
+search at the first unit, skips the divisibility scan after a unit pivot and
+eliminates over the nonzero entries of the pivot row or column only.
+
 The four-strand specific tools rewrite the kernel of the projection onto
 three strands as a free group on two generators and read off induced integer
 matrices on rank-two abelianizations.
@@ -163,11 +171,38 @@ class SmithForm:
 
 
 def _mat_id(k: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(k)] for i in range(k)]
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        out[i][i] = 1
+    return out
+
+
+def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry of least absolute value in row-major order among the
+    nonzero entries of a[t:][t:], or None if they are all zero.  Nothing is
+    smaller than a unit, so the search stops at the first one."""
+    best = None
+    least = 0
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x and (best is None or abs(x) < least):
+                if x == 1 or x == -1:
+                    return i, j
+                best, least = (i, j), abs(x)
+    return best
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
-    """Exact Smith reduction with greedy minimal pivots."""
+    """Exact Smith reduction with greedy minimal pivots: each step takes the
+    first entry of least absolute value in row-major order.
+
+    A pass reads the nonzero entries of the pivot row (of M and U) or of the
+    pivot column (of M and V) once and updates the other rows or columns
+    over those entries only.  After a unit pivot every remaining entry is a
+    multiple of it, so the divisibility scan is skipped.
+    """
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -184,27 +219,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    def add_row(src, dst, c):  # row[dst] += c * row[src]
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+    def row_entries(m, i):  # nonzero (column, value) pairs of row i
+        return [(j, x) for j, x in enumerate(m[i]) if x]
 
-    def add_col(src, dst, c):  # col[dst] += c * col[src]
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    def col_entries(m, j):  # nonzero (row, value) pairs of column j
+        return [(i, row[j]) for i, row in enumerate(m) if row[j]]
 
     t = 0
     while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = _least_entry(a, t)
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -212,34 +235,49 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         dirty = True
         while dirty:
             dirty = False
+            # row[i] -= q * row[t] for every row i below the pivot
+            a_row, u_row = row_entries(a, t), row_entries(u, t)
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
+                ai = a[i]
+                if ai[t]:
+                    q = ai[t] // a[t][t]
+                    for j, x in a_row:
+                        ai[j] -= q * x
+                    ui = u[i]
+                    for j, x in u_row:
+                        ui[j] -= q * x
+                    if ai[t]:
                         swap_rows(t, i)
                         dirty = True
+                        a_row, u_row = row_entries(a, t), row_entries(u, t)
+            # col[j] -= q * col[t] for every column j right of the pivot
+            at = a[t]
+            a_col, v_col = col_entries(a, t), col_entries(v, t)
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
+                if at[j]:
+                    q = at[j] // at[t]
+                    for i, x in a_col:
+                        a[i][j] -= q * x
+                    for i, x in v_col:
+                        v[i][j] -= q * x
+                    if at[j]:
                         swap_cols(t, j)
                         dirty = True
-        # enforce divisibility of the remaining block by the pivot
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    add_row(i, t, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
+                        a_col, v_col = col_entries(a, t), col_entries(v, t)
+        p = a[t][t]
+        if p != 1 and p != -1:
+            # enforce divisibility of the remaining block by the pivot
+            bad = next(
+                (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])),
+                None,
+            )
+            if bad is not None:
+                a[t] = [x + y for x, y in zip(a[t], a[bad])]
+                u[t] = [x + y for x, y in zip(u[t], u[bad])]
+                continue
+        if p < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
     factors = tuple(a[i][i] for i in range(min(rows, cols)))
@@ -262,52 +300,52 @@ def matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def _schreier_edges(image: FiniteImageMap):
-    """Breadth-first (shortlex) transversal of the image group: returns the
-    state list and the edge labelling; tree edges carry None, the remaining
-    edges are numbered Schreier generators."""
+    """Breadth-first (shortlex) transversal of the image group as integer
+    Cayley tables over the states, numbered in the order they are reached.
+
+    ``succ[s][i]`` is (the state s times image i, label of that edge) and
+    ``pred[s][i]`` is (the state s times image i inverse, label of the edge
+    from it to s).  Tree edges are labelled None, the others by their
+    Schreier generator, numbered by state and then by generator.  Returns
+    (succ, pred, number of Schreier generators).
+    """
     start = Permutation.identity(image.degree)
     states = [start]
     state_index = {start: 0}
-    edge_gen: dict = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for i, img in enumerate(image.images, start=1):
-                h = g * img
-                if h not in state_index:
-                    state_index[h] = len(states)
-                    states.append(h)
-                    nxt.append(h)
-                    edge_gen[(g, i)] = None
-                else:
-                    edge_gen[(g, i)] = -1
-        frontier = nxt
+    succ = []
     count = 0
-    for g in states:
-        for i in range(1, len(image.images) + 1):
-            if edge_gen[(g, i)] == -1:
-                edge_gen[(g, i)] = count
+    for g in states:  # grows while read: the queue of the search
+        row = []
+        for img in image.images:
+            h = g * img
+            if h in state_index:
+                row.append((state_index[h], count))
                 count += 1
-    return states, edge_gen, count
+            else:
+                state_index[h] = len(states)
+                states.append(h)
+                row.append((state_index[h], None))
+        succ.append(tuple(row))
+    pred = [[None] * len(image.images) for _ in states]
+    for s, row in enumerate(succ):
+        for i, (h, label) in enumerate(row):
+            pred[h][i] = (s, label)
+    return tuple(succ), tuple(map(tuple, pred)), count
 
 
-def _rewrite(image, edge_gen, count, word: Word, start: Permutation) -> list[int]:
+def _rewrite(succ, pred, count: int, word: Word, start: int) -> list[int]:
     """Abelianized Schreier rewriting of a kernel word read from a coset."""
     vec = [0] * count
     state = start
     for g in word:
-        img = image.images[abs(g) - 1]
         if g > 0:
-            idx = edge_gen[(state, g)]
-            state = state * img
-            if idx is not None:
-                vec[idx] += 1
+            state, label = succ[state][g - 1]
+            if label is not None:
+                vec[label] += 1
         else:
-            state = state * img.inverse()
-            idx = edge_gen[(state, -g)]
-            if idx is not None:
-                vec[idx] -= 1
+            state, label = pred[state][-g - 1]
+            if label is not None:
+                vec[label] -= 1
     if state != start:
         raise ValueError("word does not lie in the kernel")
     return vec
@@ -321,8 +359,8 @@ class KernelAbelianization:
     presentation: FinitePresentation
     image: FiniteImageMap
     invariant_factors: tuple[int, ...]
-    _states: tuple[Permutation, ...]
-    _edge_gen: dict
+    _succ: tuple
+    _pred: tuple
     _v: tuple[tuple[int, ...], ...]
     _diag: tuple[int, ...]
     _num_schreier: int
@@ -334,11 +372,15 @@ class KernelAbelianization:
     def coordinates(self, word: Word) -> tuple[int, ...]:
         """Coordinates of a kernel word in the abelianization, one entry per
         invariant factor (torsion entries reduced modulo their factor)."""
-        vec = _rewrite(self.image, self._edge_gen, self._num_schreier, word, self._states[0])
+        k = len(self.image.images)
+        if any(g == 0 or abs(g) > k for g in word):
+            raise ValueError(f"word references unknown generator: {word}")
         cols = self._num_schreier
-        transformed = [
-            sum(vec[i] * self._v[i][j] for i in range(cols)) for j in range(cols)
-        ]
+        vec = _rewrite(self._succ, self._pred, cols, word, 0)
+        transformed = [0] * cols
+        for x, row in zip(vec, self._v):
+            if x:
+                transformed = [t + x * y for t, y in zip(transformed, row)]
         out = []
         for j, d in enumerate(self._diag):
             if d == 1:
@@ -365,15 +407,15 @@ def kernel_abelianization(
     for rel in pres.relators:
         if not image.word_image(rel).is_identity():
             raise ValueError(f"relator {rel} does not vanish in the image")
-    states, edge_gen, count = _schreier_edges(image)
-    if expected_image_order is not None and len(states) != expected_image_order:
+    succ, pred, count = _schreier_edges(image)
+    if expected_image_order is not None and len(succ) != expected_image_order:
         raise ValueError(
-            f"generator images generate a group of order {len(states)}, "
+            f"generator images generate a group of order {len(succ)}, "
             f"expected {expected_image_order}"
         )
     relation_rows = [
-        _rewrite(image, edge_gen, count, rel, g)
-        for g in states
+        _rewrite(succ, pred, count, rel, s)
+        for s in range(len(succ))
         for rel in pres.relators
     ]
     if relation_rows:
@@ -389,8 +431,8 @@ def kernel_abelianization(
         presentation=pres,
         image=image,
         invariant_factors=torsion + (0,) * free,
-        _states=tuple(states),
-        _edge_gen=edge_gen,
+        _succ=succ,
+        _pred=pred,
         _v=v,
         _diag=diag,
         _num_schreier=count,

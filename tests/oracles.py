@@ -14,13 +14,23 @@ conjugation.
 the definitional checks of the normal forms.  The classical ``right_meet`` is
 computed from shared final letters, independently of the mirror, which the
 library's right normal form goes through.
+
+``smith_normal_form_dense`` is the Smith reduction with greedy minimal
+pivots on whole rows and columns, ``kernel_coordinates_by_permutations`` the
+Schreier rewriting on ``Permutation`` states that it abelianizes and reads
+coordinates with, and ``decompose_by_inner_product`` the decomposition by
+one full inner product per irreducible.
 """
+
+import math
 
 from braidkit import engine as E
 from braidkit import words as W
 from braidkit.garside import _pinv
+from braidkit import reptheory as R
+from braidkit import subgroups as S
 from braidkit.subgroups import _mat_inv_general, mat_mul
-from braidkit.words import BraidWord
+from braidkit.words import BraidWord, Permutation
 
 
 def generic_normalize_pair(st, x, y):
@@ -190,3 +200,202 @@ def free_words_check_dfs(generators, max_len):
         return True
 
     return dfs(ident, 0, 0)
+
+
+def smith_normal_form_dense(matrix):
+    """Exact Smith reduction with greedy minimal pivots."""
+    a = [list(map(int, row)) for row in matrix]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):  # row[dst] += c * row[src]
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, c):  # col[dst] += c * col[src]
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        # enforce divisibility of the remaining block by the pivot
+        fixed = False
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % a[t][t]:
+                    add_row(i, t, 1)
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    factors = tuple(a[i][i] for i in range(min(rows, cols)))
+    return S.SmithForm(
+        tuple(tuple(row) for row in a),
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in v),
+        factors,
+    )
+
+
+def schreier_edges_by_permutations(image):
+    """Breadth-first (shortlex) transversal of the image group: returns the
+    state list and the edge labelling; tree edges carry None, the remaining
+    edges are numbered Schreier generators."""
+    start = Permutation.identity(image.degree)
+    states = [start]
+    state_index = {start: 0}
+    edge_gen = {}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for i, img in enumerate(image.images, start=1):
+                h = g * img
+                if h not in state_index:
+                    state_index[h] = len(states)
+                    states.append(h)
+                    nxt.append(h)
+                    edge_gen[(g, i)] = None
+                else:
+                    edge_gen[(g, i)] = -1
+        frontier = nxt
+    count = 0
+    for g in states:
+        for i in range(1, len(image.images) + 1):
+            if edge_gen[(g, i)] == -1:
+                edge_gen[(g, i)] = count
+                count += 1
+    return states, edge_gen, count
+
+
+def rewrite_by_permutations(image, edge_gen, count, word, start):
+    """Abelianized Schreier rewriting of a kernel word read from a coset."""
+    vec = [0] * count
+    state = start
+    for g in word:
+        img = image.images[abs(g) - 1]
+        if g > 0:
+            idx = edge_gen[(state, g)]
+            state = state * img
+            if idx is not None:
+                vec[idx] += 1
+        else:
+            state = state * img.inverse()
+            idx = edge_gen[(state, -g)]
+            if idx is not None:
+                vec[idx] -= 1
+    if state != start:
+        raise ValueError("word does not lie in the kernel")
+    return vec
+
+
+def kernel_coordinates_by_permutations(pres, image, words):
+    """The relation matrix of the kernel and the coordinates of each kernel
+    word, by rewriting on ``Permutation`` states and dense Smith reduction."""
+    states, edge_gen, count = schreier_edges_by_permutations(image)
+    relation_rows = [
+        rewrite_by_permutations(image, edge_gen, count, rel, g)
+        for g in states
+        for rel in pres.relators
+    ]
+    if relation_rows:
+        snf = smith_normal_form_dense(relation_rows)
+        diag, v = snf.factors, snf.v
+    else:
+        diag = ()
+        v = tuple(tuple(int(i == j) for j in range(count)) for i in range(count))
+    coords = []
+    for word in words:
+        vec = rewrite_by_permutations(image, edge_gen, count, word, states[0])
+        transformed = [sum(vec[i] * v[i][j] for i in range(count)) for j in range(count)]
+        out = []
+        for j, d in enumerate(diag):
+            if d == 1:
+                continue
+            out.append(transformed[j] % d if d > 1 else transformed[j])
+        for j in range(len(diag), count):
+            out.append(transformed[j])
+        coords.append(tuple(out))
+    return relation_rows, coords
+
+
+def decompose_by_inner_product(target, n):
+    """Irreducible multiplicities of a named character, one inner product
+    over every class per irreducible."""
+    if n < 4:
+        raise ValueError("need n >= 4 for a two-row constituent (n-2, 2)")
+    if target == "Sym2Standard":
+        chi = lambda rho: R.sym2_character(R.natural_character, rho)
+    elif target == "Sym2Vn11":
+        refl = lambda rho: R.natural_character(rho) - 1
+        chi = lambda rho: R.sym2_character(refl, rho)
+    elif target == "Wmodule":
+        chi = lambda rho: (
+            R.sym2_character(R.natural_character, rho) - R.natural_character(rho) - 1
+        )
+    else:
+        raise ValueError(f"unknown decomposition target {target!r}")
+
+    def inner_product(chi1, chi2):
+        total = sum(R.class_size(rho) * chi1(rho) * chi2(rho) for rho in R.partitions(n))
+        q, r = divmod(total, math.factorial(n))
+        if r:
+            raise ValueError("inner product is not an integer")
+        return q
+
+    out = {}
+    for lam in R.partitions(n):
+        mult = inner_product(chi, lambda rho: R.character_value(lam, rho))
+        if mult:
+            out[lam] = mult
+    return out

@@ -285,6 +285,28 @@ def test_band_normalize_pair_rejects_crossing_keys():
         st.twist_pow(crossing, 1)
 
 
+def test_band_key_check_refuses_reordered_and_out_of_range_blocks():
+    st = band(4)
+    for key in (
+        ((1,), (2,), (4,), (3,)),
+        ((4,), (1, 2, 3)),
+        ((1, 9), (2,), (3,), (4,)),
+        ((1,), (2,), (3,), (-4,)),
+        ((1, 2, 3, 4, 5),),
+        ((1, 0), (2,), (3,), (4,)),
+        ((1, 3), (2, 4), (), ()),
+    ):
+        with pytest.raises(ValueError, match="is not a simple element of band"):
+            st._perm0(Simple("band", 4, key))
+    # a block read from another of its entries is the same cycle
+    rotated = Simple("band", 4, ((2, 3, 1), (4,)))
+    assert st._perm0(rotated) == st._perm0(Simple("band", 4, ((1, 2, 3), (4,))))
+    for n in range(1, 7):
+        st = band(n)
+        for s in st._enumerate():
+            assert st._from_perm0(st._perm0(s)) == s
+
+
 def test_band_meet_and_left_divides_reject_crossing_key():
     st = band(4)
     crossing = Simple("band", 4, ((1, 3), (2, 4)))

@@ -5,6 +5,7 @@ import pytest
 
 from braidkit import reptheory as R
 from braidkit.words import Permutation
+from oracles import decompose_by_inner_product
 
 
 def test_partitions():
@@ -12,6 +13,10 @@ def test_partitions():
     assert len(R.partitions(8)) == 22
     with pytest.raises(ValueError):
         R.check_partition((1, 2))
+
+
+def test_partitions_are_built_once():
+    assert R.partitions(9) is R.partitions(9)
 
 
 def test_class_sizes():
@@ -89,6 +94,22 @@ def test_decompositions():
         R.decompose("Sym2Standard", 3)
     with pytest.raises(ValueError):
         R.decompose("nonsense", 6)
+
+
+def test_decompose_matches_inner_product_oracle():
+    for n in range(4, 11):
+        for target in ("Sym2Standard", "Sym2Vn11", "Wmodule"):
+            got = R.decompose(target, n)
+            want = decompose_by_inner_product(target, n)
+            assert got == want and list(got) == list(want)
+
+
+def test_inner_product_refuses_a_fractional_value():
+    at_identity = lambda rho: int(rho == (1, 1, 1))  # not a character
+    trivial = lambda rho: 1
+    for chi1, chi2 in ((at_identity, trivial), (trivial, at_identity)):
+        with pytest.raises(ValueError, match="not an integer"):
+            R.inner_product(chi1, chi2, 3)
 
 
 def test_standard_dimension():

@@ -8,7 +8,11 @@ from braidkit import subgroups as S
 from braidkit import words as W
 from braidkit.garside import classical
 from braidkit.words import AutomorphismSpec, BraidWord, Permutation, named_element
-from oracles import free_words_check_dfs
+from oracles import (
+    free_words_check_dfs,
+    kernel_coordinates_by_permutations,
+    smith_normal_form_dense,
+)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -68,6 +72,61 @@ def test_smith_random_soundness():
         assert abs(S._det([list(x) for x in f.v])) == 1
 
 
+def _assert_smith_certificate(m, f):
+    """D = U M V, U and V unimodular, D diagonal with a divisibility chain."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    assert len(f.u) == rows and len(f.v) == cols
+    if rows and cols:
+        assert f.d == S.mat_mul(S.mat_mul(f.u, m), f.v)
+    assert abs(S._det(f.u)) == 1 and abs(S._det(f.v)) == 1
+    assert all(f.d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    assert f.factors == tuple(f.d[i][i] for i in range(min(rows, cols)))
+    for a, b in zip(f.factors, f.factors[1:]):
+        assert b % a == 0 if a else b == 0
+    assert all(x >= 0 for x in f.factors)
+
+
+def test_smith_edge_cases():
+    cases = {
+        "empty": ([], ()),
+        "zero": ([[0, 0, 0], [0, 0, 0]], (0, 0)),
+        "row": ([[4, 6, -10]], (2,)),
+        "column": ([[6], [-4], [10]], (2,)),
+        "minus one pivot": ([[-1, 3], [2, 5]], (1, 11)),
+        "divisibility fix": ([[2, 0], [0, 3]], (1, 6)),
+    }
+    for name, (m, factors) in cases.items():
+        f = S.smith_normal_form(m)
+        assert f.factors == factors, name
+        _assert_smith_certificate(m, f)
+        assert f == smith_normal_form_dense(m), name
+    # a -1 pivot comes out positive after a row negation
+    f = S.smith_normal_form([[-1]])
+    assert f.d == ((1,),) and f.u == ((-1,),) and f.v == ((1,),)
+
+
+def test_smith_matches_dense_oracle():
+    # Dense 7x7 matrices can blow the greedy rule's entries up to hundreds of
+    # thousands of digits (both here and in the oracle), so dense draws stop
+    # at 6x6 and the 7x7 draws keep each entry with probability 1/2, like the
+    # sparse relation matrices the rule serves.
+    rng = random.Random(13)
+    for k in range(2000):
+        size, keep = (6, 1.0) if k % 2 else (7, 0.5)
+        r, c = rng.randint(0, size), rng.randint(0, size)
+        m = [
+            [rng.randint(-4, 5) if rng.random() < keep else 0 for _ in range(c)]
+            for _ in range(r)
+        ]
+        assert S.smith_normal_form(m) == smith_normal_form_dense(m), m
+    for pres, image in (S.b4_commutator_presentation(), S.b3_commutator_presentation()):
+        rows, _ = kernel_coordinates_by_permutations(pres, image, [])
+        f = S.smith_normal_form(rows)
+        assert f == smith_normal_form_dense(rows)
+        _assert_smith_certificate(rows, f)
+
+
 # -- kernel abelianization --------------------------------------------------
 
 
@@ -125,6 +184,44 @@ def test_coordinates_additive_and_kernel_checked():
         assert ka.coordinates(g + h) == tuple(a + b for a, b in zip(cg, ch))
     with pytest.raises(ValueError, match="kernel"):
         ka.coordinates((1,))
+
+
+def test_coordinates_refuse_unknown_letters():
+    pres, image = S.b3_commutator_presentation()
+    ka = S.kernel_abelianization(pres, image)
+    for word in ((0, 0, 0), (3,), (-3, 1, 2)):
+        with pytest.raises(ValueError, match="unknown generator"):
+            ka.coordinates(word)
+
+
+def _torsion_presentation():
+    """a^4, b^6, (ab)^2 onto the symmetric group of degree 3; its kernel
+    has torsion (2, 2, 2, 2), so coordinates reduce modulo 2."""
+    pres = S.FinitePresentation(("a", "b"), ((1, 1, 1, 1), (2,) * 6, (1, 2, 1, 2)))
+    image = S.FiniteImageMap(
+        (Permutation.from_cycles(3, [(1, 2)]), Permutation.from_cycles(3, [(1, 2, 3)]))
+    )
+    return pres, image
+
+
+def test_coordinates_match_permutation_rewriting_oracle():
+    rng = random.Random(7)
+    for pres, image in (
+        S.b4_commutator_presentation(),
+        S.b3_commutator_presentation(),
+        _torsion_presentation(),
+    ):
+        ka = S.kernel_abelianization(pres, image)
+        k = len(pres.generators)
+        letters = [g for g in range(-k, k + 1) if g]
+        words = []
+        while len(words) < 150:
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 14)))
+            if image.word_image(word).is_identity():
+                words.append(word)
+        _, want = kernel_coordinates_by_permutations(pres, image, words)
+        assert [ka.coordinates(w) for w in words] == want
+    assert S.kernel_abelianization(*_torsion_presentation()).invariant_factors == (2,) * 4
 
 
 def test_basis_checks():
