@@ -44,10 +44,17 @@ the first pair that does not move; then ``_insert`` puts the twisted
 complement of s in front, since s^-1 delta^p = delta^(p-1) tau^p(delta s^-1).
 For r factors that is at most 2r + 1 kernel calls.  ``conjugate`` takes its
 conjugator one factor at a time this way, so each slide is one such
-conjugation.  The circuit closure and the atom-pair walk call
-``_conjugate_simple`` on permutations directly and ask it to stop as soon as
-the inf has dropped: unless appending s split off a delta, the inf is kept
-only if the first step of the insertion makes the first factor delta.
+conjugation.  The circuit closure calls ``_conjugate_simple`` on
+permutations directly, with each simple's left complement computed once, and
+asks it to stop as soon as the inf has dropped: unless appending s split off
+a delta, the inf is kept only if the first step of the insertion makes the
+first factor delta.  The atom-pair walk needs no conjugation at all: whether
+a^s is again an atom, and which, is read off the permutation of s
+(``_atom_images``).  For the band atom a swapping i and j, a^s is positive
+exactly when s is a prefix of a s; that holds when a s is simple, and
+otherwise exactly when a is a prefix of s, so a^s is an atom exactly when i
+and j lie in one cycle of s or of delta s^-1.  A classical letter stays a
+letter exactly when s sends its two strands to neighbours.
 
 Three exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
@@ -208,19 +215,27 @@ def _append(st: GarsideStructure, fs: list[tuple], s: tuple) -> int:
 
 
 def _conjugate_simple(
-    st: GarsideStructure, p: int, fs: tuple, s: tuple, keep_inf: bool = False
+    st: GarsideStructure,
+    p: int,
+    fs: tuple,
+    s: tuple,
+    keep_inf: bool = False,
+    s_bar: tuple | None = None,
 ) -> tuple[int, list[tuple]] | None:
     """y^s for y = delta^p fs and a simple s, all as permutations, returned
     as (inf, factors).  With s^-1 = delta^-1 (delta s^-1),
     y^s = delta^(p-1) tau^p(delta s^-1) . fs . s: append s, then insert the
     twisted left complement, at most 2r + 1 kernel calls for r factors.
+    s_bar, when given, is that left complement delta s^-1.
 
     With keep_inf, return None as soon as inf(y^s) < p is certain: when
     appending s split off no delta and the first step of the insertion
     splits off none either."""
+    if s_bar is None:
+        s_bar = st._left_complement_perm(s)
     fs = list(fs)
     e = _append(st, fs, s)
-    d = _insert(st, st._twist_perm(st._left_complement_perm(s), p + e), fs, keep_inf and not e)
+    d = _insert(st, st._twist_perm(s_bar, p + e), fs, keep_inf and not e)
     if d is None:
         return None
     return p - 1 + e + d, fs
@@ -432,9 +447,11 @@ def _circuit_search(
     inside the window and new.  A conjugate slid before is skipped: its
     trajectory now ends at a circuit in found.  Inside the window the inf is
     fixed and simple and permutation determine each other, so the factor
-    arrays are an exact key.
+    arrays are an exact key.  Each proper simple's permutation and left
+    complement are computed once per search, after the first circuit is
+    yielded: a caller that stops there needs none of them.
     """
-    proper = [(s, st._perm0(s)) for s in st.simples() if not st.is_identity(s)]
+    simples = [s for s in st.simples() if not st.is_identity(s)]
     inf, r = circuit[0][0].inf, circuit[0][0].canonical_length
     found: set[tuple] = set()
     tried: set[tuple] = set()
@@ -451,10 +468,12 @@ def _circuit_search(
             trail = _then(st, trail, p)
 
     yield from add(circuit, trail)
+    perms = [st._perm0(s) for s in simples]
+    proper = list(zip(simples, perms, map(st._left_complement_perm, perms)))
     while queue:
         fs, y_trail = queue.pop()
-        for s, sp in proper:
-            z = _conjugate_simple(st, inf, fs, sp, keep_inf=True)
+        for s, sp, s_bar in proper:
+            z = _conjugate_simple(st, inf, fs, sp, True, s_bar)
             if z is None or z[0] != inf or len(z[1]) != r:
                 continue
             zs = tuple(z[1])
@@ -630,32 +649,56 @@ def solve_pair_to_generators(
 
 def _atom_pair_walk(st: GarsideStructure, x: Simple, y: Simple) -> BraidWord | None:
     """Breadth-first search through pairs of atoms conjugated by simples,
-    from (x, y) to the pair of the first two Artin letters.
+    from (x, y) to the pair of the first two Artin letters; None if x or y
+    is not an atom, since the exponent sum is a conjugacy invariant.
 
-    Runs on permutations.  A conjugate of an atom with inf 0 and one factor
-    is an atom, because the exponent sum is a conjugacy invariant."""
+    An atom is held as the pair i < j of strands it swaps, and a^s for a
+    proper simple s is read off the permutation p of s (``_atom_images``):
+    it swaps p[i] and p[j], and it is an atom exactly when i and j lie in
+    one cycle of p or of delta p^-1 (band), or when p[i] and p[j] are
+    neighbours (classical).  In the band structure a^s is positive exactly
+    when s is a prefix of a s: if a s is simple, a is a suffix of
+    delta p^-1 and p^-1 a p is a reflection; if not, the greatest simple
+    prefix of a s is s, so s = a t and a^s = a^t with a t simple.  Each
+    simple's table is built once per walk, so a move costs two lookups and
+    no kernel call.  Moves are tried in the order of ``simples``, and the
+    trail is built along the path found only, one ``_then`` per move."""
     n = st.n
-    target = (st._perm0(st.letter_simple(1)), st._perm0(st.letter_simple(2)))
-    start = (st._perm0(x), st._perm0(y))
+
+    def ends(s: Simple) -> tuple[int, int] | None:
+        """The strands the atom s swaps; None if s is no atom."""
+        p = st._perm0(s)
+        if st._key_length(s.key) != 1:
+            return None
+        return tuple(v for v in range(n) if p[v] != v)
+
+    target = (ends(st.letter_simple(1)), ends(st.letter_simple(2)))
+    start = (ends(x), ends(y))
     if start == target:
         return BraidWord.identity(n)
-    proper = [(s, st._perm0(s)) for s in st.simples() if not st.is_identity(s)]
-    queue = [(start, BraidWord.identity(n))]
-    seen = {start}
-    for (a, b), trail in queue:  # appends below extend the iteration: FIFO
-        for s, sp in proper:
-            a2 = _conjugate_simple(st, 0, (a,), sp, keep_inf=True)
-            if a2 is None or a2[0] or len(a2[1]) != 1:
+    if None in start:
+        return None
+    moves = [(s, st._atom_images(st._perm0(s))) for s in st.simples() if not st.is_identity(s)]
+    parent: dict[tuple, tuple | None] = {start: None}
+    queue = [start]
+    for state in queue:  # appends below extend the iteration: FIFO
+        a, b = state
+        for s, images in moves:
+            a2 = images.get(a)
+            if a2 is None:
                 continue
-            b2 = _conjugate_simple(st, 0, (b,), sp, keep_inf=True)
-            if b2 is None or b2[0] or len(b2[1]) != 1:
+            b2 = images.get(b)
+            if b2 is None or (a2, b2) in parent:
                 continue
-            state = (a2[1][0], b2[1][0])
-            if state in seen:
-                continue
-            seen.add(state)
-            t2 = _then(st, trail, s)
-            if state == target:
-                return t2
-            queue.append((state, t2))
+            parent[a2, b2] = state, s
+            if (a2, b2) == target:
+                path = [s]
+                while parent[state] is not None:
+                    state, s = parent[state]
+                    path.append(s)
+                trail = BraidWord.identity(n)
+                for s in reversed(path):
+                    trail = _then(st, trail, s)
+                return trail
+            queue.append((a2, b2))
     return None

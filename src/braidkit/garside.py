@@ -81,13 +81,14 @@ class GarsideStructure:
     key that is not simple, and ``_from_perm0``, which returns None for a
     permutation that is not simple), the weighting kernel ``_weigh`` that
     the engine's normal forms run on, the length test ``_grows`` of the
-    letter products, ``meet``, ``_key_length``, ``atoms``, ``_enumerate``
-    and ``simple_word``.  From these the class derives the identity and
-    Garside element, the checked conversion ``_simple_of_perm0``,
-    ``atom_length``, ``mul``, ``left_quotient``, ``left_divides``,
-    ``mirror``, the complements, the twists, the letter atoms and products,
-    the capped ``simples`` and ``normalize_pair``, the kernel's wrapper on
-    ``Simple`` values.
+    letter products, the table ``_atom_images`` of the atoms that a simple
+    conjugates to atoms, which the atom-pair walk runs on, ``meet``,
+    ``_key_length``, ``atoms``, ``_enumerate`` and ``simple_word``.  From
+    these the class derives the identity and Garside element, the checked
+    conversion ``_simple_of_perm0``, ``atom_length``, ``mul``,
+    ``left_quotient``, ``left_divides``, ``mirror``, the complements, the
+    twists, the letter atoms and products, the capped ``simples`` and
+    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
     Everything generic (normal forms, sliding, conjugacy) lives in the
     engine module and only calls these methods.
     """
@@ -251,6 +252,13 @@ class GarsideStructure:
         whether q is a simple one atom longer than p."""
         raise NotImplementedError
 
+    def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
+        """For a simple p: each atom a, given by the strands i < j it swaps,
+        with p^-1 a p again an atom, mapped to that atom's pair.  The
+        conjugate swaps p[i] and p[j] in both structures; which atoms stay
+        atoms differs."""
+        raise NotImplementedError
+
     def _twist_perm(self, p: tuple, k: int) -> tuple:
         """delta^-k p delta^k."""
         k %= self.twist_order
@@ -368,6 +376,15 @@ class ClassicalStructure(GarsideStructure):
     def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
         # one inversion more exactly when the swapped pair was in order
         return u < v and p[u] < p[v]
+
+    def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
+        # the conjugate of s_(i+1) swaps p[i] and p[i + 1]: a letter again
+        # exactly when those are neighbours
+        return {
+            (i, i + 1): (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
+            for i in range(self.n - 1)
+            if abs(p[i] - p[i + 1]) == 1
+        }
 
 
 def _cycle_labels(p) -> tuple[int, list]:
@@ -541,6 +558,23 @@ class BandStructure(GarsideStructure):
         # one cycle fewer, and q passes the cycle count
         cycles = _cycle_labels(q)[0]
         return cycles == _cycle_labels(p)[0] - 1 and cycles + _dual_cycles(q) == self.n + 1
+
+    def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
+        # a^p is an atom exactly when it is positive, i.e. when p is a prefix
+        # of a p.  If a p is simple, which is when a is a suffix of
+        # delta p^-1 (i and j in one cycle of it), that holds in absolute
+        # order, p^-1 a p being a reflection.  If a p is not simple, its
+        # greatest simple prefix can only be p, which then has a as a prefix
+        # (i and j in one cycle of p): p = a t, and a^p = a^t with a t simple.
+        n = self.n
+        cycle = _cycle_labels(p)[1]
+        co_cycle = _cycle_labels(self._left_complement_perm(p))[1]
+        return {
+            (i, j): (min(p[i], p[j]), max(p[i], p[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if cycle[i] == cycle[j] or co_cycle[i] == co_cycle[j]
+        }
 
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):

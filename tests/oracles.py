@@ -8,7 +8,7 @@ run on that generic pair weighting: weight the junction of two weighted
 sequences forward and comb every change backwards, and read a word one letter
 at a time.  ``conjugate`` is g^-1 x g as two such products, and
 ``atom_pair_walk`` the atom-pair search on normal forms with that
-conjugation.
+conjugation, memoized per (atom, simple) across walks since it is pure.
 
 ``pair_is_left_weighted``, ``right_meet`` and ``pair_is_right_weighted`` are
 the definitional checks of the normal forms.  The classical ``right_meet`` is
@@ -22,6 +22,7 @@ coordinates with, and ``decompose_by_inner_product`` the decomposition by
 one full inner product per irreducible.
 """
 
+import functools
 import math
 
 from braidkit import engine as E
@@ -140,6 +141,12 @@ def conjugate(x, g):
     return mul(mul(E.inv(g), x), g)
 
 
+@functools.lru_cache(maxsize=None)
+def conjugate_by_simple(st, a, s):
+    """The normal form of a^s for simples a and s."""
+    return conjugate(E.simple_nf(st, a), E.simple_nf(st, s))
+
+
 def atom_pair_walk(st, x, y, seen=None):
     """Breadth-first search through pairs of atoms conjugated by simples,
     from (x, y) to the pair of the first two Artin letters, on normal
@@ -157,11 +164,10 @@ def atom_pair_walk(st, x, y, seen=None):
         new_frontier = {}
         for (a, b), trail in frontier.items():
             for s in proper:
-                se = E.simple_nf(st, s)
-                a2 = conjugate(E.simple_nf(st, a), se)
+                a2 = conjugate_by_simple(st, a, s)
                 if not E.is_atom_nf(a2):
                     continue
-                b2 = conjugate(E.simple_nf(st, b), se)
+                b2 = conjugate_by_simple(st, b, s)
                 if not E.is_atom_nf(b2):
                     continue
                 state = (a2.factors[0], b2.factors[0])
