@@ -25,7 +25,9 @@ nfb = normal_form(bs, w)
 print("\nband (dual) left normal form:")
 print("  inf =", nfb.inf, " canonical length =", nfb.canonical_length)
 for f in nfb.factors:
-    print("  factor (non-crossing partition):", f.key)
+    # the cycles of a band simple's permutation are the blocks of its
+    # non-crossing partition
+    print("  factor (permutation):", bs.simple_permutation(f))
 
 print("\nthe two defining relations:")
 print("  s1 s2 s1 == s2 s1 s2:",

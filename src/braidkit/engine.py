@@ -447,11 +447,11 @@ def _circuit_search(
     inside the window and new.  A conjugate slid before is skipped: its
     trajectory now ends at a circuit in found.  Inside the window the inf is
     fixed and simple and permutation determine each other, so the factor
-    arrays are an exact key.  Each proper simple's permutation and left
-    complement are computed once per search, after the first circuit is
-    yielded: a caller that stops there needs none of them.
+    arrays are an exact key.  The proper simples are enumerated, with their
+    permutations and left complements, once per search after the first
+    circuit is yielded: a caller that stops there needs none of them and
+    meets no enumeration cap.
     """
-    simples = [s for s in st.simples() if not st.is_identity(s)]
     inf, r = circuit[0][0].inf, circuit[0][0].canonical_length
     found: set[tuple] = set()
     tried: set[tuple] = set()
@@ -468,6 +468,7 @@ def _circuit_search(
             trail = _then(st, trail, p)
 
     yield from add(circuit, trail)
+    simples = [s for s in st.simples() if not st.is_identity(s)]
     perms = [st._perm0(s) for s in simples]
     proper = list(zip(simples, perms, map(st._left_complement_perm, perms)))
     while queue:

@@ -5,29 +5,27 @@ permutation braids as simple elements; the band-generator structure has the
 descending cycle delta = s_{n-1}...s_1 as Garside element and one simple
 element per non-crossing partition of the strand set.
 
-Simple elements are stored in canonical form (a permutation, or the blocks of
-a partition), never as words; words are produced on demand.  Equality and
-hashing are therefore O(1) dictionary operations.
+A simple of either structure is determined by its permutation, and its key
+is that permutation, 0-based, so each simple has exactly one key; words are
+produced on demand.  Equality and hashing are therefore O(1) dictionary
+operations.  A simple multiplies, divides, mirrors and twists as its
+permutation does: the twist is conjugation by the Garside element's
+permutation, and in both structures the atom of the letter s_j swaps j - 1
+and j.  So ``GarsideStructure`` derives all of that once, and each structure
+supplies only what differs (listed in the class docstring).
 
-A simple of either structure is determined by its 0-based permutation
-(``_perm0``) and multiplies, divides, mirrors and twists as that permutation
-does: the twist is conjugation by the Garside element's permutation, and in
-both structures the atom of the letter s_j swaps j - 1 and j.  So
-``GarsideStructure`` derives all of that once, and each structure supplies
-only what differs (listed in the class docstring).
-
-Every permutation is a classical simple.  The band structure reads a
-permutation back into blocks, and its simplicity test is the cycle count: a
-permutation p is a band simple exactly when it lies below delta in absolute
-order, i.e. cycles(p) + cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid
-monoid", Ann. Sci. ENS 36, 2003), two O(n) cycle walks.  So in both
-structures a is a prefix of b exactly when a^-1 b is simple and the atom
-lengths add (Birman-Ko-Lee, Adv. Math. 139, 1998; Bessis 2003).  Keys are
-tested where they become arrays (``_perm0`` refuses a simple of another
-structure, a classical key that is not a permutation of range(n) and a band
-key that is not a partition passing the cycle count) and arrays where they
-become keys (``_from_perm0``); the kernels take and return simples only, so
-neither ``_weigh`` checks anything.  Nothing is cached.
+Every permutation is a classical simple.  A permutation p is a band simple
+exactly when it lies below delta in absolute order, i.e. cycles(p) +
+cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid monoid", Ann. Sci. ENS
+36, 2003), two O(n) cycle walks; its cycles are then the blocks of a
+non-crossing partition, each sending an entry to the next larger one.  So in
+both structures a is a prefix of b exactly when a^-1 b is simple and the
+atom lengths add (Birman-Ko-Lee, Adv. Math. 139, 1998; Bessis 2003).  Keys
+are tested where they become arrays (``_perm0`` refuses a simple of another
+structure and a key that is not a permutation of range(n) passing the
+structure's ``_is_simple``) and arrays where they become keys
+(``_from_perm0``); the kernels take and return simples only, so neither
+``_weigh`` checks anything.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -40,12 +38,9 @@ from .words import Permutation
 
 
 class Simple(NamedTuple):
-    """A simple element: ``kind`` names the structure, ``key`` the canonical form.
-
-    For the classical structure the key is the 0-based image tuple of the
-    underlying permutation; for the band structure it is the tuple of blocks
-    (1-based, sorted, singletons included) of a non-crossing partition.
-    """
+    """A simple element: ``kind`` names the structure, ``key`` its
+    permutation as a 0-based image tuple, in both structures.  The cycles of
+    a band key are the blocks of its non-crossing partition."""
 
     kind: str
     n: int
@@ -76,16 +71,16 @@ class GarsideStructure:
     """Shared interface of the two structures.
 
     A subclass sets ``kind`` and ``twist_order``, passes the permutation of
-    its Garside element to ``__init__`` and supplies the conversions between
-    a ``Simple`` and its 0-based permutation (``_perm0``, which refuses a
-    key that is not simple, and ``_from_perm0``, which returns None for a
-    permutation that is not simple), the weighting kernel ``_weigh`` that
+    its Garside element to ``__init__`` and supplies the simplicity test
+    ``_is_simple`` of a permutation, the weighting kernel ``_weigh`` that
     the engine's normal forms run on, the length test ``_grows`` of the
     letter products, the table ``_atom_images`` of the atoms that a simple
     conjugates to atoms, which the atom-pair walk runs on, ``meet``,
     ``_key_length``, ``atoms``, ``_enumerate`` and ``simple_word``.  From
-    these the class derives the identity and Garside element, the checked
-    conversion ``_simple_of_perm0``, ``atom_length``, ``mul``,
+    these the class derives the identity and Garside element, the
+    conversions ``_perm0`` (which refuses a key that is not simple),
+    ``_from_perm0`` (None for a permutation that is not simple) and the
+    checked ``_simple_of_perm0``, ``atom_length``, ``mul``,
     ``left_quotient``, ``left_divides``, ``mirror``, the complements, the
     twists, the letter atoms and products, the capped ``simples`` and
     ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
@@ -102,6 +97,7 @@ class GarsideStructure:
         self.n = n
         self.cap = cap
         self._id = tuple(range(n))
+        self._id_set = frozenset(self._id)
         self._delta_perm = delta_perm
         # the permutations of delta^k for k = 0 .. twist_order - 1
         self._delta_powers = [self._id]
@@ -117,6 +113,10 @@ class GarsideStructure:
         return self._delta
 
     # subclass surface ------------------------------------------------------
+    def _is_simple(self, p: tuple) -> bool:
+        """Whether the permutation p of range(n) is the key of a simple."""
+        raise NotImplementedError
+
     def atoms(self) -> tuple[Simple, ...]:
         raise NotImplementedError
 
@@ -224,12 +224,17 @@ class GarsideStructure:
     # the engine's working arrays: 0-based permutations, as tuples ----------
     def _perm0(self, s: Simple) -> tuple:
         """The permutation of s; ValueError unless s is a simple of this
-        structure."""
-        raise NotImplementedError
+        structure, so every array the kernels see is a simple's."""
+        if s.kind != self.kind or s.n != self.n:
+            raise self._not_simple(s)
+        key = s.key
+        if len(key) != self.n or set(key) != self._id_set or not self._is_simple(key):
+            raise self._not_simple(key)
+        return key
 
-    def _from_perm0(self, p) -> Simple | None:
+    def _from_perm0(self, p: tuple) -> Simple | None:
         """The simple whose permutation is p, or None if there is none."""
-        raise NotImplementedError
+        return Simple(self.kind, self.n, p) if self._is_simple(p) else None
 
     def _simple_of_perm0(self, p) -> Simple:
         """The simple whose permutation is p; ValueError if there is none."""
@@ -292,20 +297,9 @@ class ClassicalStructure(GarsideStructure):
 
     def __init__(self, n: int, cap: int = 8):
         super().__init__(n, cap, tuple(range(n - 1, -1, -1)))
-        self._id_set = frozenset(self._id)
 
-    def _perm0(self, s: Simple) -> tuple:
-        if s.kind != self.kind or s.n != self.n:
-            raise self._not_simple(s)
-        # a key is simple when it is a permutation of range(n)
-        key = s.key
-        if len(key) != self.n or set(key) != self._id_set:
-            raise self._not_simple(key)
-        return key
-
-    def _from_perm0(self, p: tuple) -> Simple:
-        # every permutation is a classical simple
-        return Simple(self.kind, self.n, p)
+    def _is_simple(self, p: tuple) -> bool:
+        return True
 
     def atoms(self) -> tuple[Simple, ...]:
         return tuple(self.letter_simple(j) for j in range(1, self.n))
@@ -387,9 +381,9 @@ class ClassicalStructure(GarsideStructure):
         }
 
 
-def _cycle_labels(p) -> tuple[int, list]:
-    """The number of cycles of p and, for each entry, the index of its cycle
-    (cycles numbered in order of their minima)."""
+def _cycle_labels(p) -> list:
+    """For each entry of p, the index of its cycle (cycles numbered in order
+    of their minima)."""
     labels = [-1] * len(p)
     count = 0
     for start in range(len(p)):
@@ -399,11 +393,12 @@ def _cycle_labels(p) -> tuple[int, list]:
                 labels[v] = count
                 v = p[v]
             count += 1
-    return count, labels
+    return labels
 
 
-def _dual_cycles(p) -> int:
-    """Number of cycles of delta^-1 p, the map v -> p[v - 1] (indices mod n)."""
+def _cycles(p, shift: int = 0) -> int:
+    """Number of cycles of the map v -> p[v - shift] (indices mod n): of p
+    for shift 0, of delta^-1 p for shift 1."""
     seen = [False] * len(p)
     count = 0
     for start in range(len(p)):
@@ -412,7 +407,7 @@ def _dual_cycles(p) -> int:
             v = start
             while not seen[v]:
                 seen[v] = True
-                v = p[v - 1]
+                v = p[v - shift]
     return count
 
 
@@ -431,58 +426,9 @@ class BandStructure(GarsideStructure):
         self.twist_order = max(n, 1)
         super().__init__(n, cap, tuple((i + 1) % n for i in range(n)))
 
-    # block/permutation conversions
-    def _perm0(self, s: Simple) -> tuple:
-        """The permutation of s; ValueError unless the blocks partition the
-        strands in order of their minima and pass the cycle count, so every
-        array the kernels see is a simple's.  A block may start at any of
-        its entries: it is the same cycle."""
-        n = self.n
-        if s.kind != self.kind or s.n != n:
-            raise self._not_simple(s)
-        images = [-1] * n
-        try:  # an entry out of range, or an empty block
-            for block in s.key:
-                prev = block[-1]
-                for a in block:
-                    images[prev - 1] = a - 1
-                    prev = a
-        except IndexError:
-            raise self._not_simple(s.key) from None
-        minima = list(map(min, s.key))
-        # n entries filling every slot are a partition, one cycle per block
-        if (
-            min(images) < 0
-            or sum(map(len, s.key)) != n
-            or len(s.key) + _dual_cycles(images) != n + 1
-            or minima != sorted(minima)
-        ):
-            raise self._not_simple(s.key)
-        return tuple(images)
-
-    def _from_perm0(self, p) -> Simple | None:
-        """The simple whose permutation is p, or None if there is none.
-
-        p is simple exactly when it lies below delta in absolute order, that
-        is when cycles(p) + cycles(delta^-1 p) = n + 1 (Bessis 2003).  The
-        cycles of such a p increase up to their wrap, so reading each one
-        from its minimum gives sorted blocks in order of their minima.
-        """
-        n = self.n
-        seen = [False] * n
-        blocks = []
-        for start in range(n):
-            if not seen[start]:
-                block = []
-                v = start
-                while not seen[v]:
-                    seen[v] = True
-                    block.append(v + 1)
-                    v = p[v]
-                blocks.append(tuple(block))
-        if len(blocks) + _dual_cycles(p) != n + 1:
-            return None
-        return Simple(self.kind, n, tuple(blocks))
+    def _is_simple(self, p: tuple) -> bool:
+        # p lies below delta in absolute order (Bessis 2003)
+        return _cycles(p) + _cycles(p, 1) == self.n + 1
 
     def atoms(self) -> tuple[Simple, ...]:
         return tuple(
@@ -492,23 +438,36 @@ class BandStructure(GarsideStructure):
         )
 
     def _enumerate(self) -> tuple[Simple, ...]:
-        return tuple(
-            Simple(self.kind, self.n, tuple(sorted(blocks)))
-            for blocks in _noncrossing_partitions(tuple(range(1, self.n + 1)))
-        )
+        # one increasing cycle per block
+        out = []
+        for blocks in _noncrossing_partitions(self._id):
+            p = list(self._id)
+            for block in blocks:
+                for u, v in zip(block, block[1:] + block[:1]):
+                    p[u] = v
+            out.append(Simple(self.kind, self.n, tuple(p)))
+        return tuple(out)
 
     def _key_length(self, key) -> int:
-        return self.n - len(key)
+        return self.n - _cycles(key)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
-        # The common refinement of the cycles; entries visited in increasing
-        # order give sorted blocks in order of their minima.
-        la = _cycle_labels(self._perm0(a))[1]
-        lb = _cycle_labels(self._perm0(b))[1]
-        pieces = {}
+        # The common refinement of the cycles, each piece chained into one
+        # increasing cycle.
+        la = _cycle_labels(self._perm0(a))
+        lb = _cycle_labels(self._perm0(b))
+        m = list(self._id)
+        first, last = {}, {}
         for v in range(self.n):
-            pieces.setdefault((la[v], lb[v]), []).append(v + 1)
-        return Simple(self.kind, self.n, tuple(map(tuple, pieces.values())))
+            k = (la[v], lb[v])
+            if k in last:
+                m[last[k]] = v
+            else:
+                first[k] = v
+            last[k] = v
+        for k, v in last.items():
+            m[v] = first[k]
+        return Simple(self.kind, self.n, tuple(m))
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         # t = meet(x^-1 delta, y) is the common refinement of the cycles of
@@ -521,7 +480,7 @@ class BandStructure(GarsideStructure):
         c = [0] * n
         for u, v in enumerate(x):
             c[v] = (u + 1) % n
-        label = _cycle_labels(c)[1]
+        label = _cycle_labels(c)
         t = list(range(n))
         first = [0] * n
         last = [-1] * n  # per label, its latest entry in the current cycle of y
@@ -556,8 +515,8 @@ class BandStructure(GarsideStructure):
 
     def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
         # one cycle fewer, and q passes the cycle count
-        cycles = _cycle_labels(q)[0]
-        return cycles == _cycle_labels(p)[0] - 1 and cycles + _dual_cycles(q) == self.n + 1
+        cycles = _cycles(q)
+        return cycles == _cycles(p) - 1 and cycles + _cycles(q, 1) == self.n + 1
 
     def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
         # a^p is an atom exactly when it is positive, i.e. when p is a prefix
@@ -567,8 +526,8 @@ class BandStructure(GarsideStructure):
         # greatest simple prefix can only be p, which then has a as a prefix
         # (i and j in one cycle of p): p = a t, and a^p = a^t with a t simple.
         n = self.n
-        cycle = _cycle_labels(p)[1]
-        co_cycle = _cycle_labels(self._left_complement_perm(p))[1]
+        cycle = _cycle_labels(p)
+        co_cycle = _cycle_labels(self._left_complement_perm(p))
         return {
             (i, j): (min(p[i], p[j]), max(p[i], p[j]))
             for i in range(n)
@@ -579,17 +538,24 @@ class BandStructure(GarsideStructure):
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
             raise ValueError(f"no band between strands {i} and {j} of band({self.n})")
-        p = list(range(self.n))
+        p = list(self._id)
         p[i - 1], p[j - 1] = j - 1, i - 1
-        return self._simple_of_perm0(p)
+        return self._simple_of_perm0(tuple(p))
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
-        # each block's descending cycle as bands between neighbours t > u,
-        # each spelled as band_generator(u, t) does: s_(t-1) ... s_u and back
-        self._perm0(s)
+        # each cycle, a block read from its minimum in increasing order, as
+        # bands between neighbours t > u, each spelled as band_generator(u, t)
+        # does: s_(t-1) ... s_u and back
+        p = self._perm0(s)
+        seen = [False] * self.n
         letters = []
-        for block in s.key:
-            desc = sorted(block, reverse=True)
+        for start in range(self.n):
+            desc = []
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                desc.insert(0, v + 1)
+                v = p[v]
             for t, u in zip(desc, desc[1:]):
                 letters += range(t - 1, u - 1, -1)
                 letters += range(-u - 1, -t, -1)
@@ -597,7 +563,8 @@ class BandStructure(GarsideStructure):
 
 
 def _noncrossing_partitions(elements: tuple) -> Iterable[tuple]:
-    """All non-crossing partitions of a sorted tuple, as tuples of blocks."""
+    """All non-crossing partitions of a sorted tuple, as tuples of sorted
+    blocks."""
     if not elements:
         yield ()
         return

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from braidkit import engine as E
 from braidkit import ledger as L
 from braidkit import words as W
+from braidkit.cli import main
 from braidkit.garside import band, classical
 from braidkit.words import BraidWord
 from oracles import pair_is_left_weighted, pair_is_right_weighted
@@ -300,6 +301,14 @@ def test_circuit_search_respects_caps():
         E.sliding_circuits(classical(9), BraidWord(9, (1,)))
     with pytest.raises(ValueError, match="cap"):
         E.conjugacy_solve(classical(9), BraidWord(9, (1,)), BraidWord(9, (2,)))
+    # two inputs on one circuit need no enumeration, past the cap too
+    for struct, n in ((classical(9), 9), (band(11), 11)):
+        w = BraidWord(n, (1, 2, -3, 4))
+        cert = E.conjugacy_solve(struct, w, w)
+        assert cert.conjugate
+        assert E.words_equal(struct, W.conjugate(w, cert.witness), w)
+        argv = ["conj", "--structure", struct.kind, w.format(), w.format()]
+        assert main(argv) == 0
 
 
 def test_band_normal_forms_beyond_the_enumeration_range():

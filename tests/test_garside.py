@@ -238,14 +238,14 @@ def test_mirror_is_an_involution_fixing_delta():
 
 
 # The checks of test_band_rejects_crossing_key, run again under ``python -O``,
-# which strips asserts: a key that is not a non-crossing partition must still
-# be refused.
+# which strips asserts: a permutation whose cycles cross must still be
+# refused.
 CROSSING_KEY_CHECK = """
 import sys
 from braidkit.garside import Simple, band
 
 st = band(4)
-crossing = Simple("band", 4, ((1, 3), (2, 4)))
+crossing = Simple("band", 4, (2, 3, 0, 1))
 for name in ("complement", "left_complement", "twist", "untwist", "mirror"):
     try:
         getattr(st, name)(crossing)
@@ -258,7 +258,7 @@ print(sys.flags.optimize)
 
 def test_band_rejects_crossing_key():
     st = band(4)
-    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    crossing = Simple("band", 4, (2, 3, 0, 1))
     for name in ("complement", "left_complement", "twist", "untwist", "mirror"):
         with pytest.raises(ValueError):
             getattr(st, name)(crossing)
@@ -275,7 +275,7 @@ def test_band_rejects_crossing_key():
 
 def test_band_normalize_pair_rejects_crossing_keys():
     st = band(4)
-    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    crossing = Simple("band", 4, (2, 3, 0, 1))
     for other in (st.identity(), st.letter_simple(1), st.delta()):
         with pytest.raises(ValueError):
             st.normalize_pair(other, crossing)
@@ -285,31 +285,34 @@ def test_band_normalize_pair_rejects_crossing_keys():
         st.twist_pow(crossing, 1)
 
 
-def test_band_key_check_refuses_reordered_and_out_of_range_blocks():
-    st = band(4)
-    for key in (
-        ((1,), (2,), (4,), (3,)),
-        ((4,), (1, 2, 3)),
-        ((1, 9), (2,), (3,), (4,)),
-        ((1,), (2,), (3,), (-4,)),
-        ((1, 2, 3, 4, 5),),
-        ((1, 0), (2,), (3,), (4,)),
-        ((1, 3), (2, 4), (), ()),
-    ):
-        with pytest.raises(ValueError, match="is not a simple element of band"):
-            st._perm0(Simple("band", 4, key))
-    # a block read from another of its entries is the same cycle
-    rotated = Simple("band", 4, ((2, 3, 1), (4,)))
-    assert st._perm0(rotated) == st._perm0(Simple("band", 4, ((1, 2, 3), (4,))))
-    for n in range(1, 7):
+def test_band_keys_are_permutations_one_per_simple():
+    catalan = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
+    for n, count in catalan.items():
         st = band(n)
+        keys = [s.key for s in st._enumerate()]
+        assert len(set(keys)) == len(keys) == count
         for s in st._enumerate():
             assert st._from_perm0(st._perm0(s)) == s
+            # the same simple keyed by its blocks, the cycles of its key
+            blocks = _noncrossing_blocks_pairwise(s.key)
+            with pytest.raises(ValueError, match=rf"is not a simple element of band\({n}\)"):
+                st._perm0(Simple("band", n, blocks))
+    st = band(4)
+    for key in (
+        (2, 0, 1, 3),
+        (2, 3, 0, 1),
+        ((1,), (2,), (4,), (3,)),
+        ((2, 3, 1), (4,)),
+        ((1, 2, 3), (4,)),
+        ((1, 3), (2, 4), (), ()),
+    ):
+        with pytest.raises(ValueError, match=r"is not a simple element of band\(4\)"):
+            st._perm0(Simple("band", 4, key))
 
 
 def test_band_meet_and_left_divides_reject_crossing_key():
     st = band(4)
-    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    crossing = Simple("band", 4, (2, 3, 0, 1))
     for other in (st.identity(), st.letter_simple(1), st.delta()):
         for args in ((other, crossing), (crossing, other)):
             with pytest.raises(ValueError, match="is not a simple element of band"):
@@ -320,10 +323,10 @@ def test_band_meet_and_left_divides_reject_crossing_key():
 
 def test_atom_length_and_simple_word_refuse_foreign_keys():
     for st, bad in (
-        (classical(3), Simple("band", 3, ((1, 2), (3,)))),
+        (classical(3), Simple("band", 3, (1, 0, 2))),
         (band(3), Simple("classical", 3, (0, 0, 1))),
         (classical(3), Simple("classical", 3, (0, 0, 1))),
-        (band(4), Simple("band", 4, ((1, 3), (2, 4)))),
+        (band(4), Simple("band", 4, (2, 3, 0, 1))),
     ):
         for name in ("atom_length", "simple_word"):
             with pytest.raises(ValueError, match=f"is not a simple element of {st.kind}"):
@@ -395,7 +398,7 @@ def test_cycle_count_test_matches_pairwise_noncrossing_check():
             if expected is None:
                 assert got is None, p
             else:
-                assert got == Simple("band", n, expected), p
+                assert got == Simple("band", n, p), p
                 accepted += 1
         assert accepted == catalan[n]
 

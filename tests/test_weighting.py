@@ -73,17 +73,18 @@ def test_band_weighting_rejects_crossing_key_in_normal_forms():
     # a hand-built form with a factor that is not simple is refused whether
     # the factor is inserted, weighted against, or only handed back
     bs = band(4)
-    crossing = Simple("band", 4, ((1, 3), (2, 4)))
+    crossing = Simple("band", 4, (2, 3, 0, 1))
     bad = E.GarsideNormalForm(bs, 0, (crossing,))
     good = E.from_word(bs, BraidWord(4, (1, 2, -3)))
     for x, y in ((bad, good), (good, bad), (E.identity_nf(bs), bad)):
         with pytest.raises(ValueError, match="is not a simple element of band"):
             E.mul(x, y)
-    # a factor with an unsorted block comes back in canonical form
-    unsorted = E.GarsideNormalForm(bs, 0, (Simple("band", 4, ((3, 1), (2,), (4,))),))
-    canonical = E.GarsideNormalForm(bs, 0, (bs.band_simple(1, 3),))
-    assert E.mul(E.identity_nf(bs), unsorted).key() == canonical.key()
-    assert E.conjugate(unsorted, E.identity_nf(bs)).key() == canonical.key()
+    # a simple keyed by its blocks, not by its permutation, is refused
+    blocks = E.GarsideNormalForm(bs, 0, (Simple("band", 4, ((3, 1), (2,), (4,))),))
+    with pytest.raises(ValueError, match="is not a simple element of band"):
+        E.mul(E.identity_nf(bs), blocks)
+    with pytest.raises(ValueError, match="is not a simple element of band"):
+        E.conjugate(blocks, E.identity_nf(bs))
 
 
 def sample_simples(rng, struct, count):
@@ -153,10 +154,10 @@ def test_early_stopping_conjugation_matches_oracle():
 
 
 # Run in process and again under ``python -O``, which strips asserts: a band
-# key that is not a non-crossing partition, or whose blocks are not cycles
-# below delta, a classical key that is not a permutation of range(n), and a
-# simple of another structure or strand count are refused by arithmetic,
-# meet, complement, conjugation and the circuit closure.
+# key that is a permutation not below delta (crossing cycles, a reversed
+# cycle), a key that is not a permutation of range(n), and a simple of
+# another structure or strand count are refused by arithmetic, meet,
+# complement, conjugation and the circuit closure.
 MALFORMED_KEY_CHECK = """
 import sys
 from braidkit import engine as E
@@ -164,14 +165,14 @@ from braidkit.garside import Simple, band, classical
 from braidkit.words import BraidWord
 
 cases = [(band(4), Simple("band", 4, key)) for key in (
-    ((1, 3), (2, 4)), ((1, 3, 2), (4,)), ((1, 2), (2, 3), (4,)), ((1, 2),))]
+    (2, 3, 0, 1), (2, 0, 1, 3), (0, 0, 1, 2), (1, 0, 2))]
 cases += [(classical(3), Simple("classical", 3, key)) for key in (
     (0, 0, 1), (0, 1), (0, 1, 3), (0, 1, 2, 3))]
 cases += [
-    (classical(3), Simple("band", 3, ((1, 2), (3,)))),
+    (classical(3), Simple("band", 3, (1, 0, 2))),
     (classical(3), Simple("classical", 4, (1, 0, 2, 3))),
     (band(3), Simple("classical", 3, (1, 0, 2))),
-    (band(3), Simple("band", 4, ((1, 2), (3,), (4,)))),
+    (band(3), Simple("band", 4, (1, 0, 2, 3))),
 ]
 accepted = []
 for st, bad in cases:
