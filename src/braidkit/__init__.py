@@ -30,8 +30,6 @@ from .garside import (
     Simple,
     band,
     classical,
-    complement_and_twist,
-    enumerate_simples,
     structure,
 )
 from .engine import (

@@ -536,12 +536,6 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
     return ConjugacyCertificate(False)
 
 
-def summit_length(st: GarsideStructure, w: BraidWord) -> int:
-    """Minimal canonical length over the conjugacy class."""
-    rep, _, _ = _slide_to_circuit(from_word(st, w))
-    return rep.canonical_length
-
-
 # ---------------------------------------------------------------------------
 # Conjugates of atoms: normal-form shape and simultaneous conjugacy
 

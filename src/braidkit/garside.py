@@ -12,7 +12,9 @@ operations.  A simple multiplies, divides, mirrors and twists as its
 permutation does: the twist is conjugation by the Garside element's
 permutation, and in both structures the atom of the letter s_j swaps j - 1
 and j.  So ``GarsideStructure`` derives all of that once, and each structure
-supplies only what differs (listed in the class docstring).
+supplies only what differs (listed in the class docstring).  Its one lattice
+kernel is the weighting kernel ``_weigh``, which moves meet(x^-1 delta, y);
+``meet`` itself is derived from it.
 
 Every permutation is a classical simple.  A permutation p is a band simple
 exactly when it lies below delta in absolute order, i.e. cycles(p) +
@@ -73,17 +75,18 @@ class GarsideStructure:
     A subclass sets ``kind`` and ``twist_order``, passes the permutation of
     its Garside element to ``__init__`` and supplies the simplicity test
     ``_is_simple`` of a permutation, the weighting kernel ``_weigh`` that
-    the engine's normal forms run on, the length test ``_grows`` of the
-    letter products, the table ``_atom_images`` of the atoms that a simple
-    conjugates to atoms, which the atom-pair walk runs on, ``meet``,
-    ``_key_length``, ``atoms``, ``_enumerate`` and ``simple_word``.  From
-    these the class derives the identity and Garside element, the
-    conversions ``_perm0`` (which refuses a key that is not simple),
-    ``_from_perm0`` (None for a permutation that is not simple) and the
-    checked ``_simple_of_perm0``, ``atom_length``, ``mul``,
-    ``left_quotient``, ``left_divides``, ``mirror``, the complements, the
-    twists, the letter atoms and products, the capped ``simples`` and
-    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
+    the engine's normal forms run on and its only lattice kernel, the
+    length test ``_grows`` of the letter products, the table
+    ``_atom_images`` of the atoms that a simple conjugates to atoms, which
+    the atom-pair walk runs on, ``_key_length``, ``atoms``, ``_enumerate``
+    and ``simple_word``.  From these the class derives the identity and
+    Garside element, the conversions ``_perm0`` (which refuses a key that is
+    not simple), ``_from_perm0`` (None for a permutation that is not simple)
+    and the checked ``_simple_of_perm0``, ``atom_length``, ``mul``,
+    ``left_quotient``, ``left_divides``, ``meet`` (through ``_weigh``),
+    ``mirror``, ``complement``, the twists, the letter atoms and products,
+    the capped ``simples`` and ``normalize_pair``, the kernel's wrapper on
+    ``Simple`` values.
     Everything generic (normal forms, sliding, conjugacy) lives in the
     engine module and only calls these methods.
     """
@@ -122,10 +125,6 @@ class GarsideStructure:
 
     def _key_length(self, key) -> int:
         """The number of atoms of the simple with this key."""
-        raise NotImplementedError
-
-    def meet(self, a: Simple, b: Simple) -> Simple:
-        """Greatest common prefix of a and b."""
         raise NotImplementedError
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
@@ -177,6 +176,16 @@ class GarsideStructure:
         length = self._key_length
         return q is not None and length(a.key) + length(q.key) == length(b.key)
 
+    def meet(self, a: Simple, b: Simple) -> Simple:
+        """Greatest common prefix of a and b, read off the weighting kernel:
+        for x = delta a^-1, x^-1 delta = a, so ``_weigh(x, b)`` moves
+        t = meet(a, b) onto x, and nothing exactly when t is trivial."""
+        x = self._left_complement_perm(self._perm0(a))
+        moved = self._weigh(x, self._perm0(b))
+        if moved is None:
+            return self._identity
+        return self._simple_of_perm0(_pmul(_pinv(x), moved[0]))
+
     def mirror(self, s: Simple) -> Simple:
         """Image of s under the anti-automorphism that reverses a word and
         sends s_j to s_(n-j); it fixes delta and swaps prefixes with suffixes.
@@ -195,10 +204,6 @@ class GarsideStructure:
         """s^-1 . delta."""
         return self._simple_of_perm0(_pmul(_pinv(self._perm0(s)), self._delta_perm))
 
-    def left_complement(self, s: Simple) -> Simple:
-        """delta . s^-1."""
-        return self._simple_of_perm0(self._left_complement_perm(self._perm0(s)))
-
     def twist_pow(self, s: Simple, k: int) -> Simple:
         """delta^-k s delta^k."""
         return self._simple_of_perm0(self._twist_perm(self._perm0(s), k))
@@ -206,9 +211,6 @@ class GarsideStructure:
     def twist(self, s: Simple) -> Simple:
         """delta^-1 s delta."""
         return self.twist_pow(s, 1)
-
-    def untwist(self, s: Simple) -> Simple:
-        return self.twist_pow(s, -1)
 
     def normalize_pair(self, x: Simple, y: Simple) -> tuple[Simple, Simple, bool]:
         """Make the adjacent pair (x, y) left weighted by moving the
@@ -311,24 +313,6 @@ class ClassicalStructure(GarsideStructure):
 
     def _key_length(self, key) -> int:
         return _inversions(key)
-
-    def meet(self, a: Simple, b: Simple) -> Simple:
-        # Greedy common-prefix extraction: any letter starting both operands
-        # starts the meet, and the quotients reduce the problem.
-        x, y = list(self._perm0(a)), list(self._perm0(b))
-        m = list(self._id)
-        n = self.n
-        while True:
-            j = next(
-                (j for j in range(n - 1) if x[j] > x[j + 1] and y[j] > y[j + 1]),
-                None,
-            )
-            if j is None:
-                return self._simple_of_perm0(tuple(m))
-            pj, pj1 = m.index(j), m.index(j + 1)
-            m[pj], m[pj1] = j + 1, j
-            x[j], x[j + 1] = x[j + 1], x[j]
-            y[j], y[j + 1] = y[j + 1], y[j]
 
     def simple_word(self, s: Simple) -> tuple[int, ...]:
         x = list(self._perm0(s))
@@ -450,24 +434,6 @@ class BandStructure(GarsideStructure):
 
     def _key_length(self, key) -> int:
         return self.n - _cycles(key)
-
-    def meet(self, a: Simple, b: Simple) -> Simple:
-        # The common refinement of the cycles, each piece chained into one
-        # increasing cycle.
-        la = _cycle_labels(self._perm0(a))
-        lb = _cycle_labels(self._perm0(b))
-        m = list(self._id)
-        first, last = {}, {}
-        for v in range(self.n):
-            k = (la[v], lb[v])
-            if k in last:
-                m[last[k]] = v
-            else:
-                first[k] = v
-            last[k] = v
-        for k, v in last.items():
-            m[v] = first[k]
-        return Simple(self.kind, self.n, tuple(m))
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         # t = meet(x^-1 delta, y) is the common refinement of the cycles of
@@ -600,21 +566,3 @@ def structure(kind: str, n: int) -> GarsideStructure:
     if kind == "band":
         return band(n)
     raise ValueError(f"unknown structure {kind!r}")
-
-
-def enumerate_simples(st: GarsideStructure) -> tuple[Simple, ...]:
-    return st.simples()
-
-
-def complement_and_twist(st: GarsideStructure, s: Simple, which: str) -> Simple:
-    if which == "complement":
-        return st.complement(s)
-    if which == "twist":
-        return st.twist(s)
-    raise ValueError(f"unknown operation {which!r}")
-
-
-def meet(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
-    if a.kind != st.kind or b.kind != st.kind or a.n != st.n or b.n != st.n:
-        raise ValueError("structure mismatch")
-    return st.meet(a, b)

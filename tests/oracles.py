@@ -1,12 +1,15 @@
 """Slow reference paths, kept as test oracles for the library's fast ones.
 
-``generic_normalize_pair`` weights a pair through the lattice operations
-(``meet``, ``complement``, ``mul``, ``left_quotient``) instead of a
-structure's kernel.  ``combine``, ``mul`` and ``from_word`` are the
-normal-form arithmetic on ``Simple`` values before the forward-pass insertion,
-run on that generic pair weighting: weight the junction of two weighted
-sequences forward and comb every change backwards, and read a word one letter
-at a time.  ``conjugate`` is g^-1 x g as two such products, and
+``meet`` is the greatest common prefix computed apart from the weighting
+kernel ``_weigh``, from which the library derives it: for classical simples
+by moving common first letters, for band simples as the common refinement of
+the cycles.  ``generic_normalize_pair`` weights a pair through the lattice
+operations (that ``meet``, ``complement``, ``mul``, ``left_quotient``)
+instead of a structure's kernel.  ``combine``, ``mul`` and ``from_word`` are
+the normal-form arithmetic on ``Simple`` values before the forward-pass
+insertion, run on that generic pair weighting: weight the junction of two
+weighted sequences forward and comb every change backwards, and read a word
+one letter at a time.  ``conjugate`` is g^-1 x g as two such products, and
 ``atom_pair_walk`` the atom-pair search on normal forms with that
 conjugation, memoized per (atom, simple) across walks since it is pure.
 
@@ -27,16 +30,53 @@ import math
 
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import _pinv
+from braidkit.garside import Simple, _cycle_labels, _pinv
 from braidkit import reptheory as R
 from braidkit import subgroups as S
 from braidkit.subgroups import _mat_inv_general, mat_mul
 from braidkit.words import BraidWord, Permutation
 
 
+def meet(st, a, b):
+    """Greatest common prefix of a and b, without the weighting kernel."""
+    if st.kind == "classical":
+        # Greedy common-prefix extraction: any letter starting both operands
+        # starts the meet, and the quotients reduce the problem.
+        x, y = list(st._perm0(a)), list(st._perm0(b))
+        m = list(st._id)
+        n = st.n
+        while True:
+            j = next(
+                (j for j in range(n - 1) if x[j] > x[j + 1] and y[j] > y[j + 1]),
+                None,
+            )
+            if j is None:
+                return st._simple_of_perm0(tuple(m))
+            pj, pj1 = m.index(j), m.index(j + 1)
+            m[pj], m[pj1] = j + 1, j
+            x[j], x[j + 1] = x[j + 1], x[j]
+            y[j], y[j + 1] = y[j + 1], y[j]
+    # The common refinement of the cycles, each piece chained into one
+    # increasing cycle.
+    la = _cycle_labels(st._perm0(a))
+    lb = _cycle_labels(st._perm0(b))
+    m = list(st._id)
+    first, last = {}, {}
+    for v in range(st.n):
+        k = (la[v], lb[v])
+        if k in last:
+            m[last[k]] = v
+        else:
+            first[k] = v
+        last[k] = v
+    for k, v in last.items():
+        m[v] = first[k]
+    return Simple(st.kind, st.n, tuple(m))
+
+
 def generic_normalize_pair(st, x, y):
     """Make (x, y) left weighted by moving t = meet(x^-1 delta, y) onto x."""
-    t = st.meet(st.complement(x), y)
+    t = meet(st, st.complement(x), y)
     if st.is_identity(t):
         return x, y, False
     return st.mul(x, t), st.left_quotient(t, y), True
@@ -49,7 +89,7 @@ def pair_is_left_weighted(st, x, y):
         ai = _pinv(x.key)
         b = y.key
         return all(ai[j] > ai[j + 1] for j in range(st.n - 1) if b[j] > b[j + 1])
-    return st.is_identity(st.meet(st.complement(x), y))
+    return st.is_identity(meet(st, st.complement(x), y))
 
 
 def right_meet(st, a, b):
@@ -58,7 +98,7 @@ def right_meet(st, a, b):
         # Left and right divisors of a band simple coincide (reflection
         # length is invariant under inversion and conjugation), so the suffix
         # lattice is the same refinement lattice.
-        return st.meet(a, b)
+        return meet(st, a, b)
     # Mirror of meet: grow a common suffix from shared final letters.
     x, y = list(a.key), list(b.key)
     xi, yi = list(_pinv(a.key)), list(_pinv(b.key))
@@ -79,7 +119,7 @@ def right_meet(st, a, b):
 
 def pair_is_right_weighted(st, x, y):
     """right_meet(x, delta y^-1) is trivial."""
-    return st.is_identity(right_meet(st, x, st.left_complement(y)))
+    return st.is_identity(right_meet(st, x, st.twist_pow(st.complement(y), -1)))
 
 
 def combine(st, left, right):
@@ -123,7 +163,7 @@ def from_word(st, w):
         if k > 0:
             letter = E.simple_nf(st, a)
         else:
-            lc = st.left_complement(a)
+            lc = st.twist_pow(st.complement(a), -1)
             letter = E.GarsideNormalForm(st, -1, () if st.is_identity(lc) else (lc,))
         out = mul(letter, out)
     return out

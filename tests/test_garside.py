@@ -10,16 +10,9 @@ import pytest
 import braidkit
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import (
-    Simple,
-    band,
-    classical,
-    complement_and_twist,
-    enumerate_simples,
-    meet,
-)
+from braidkit.garside import Simple, band, classical
 from braidkit.words import BraidWord
-from oracles import generic_normalize_pair, right_meet
+from oracles import generic_normalize_pair, meet, right_meet
 
 
 def all_structures(ns=(2, 3, 4)):
@@ -38,21 +31,21 @@ def meet_brute(st, a, b):
 
 
 def test_simple_counts():
-    assert len(enumerate_simples(classical(3))) == 6
-    assert len(enumerate_simples(band(3))) == 5
-    assert len(enumerate_simples(band(4))) == 14
+    assert len(classical(3).simples()) == 6
+    assert len(band(3).simples()) == 5
+    assert len(band(4).simples()) == 14
     for n in range(2, 7):
-        assert len(enumerate_simples(classical(n))) == math.factorial(n)
+        assert len(classical(n).simples()) == math.factorial(n)
     catalan = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
     for n, c in catalan.items():
-        assert len(enumerate_simples(band(n))) == c
+        assert len(band(n).simples()) == c
 
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        enumerate_simples(classical(9))
+        classical(9).simples()
     # caps are configuration: a wider structure enumerates fine
-    assert len(enumerate_simples(classical(9, cap=9))) == math.factorial(9)
+    assert len(classical(9, cap=9).simples()) == math.factorial(9)
 
 
 def test_atom_counts():
@@ -64,20 +57,38 @@ def test_atom_counts():
 def test_meet_examples():
     st = classical(3)
     for s in st.simples():
-        assert meet(st, st.delta(), s) == s
-    assert meet(st, st.letter_simple(1), st.letter_simple(2)) == st.identity()
+        assert st.meet(st.delta(), s) == s
+    assert st.meet(st.letter_simple(1), st.letter_simple(2)) == st.identity()
     bs = band(3)
-    m = meet(bs, bs.band_simple(1, 3), bs.band_simple(1, 2))
+    m = bs.meet(bs.band_simple(1, 3), bs.band_simple(1, 2))
     assert m == meet_brute(bs, bs.band_simple(1, 3), bs.band_simple(1, 2))
     assert m == bs.identity()
     with pytest.raises(ValueError):
-        meet(classical(3), band(3).identity(), band(3).identity())
+        classical(3).meet(band(3).identity(), band(3).identity())
 
 
 def test_meet_matches_brute_force():
     for st in all_structures():
         for a, b in itertools.product(st.simples(), repeat=2):
             assert st.meet(a, b) == meet_brute(st, a, b)
+
+
+def test_meet_matches_oracle_off_the_kernel():
+    # st.meet is read off the weighting kernel; the oracle meet is computed
+    # without it.  Every pair for small n, normal-form factors beyond.
+    for st in [classical(n) for n in range(1, 6)] + [band(n) for n in range(1, 7)]:
+        for a, b in itertools.product(st.simples(), repeat=2):
+            assert st.meet(a, b) == meet(st, a, b)
+    rng = random.Random(16)
+    for n in (8, 10, 12):
+        for st in (classical(n), band(n)):
+            factors = normal_form_factors(rng, st)
+            nontrivial = 0
+            for a, b in itertools.product(factors, repeat=2):
+                m = st.meet(a, b)
+                assert m == meet(st, a, b)
+                nontrivial += not st.is_identity(m)
+            assert len(factors) ** 2 > nontrivial > len(factors)
 
 
 def test_right_meet_oracle_matches_brute_force():
@@ -129,11 +140,9 @@ def test_lattice_laws():
 
 def test_complement_examples():
     st = classical(3)
-    assert complement_and_twist(st, st.identity(), "complement") == st.delta()
+    assert st.complement(st.identity()) == st.delta()
     assert st.simple_word(st.complement(st.letter_simple(1))) == (2, 1)
-    assert complement_and_twist(st, st.letter_simple(1), "twist") == st.letter_simple(2)
-    with pytest.raises(ValueError):
-        complement_and_twist(st, st.identity(), "frobnicate")
+    assert st.twist(st.letter_simple(1)) == st.letter_simple(2)
 
 
 def test_complement_iteration():
@@ -168,7 +177,7 @@ def test_twist_is_conjugation_by_garside_element():
             lhs = BraidWord(st.n, st.simple_word(st.twist(s)))
             rhs = W.conjugate(BraidWord(st.n, st.simple_word(s)), dword)
             assert E.words_equal(st, lhs, rhs)
-            assert st.untwist(st.twist(s)) == s
+            assert st.twist_pow(st.twist(s), -1) == s
 
 
 def test_band_twist_cycles_indices():
@@ -246,9 +255,12 @@ from braidkit.garside import Simple, band
 
 st = band(4)
 crossing = Simple("band", 4, (2, 3, 0, 1))
-for name in ("complement", "left_complement", "twist", "untwist", "mirror"):
+calls = (
+    ("complement",), ("twist",), ("twist_pow", -1), ("mirror",), ("meet", st.delta())
+)
+for name, *args in calls:
     try:
-        getattr(st, name)(crossing)
+        getattr(st, name)(crossing, *args)
     except ValueError:
         continue
     raise SystemExit(f"band(4).{name} accepted a crossing key")
@@ -259,9 +271,12 @@ print(sys.flags.optimize)
 def test_band_rejects_crossing_key():
     st = band(4)
     crossing = Simple("band", 4, (2, 3, 0, 1))
-    for name in ("complement", "left_complement", "twist", "untwist", "mirror"):
+    calls = (
+        ("complement",), ("twist",), ("twist_pow", -1), ("mirror",), ("meet", st.delta())
+    )
+    for name, *args in calls:
         with pytest.raises(ValueError):
-            getattr(st, name)(crossing)
+            getattr(st, name)(crossing, *args)
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -467,5 +482,5 @@ def test_band_twist_pow_is_repeated_twist():
             for k in range(-n - 1, n + 2):
                 expected = s
                 for _ in range(abs(k)):
-                    expected = st.twist(expected) if k > 0 else st.untwist(expected)
+                    expected = st.twist(expected) if k > 0 else st.twist_pow(expected, -1)
                 assert st.twist_pow(s, k) == expected
