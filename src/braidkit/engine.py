@@ -70,6 +70,19 @@ representatives differ in (inf, sup); and it stops the closure at the first
 element equal to the representative of the second input.  The closure holds
 its vertices as (inf, permutations) and builds a normal form only for a new
 conjugate inside the window, the one it slides.
+
+Two more exact shortcuts answer "no" without the Garside code.  The
+unreduced Burau representation at t = 3 modulo a prime is a homomorphism
+from B_n to GL_n(F_p) (``words._burau_row``).  ``words_equal`` answers
+"unequal" when a fixed row times the two images differs, after the
+exponent-sum and permutation tests and before any normal form is built.
+``conjugacy_solve`` answers "not conjugate" when the two characteristic
+polynomials differ; it compares them once, after the start's circuit has
+been yielded without a match and before the closure enumerates a simple, so
+a positive found on that circuit never computes them.  Equal images prove
+nothing, since a row or one prime can miss a difference and the Burau
+representation is not faithful for n >= 5 (Bigelow, Geom. Topol. 3, 1999):
+the normal forms or the closure then decide as before.
 """
 
 from __future__ import annotations
@@ -366,6 +379,8 @@ def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
         return False
     if W.permutation_of(a) != W.permutation_of(b):
         return False
+    if W._burau_row(a) != W._burau_row(b):
+        return False
     return from_word(st, a).key() == from_word(st, b).key()
 
 
@@ -527,12 +542,14 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
     if (a_rep.inf, a_rep.sup) != (b_rep.inf, b_rep.sup):
         return ConjugacyCertificate(False)
     target = b_rep.key()
-    for key, (_, trail) in _circuit_search(st, a_circuit, a_trail):
+    for i, (key, (_, trail)) in enumerate(_circuit_search(st, a_circuit, a_trail), 1):
         if key == target:
             u = W.free_reduce(W.compose(trail, W.inverse(b_trail)))
             if not words_equal(st, W.conjugate(a, u), b):
                 raise AssertionError("conjugacy witness failed verification")
             return ConjugacyCertificate(True, u)
+        if i == len(a_circuit) and W._burau_charpoly(a) != W._burau_charpoly(b):
+            return ConjugacyCertificate(False)
     return ConjugacyCertificate(False)
 
 

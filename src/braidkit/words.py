@@ -7,6 +7,15 @@ k+1 positively, and -k is its inverse.  The empty word is the identity.
 Permutations compose left to right along a word: the image of a word is the
 product of the transpositions of its letters, applied in reading order.  This
 convention makes strand tracking (deletion, linking numbers) a single pass.
+
+The unreduced Burau representation sends s_k to the identity matrix with
+[[1-t, t], [1, 0]] on rows and columns k, k+1 (Burau, Abh. Math. Sem.
+Hamburg 11, 1936; Birman, *Braids, Links, and Mapping Class Groups*, 1974,
+ch. 3).  Evaluated at t = 3 modulo the prime 2^30 - 35 it is a homomorphism
+to GL_n(F_p), computed from the word alone: different images prove two words
+unequal, and different characteristic polynomials prove them not conjugate.
+The engine uses both as exact early answers of the word and conjugacy
+problems.  Equal images prove nothing.
 """
 
 from __future__ import annotations
@@ -227,6 +236,77 @@ def permutation_of(w: BraidWord) -> Permutation:
     for pos, strand in enumerate(images, start=1):
         final[strand - 1] = pos
     return Permutation(tuple(final))
+
+
+# ---------------------------------------------------------------------------
+# The Burau representation modulo a prime
+
+# t = 3 in the prime field of order 2^30 - 35: evaluation there is a ring map
+# from Z[t, 1/t], and entries below 2^30 keep every product below 2^60.
+_BURAU_P = (1 << 30) - 35
+_BURAU_T = 3
+_BURAU_T_INV = pow(_BURAU_T, -1, _BURAU_P)
+
+
+def _burau_row(w: BraidWord, row: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The row vector row . B(w) mod p, B the unreduced Burau matrix at t.
+
+    s_k changes entries k-1 and k only, (a, b) -> ((1-t) a + b, t a), and
+    s_k^-1 maps (a, b) -> (b/t, a + (1 - 1/t) b).  The default row is
+    (7, 7^2, ..., 7^n), not the fixed row (1, t, ..., t^(n-1)).
+    """
+    p, t, ti = _BURAU_P, _BURAU_T, _BURAU_T_INV
+    u, ui = 1 - t, 1 - ti
+    v = list(row) if row is not None else [pow(7, i, p) for i in range(1, w.strands + 1)]
+    for k in w.letters:
+        if k > 0:
+            a, b = v[k - 1], v[k]
+            v[k - 1], v[k] = (u * a + b) % p, t * a % p
+        else:
+            a, b = v[-k - 1], v[-k]
+            v[-k - 1], v[-k] = ti * b % p, (a + ui * b) % p
+    return tuple(v)
+
+
+def _burau_charpoly(w: BraidWord) -> tuple[int, ...]:
+    """Coefficients, constant term first, of the characteristic polynomial
+    of B(w) mod p, a conjugacy invariant.
+
+    Row i of B(w) is e_i . B(w).  The matrix is brought to upper Hessenberg
+    form H by similarity mod p, and with p_0 = 1,
+    p_(k+1) = (x - H[k][k]) p_k - sum over i < k of
+    H[i][k] H[i+1][i] ... H[k][k-1] p_i.
+    """
+    p, n = _BURAU_P, w.strands
+    h = [list(_burau_row(w, [int(i == j) for j in range(n)])) for i in range(n)]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for r in h:
+                r[piv], r[j + 1] = r[j + 1], r[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        for i in range(j + 2, n):
+            c = h[i][j] * inv % p
+            if c:
+                h[i] = [(x - c * y) % p for x, y in zip(h[i], h[j + 1])]
+                for r in h:
+                    r[j + 1] = (r[j + 1] + c * r[i]) % p
+    polys = [[1]]
+    for k in range(n):
+        nxt = [0] + polys[k]
+        for d, c in enumerate(polys[k]):
+            nxt[d] = (nxt[d] - h[k][k] * c) % p
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = prod * h[i + 1][i] % p
+            c = h[i][k] * prod % p
+            for d, e in enumerate(polys[i]):
+                nxt[d] = (nxt[d] - c * e) % p
+        polys.append(nxt)
+    return tuple(polys[n])
 
 
 # ---------------------------------------------------------------------------

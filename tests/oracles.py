@@ -18,6 +18,12 @@ the definitional checks of the normal forms.  The classical ``right_meet`` is
 computed from shared final letters, independently of the mirror, which the
 library's right normal form goes through.
 
+``words_equal_by_normal_forms`` is the word problem by comparing the two
+left normal forms, with no Burau test in front.  ``burau_matrix`` is the
+unreduced Burau matrix mod p as a product of whole generator matrices, and
+``charpoly_faddeev_leverrier`` its characteristic polynomial by the
+Faddeev-LeVerrier recursion, apart from the library's Hessenberg reduction.
+
 ``smith_normal_form_dense`` is the Smith reduction with greedy minimal
 pivots on whole rows and columns, ``kernel_coordinates_by_permutations`` the
 Schreier rewriting on ``Permutation`` states that it abelianizes and reads
@@ -220,6 +226,46 @@ def atom_pair_walk(st, x, y, seen=None):
                 new_frontier[state] = t2
         frontier = new_frontier
     return None
+
+
+def words_equal_by_normal_forms(st, a, b):
+    """The word problem by left normal forms alone."""
+    if a.strands != b.strands:
+        raise ValueError("strand-count mismatch")
+    return E.from_word(st, a).key() == E.from_word(st, b).key()
+
+
+def burau_matrix(w, p=W._BURAU_P, t=W._BURAU_T):
+    """The unreduced Burau matrix of w at t mod p, one full matrix product
+    per letter: s_k is the identity with [[1-t, t], [1, 0]] on rows and
+    columns k, k+1, and s_k^-1 its inverse [[0, 1], [1/t, 1 - 1/t]]."""
+    n = w.strands
+    ti = pow(t, -1, p)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in w.letters:
+        g = [[int(i == j) for j in range(n)] for i in range(n)]
+        i = abs(k) - 1
+        block = [[1 - t, t], [1, 0]] if k > 0 else [[0, 1], [ti, 1 - ti]]
+        for r in range(2):
+            for c in range(2):
+                g[i + r][i + c] = block[r][c] % p
+        out = [[x % p for x in row] for row in mat_mul(out, g)]
+    return out
+
+
+def charpoly_faddeev_leverrier(a, p=W._BURAU_P):
+    """det(x I - a) mod p, constant term first: with M_0 = 0 and c_n = 1,
+    M_k = a M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(a M_k) / k."""
+    n = len(a)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = mat_mul(a, m)
+        m = [[(x + (coeffs[n - k + 1] if r == c else 0)) % p for c, x in enumerate(row)]
+             for r, row in enumerate(m)]
+        trace = sum(mat_mul(a, m)[r][r] for r in range(n))
+        coeffs[n - k] = -trace * pow(k, -1, p) % p
+    return tuple(coeffs)
 
 
 def free_words_check_dfs(generators, max_len):

@@ -10,6 +10,7 @@ from braidkit import engine as E
 from braidkit import ledger as L
 from braidkit import subgroups as S
 from braidkit.cli import main
+from braidkit.garside import band
 
 
 def run(capsys, *argv):
@@ -37,6 +38,17 @@ def test_eq_and_conj(capsys):
     blob = json.loads(out)
     assert code == 0 and blob["conjugate"] and "witness" in blob
     code, out = run(capsys, "conj", "B3: 1", "B3: -1")
+    assert code == 0 and "not conjugate" in out
+
+
+def test_conj_band_pair_answers_without_enumeration(capsys, monkeypatch):
+    # the Burau polynomial refuses this pair after the first circuit
+    def no_enumeration():
+        raise AssertionError("simples were enumerated")
+
+    monkeypatch.setattr(band(10), "simples", no_enumeration)
+    a, b = "B10: 1 2 -3 4 5 6 -7 8 9", "B10: 9 8 -7 6 5 4 3 2 -1"
+    code, out = run(capsys, "conj", "--structure", "band", a, b)
     assert code == 0 and "not conjugate" in out
 
 

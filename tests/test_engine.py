@@ -10,7 +10,7 @@ from braidkit import words as W
 from braidkit.cli import main
 from braidkit.garside import band, classical
 from braidkit.words import BraidWord
-from oracles import pair_is_left_weighted, pair_is_right_weighted
+from oracles import pair_is_left_weighted, pair_is_right_weighted, words_equal_by_normal_forms
 
 
 def rand_word(rng, n, length):
@@ -36,6 +36,116 @@ def test_words_equal_examples():
     assert not E.words_equal(classical(3), BraidWord(3, (1,)), BraidWord(3, (2,)))
     with pytest.raises(ValueError):
         E.words_equal(classical(3), BraidWord(3, (1,)), BraidWord(4, (1,)))
+
+
+def relation_rewrite(rng, w, moves):
+    """Another word for the braid w: each move either commutes two distant
+    letters, applies a braid relation to a same-sign triple, or inserts a
+    cancelling pair."""
+    letters = list(w.letters)
+    for _ in range(moves):
+        i = rng.randrange(len(letters) + 1)
+        a, b, c = (letters[i:i + 3] + [0, 0, 0])[:3]
+        if a and b and abs(abs(a) - abs(b)) >= 2:
+            letters[i:i + 2] = [b, a]
+        elif a == c and b and abs(abs(a) - abs(b)) == 1 and (a > 0) == (b > 0):
+            letters[i:i + 3] = [b, a, b]
+        else:
+            k = rng.choice([k for k in range(1 - w.strands, w.strands) if k])
+            letters[i:i] = [k, -k]
+    return BraidWord(w.strands, tuple(letters))
+
+
+def square_swap_pair(rng, n, length):
+    """Two words for different braids, w s_i^2 w' and w s_j^2 w' with i != j,
+    equal in exponent sum and permutation."""
+    i, j = rng.sample(range(1, n), 2)
+    head = rand_word(rng, n, rng.randint(0, length)).letters
+    tail = rand_word(rng, n, rng.randint(0, length)).letters
+    return BraidWord(n, head + (i, i) + tail), BraidWord(n, head + (j, j) + tail)
+
+
+def test_words_equal_matches_normal_form_oracle():
+    rng = random.Random(64)
+    for n in range(3, 13):
+        for struct in (classical(n), band(n)):
+            w = rand_word(rng, n, rng.randint(5, 30))
+            pairs = [(w, relation_rewrite(rng, w, 20), True)]
+            pairs.append(square_swap_pair(rng, n, 15) + (False,))
+            for a, b, equal in pairs:
+                assert E.words_equal(struct, a, b) is equal, (a, b)
+                assert words_equal_by_normal_forms(struct, a, b) is equal, (a, b)
+
+
+def test_words_equal_separates_by_burau_without_the_kernel(monkeypatch):
+    # a deterministic work gate: pairs whose Burau rows differ are refused
+    # before any normal form is built
+    def no_normal_form(*args):
+        raise AssertionError("a normal form was built")
+
+    monkeypatch.setattr(E, "from_word", no_normal_form)
+    rng = random.Random(65)
+    for n in range(3, 13):
+        for struct in (classical(n), band(n)):
+            weighed = count_calls(monkeypatch, struct, "_weigh")
+            a, b = square_swap_pair(rng, n, 50)
+            assert W._burau_row(a) != W._burau_row(b)
+            assert not E.words_equal(struct, a, b)
+            assert not weighed
+
+
+def bigelow_kernel_braid():
+    """Bigelow's braid in the kernel of the Burau representation of B5
+    (Geom. Topol. 3, 1999): the commutator of a = psi1^-1 s4 psi1 and
+    b = psi2^-1 s4 s3 s2 s1^2 s2 s3 s4 psi2."""
+    psi1 = BraidWord(5, (-3, 2, 1, 1, 2, 4, 4, 4, 3, 2))
+    psi2 = BraidWord(5, (-4, 3, 2, -1, -1, 2, 1, 1, 2, 2, 1, 4, 4, 4, 4, 4))
+    a = W.conjugate(BraidWord(5, (4,)), psi1)
+    b = W.conjugate(BraidWord(5, (4, 3, 2, 1, 1, 2, 3, 4)), psi2)
+    return W.compose(W.inverse(a), W.inverse(b), a, b)
+
+
+def test_burau_kernel_braid_falls_back_to_normal_forms():
+    w, one = bigelow_kernel_braid(), BraidWord.identity(5)
+    assert len(w) == 122
+    assert W._burau_row(w) == W._burau_row(one)
+    assert W._burau_charpoly(w) == W._burau_charpoly(one)
+    for struct in (classical(5), band(5)):
+        assert not E.words_equal(struct, w, one)
+        assert not words_equal_by_normal_forms(struct, w, one)
+    assert E.from_word(classical(5), w).canonical_length == 46
+
+
+def test_burau_blind_negative_is_decided_by_the_closure(monkeypatch):
+    # equal Burau polynomials, summit (-3, 4) in both structures, yet not
+    # conjugate: the closure enumerates simples and answers
+    a = BraidWord.parse("B3: 1 -1 2 2 -1 -1 2 -1 2")
+    b = BraidWord.parse("B3: -1 2 2 2 -1 2 -2 2 -1")
+    assert W._burau_charpoly(a) == W._burau_charpoly(b)
+    for struct in (classical(3), band(3)):
+        enumerated = count_calls(monkeypatch, struct, "simples")
+        assert not E.conjugacy_solve(struct, a, b).conjugate
+        assert enumerated
+
+
+@pytest.mark.parametrize("kind,a,b", [
+    ("band", "B10: 1 2 -3 4 5 6 -7 8 9", "B10: 9 8 -7 6 5 4 3 2 -1"),
+    ("band", "B4: 2 -3 -1", "B4: 1 -3 -2"),
+    ("classical", "B4: 2 -3 -1", "B4: 1 -3 -2"),
+])
+def test_burau_polynomial_answers_before_enumeration(monkeypatch, kind, a, b):
+    # a deterministic work gate: these pairs agree in exponent sum, cycle
+    # type and summit (inf, sup), and the Burau polynomial refuses them
+    # after the start's circuit without enumerating a simple
+    a, b = BraidWord.parse(a), BraidWord.parse(b)
+    struct = band(a.strands) if kind == "band" else classical(a.strands)
+
+    def no_enumeration():
+        raise AssertionError("simples were enumerated")
+
+    monkeypatch.setattr(struct, "simples", no_enumeration)
+    assert W._burau_charpoly(a) != W._burau_charpoly(b)
+    assert not E.conjugacy_solve(struct, a, b).conjugate
 
 
 def braid_words(min_n=2, max_n=5, max_len=14):
@@ -259,8 +369,9 @@ def test_conjugacy_solver(monkeypatch):
     assert not E.conjugacy_solve(
         classical(3), BraidWord(3, (1, 1, 2, 2)), BraidWord(3, (1, 1, 1, 2))
     ).conjugate
-    # an honest negative beyond the shortcuts: exponent sum, cycle type and
-    # summit (inf, sup) agree, so the circuit closure has to decide
+    # a negative beyond the exponent-sum, cycle-type and summit (inf, sup)
+    # tests, so the circuit search is entered; the Burau polynomial then
+    # answers before any enumeration
     real = E._circuit_search
     entered = []
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ from braidkit import words as W
 from braidkit.engine import words_equal
 from braidkit.garside import classical
 from braidkit.words import AutomorphismSpec, BraidWord, Permutation
+from oracles import burau_matrix, charpoly_faddeev_leverrier
 
 
 def braid_words(min_n=2, max_n=6, max_len=12):
@@ -165,3 +169,54 @@ def test_delete_commutes_with_composition(a, b):
     lhs = W.delete_strands(W.compose(a, b), keep)
     rhs = W.compose(W.delete_strands(a, keep), W.delete_strands(b, keep))
     assert lhs == rhs
+
+
+def rand_word(rng, n, length):
+    letters = [k for k in range(-(n - 1), n) if k != 0]
+    return BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
+
+
+def test_burau_row_is_invariant_under_braid_relations():
+    # every free cancellation, far commutation and braid relation, between
+    # seeded heads and tails, leaves the row unchanged; single letters move it
+    rng = random.Random(61)
+    for n in range(2, 13):
+        ks = range(1, n)
+        relations = [((k, -k), ()) for k in ks] + [((-k, k), ()) for k in ks]
+        for i, j in itertools.combinations(ks, 2):
+            if j - i >= 2:
+                for a, b in itertools.product((i, -i), (j, -j)):
+                    relations.append(((a, b), (b, a)))
+        for i in range(1, n - 1):
+            relations.append(((i, i + 1, i), (i + 1, i, i + 1)))
+            relations.append(((-i, -i - 1, -i), (-i - 1, -i, -i - 1)))
+        for lhs, rhs in relations:
+            head = rand_word(rng, n, rng.randint(0, 10)).letters
+            tail = rand_word(rng, n, rng.randint(0, 10)).letters
+            assert W._burau_row(BraidWord(n, head + lhs + tail)) == W._burau_row(
+                BraidWord(n, head + rhs + tail)
+            ), (n, lhs, rhs)
+        one = W._burau_row(BraidWord.identity(n))
+        assert all(W._burau_row(BraidWord(n, (k,))) != one for k in ks)
+
+
+def test_burau_row_and_charpoly_match_oracles():
+    rng = random.Random(62)
+    p = W._BURAU_P
+    for n in range(2, 10):
+        for length in (0, 1, 3, 8, 20):
+            w = rand_word(rng, n, length)
+            m = burau_matrix(w)
+            v = [pow(7, i, p) for i in range(1, n + 1)]
+            row = tuple(sum(v[q] * m[q][c] for q in range(n)) % p for c in range(n))
+            assert W._burau_row(w) == row, w.format()
+            assert W._burau_charpoly(w) == charpoly_faddeev_leverrier(m), w.format()
+
+
+def test_burau_charpoly_is_a_conjugacy_invariant():
+    rng = random.Random(63)
+    for n in range(2, 10):
+        for _ in range(5):
+            x = rand_word(rng, n, rng.randint(1, 12))
+            g = rand_word(rng, n, rng.randint(0, 12))
+            assert W._burau_charpoly(x) == W._burau_charpoly(W.conjugate(x, g)), (x, g)
