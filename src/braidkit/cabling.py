@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import words as W
-from .engine import words_equal
+from .engine import _equal_by_normal_forms
 from .garside import classical
 from .words import BraidWord
 
@@ -110,15 +110,19 @@ def extract(w: BraidWord, comp: Composition, which: str) -> BraidWord:
     certified by re-cabling; inputs that do not reproduce themselves are
     rejected as not tube preserving.
     """
-    tubular, interiors = _split(w, comp)
-    if which == "tubular":
-        return tubular
-    if which.startswith("interior:"):
-        i = int(which.split(":", 1)[1])
+    i = 0
+    if which != "tubular":
+        head, _, index = which.partition(":")
+        try:
+            i = int(index) if head == "interior" else None
+        except ValueError:
+            i = None
+        if i is None:
+            raise ValueError(f"unknown extraction {which!r}")
         if not 1 <= i <= comp.count:
             raise ValueError("interior index out of range")
-        return interiors[i - 1]
-    raise ValueError(f"unknown extraction {which!r}")
+    tubular, interiors = _split(w, comp)
+    return interiors[i - 1] if i else tubular
 
 
 def _split(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]:
@@ -131,6 +135,6 @@ def _split(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]
         for i in range(1, comp.count + 1)
     ]
     recabled = cable(tubular, interiors, comp)
-    if not words_equal(classical(w.strands), recabled, w):
+    if not _equal_by_normal_forms(classical(w.strands), recabled, w):
         raise ValueError("not tube-preserving for this composition")
     return tubular, interiors

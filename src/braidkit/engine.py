@@ -83,6 +83,17 @@ a positive found on that circuit never computes them.  Equal images prove
 nothing, since a row or one prime can miss a difference and the Burau
 representation is not faithful for n >= 5 (Bigelow, Geom. Topol. 3, 1999):
 the normal forms or the closure then decide as before.
+
+A last exact shortcut makes an equality check cost one pass over the
+letters when the two words share their ends.  Every equality check cancels
+the longest common prefix and suffix first (``words.cancel_common_ends``):
+P x S and P y S are the same braid exactly when x and y are, so
+letter-identical words answer "equal" at once, and every later test runs on
+the middles only.  Callers that verify an equality they expect (the witness
+checks here, the round trips of ``subgroups.k4_rewrite`` and
+``cabling.extract``) skip the "unequal" tests and go straight to the normal
+forms through ``_equal_by_normal_forms``, the helper that ``words_equal``
+ends with.
 """
 
 from __future__ import annotations
@@ -372,16 +383,33 @@ def normal_form(st: GarsideStructure, w: BraidWord, side: str = "left") -> Garsi
     return GarsideNormalForm(st, x.inf, factors, side="right")
 
 
+def _equal_by_normal_forms(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
+    """Cancel the common ends of the two words, then compare the left normal
+    forms of what is left.  For callers that verify an equality they
+    expect, where the exact "unequal" tests of ``words_equal`` only cost."""
+    a, b = W.cancel_common_ends(a, b)
+    return a.letters == b.letters or from_word(st, a).key() == from_word(st, b).key()
+
+
 def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
+    """Whether the two words are the same braid.
+
+    In order: the longest common prefix and suffix are cancelled, and equal
+    middles answer "equal"; then the middles' exponent sums, permutations
+    and Burau rows (``words._burau_row``) are compared, and any difference
+    answers "unequal"; then their left normal forms decide."""
     if a.strands != b.strands:
         raise ValueError("strand-count mismatch")
+    a, b = W.cancel_common_ends(a, b)
+    if a.letters == b.letters:
+        return True
     if W.exponent_sum(a) != W.exponent_sum(b):
         return False
     if W.permutation_of(a) != W.permutation_of(b):
         return False
     if W._burau_row(a) != W._burau_row(b):
         return False
-    return from_word(st, a).key() == from_word(st, b).key()
+    return _equal_by_normal_forms(st, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +573,7 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
     for i, (key, (_, trail)) in enumerate(_circuit_search(st, a_circuit, a_trail), 1):
         if key == target:
             u = W.free_reduce(W.compose(trail, W.inverse(b_trail)))
-            if not words_equal(st, W.conjugate(a, u), b):
+            if not _equal_by_normal_forms(st, W.conjugate(a, u), b):
                 raise AssertionError("conjugacy witness failed verification")
             return ConjugacyCertificate(True, u)
         if i == len(a_circuit) and W._burau_charpoly(a) != W._burau_charpoly(b):
@@ -652,9 +680,8 @@ def solve_pair_to_generators(
     if tail is None:
         return None
     u = W.free_reduce(W.compose(u, tail))
-    if words_equal(st, W.conjugate(x_word, u), s1) and words_equal(
-        st, W.conjugate(y_word, u), s2
-    ):
+    if all(_equal_by_normal_forms(st, W.conjugate(w, u), s)
+           for w, s in ((x_word, s1), (y_word, s2))):
         return u
     return None
 

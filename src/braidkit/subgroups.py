@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import words as W
-from .engine import words_equal
+from .engine import _equal_by_normal_forms
 from .garside import classical
 from .words import BraidWord, Permutation
 
@@ -556,7 +556,7 @@ def k4_rewrite(w: BraidWord) -> FreeWord:
     if w.strands != 4:
         raise ValueError("defined on four strands")
     proj = W.project_to_b3(w)
-    if not words_equal(classical(3), proj, BraidWord.identity(3)):
+    if not _equal_by_normal_forms(classical(3), proj, BraidWord.identity(3)):
         raise ValueError("braid does not project trivially to three strands")
     shadow = FreeAut(_C, _W)
     out: list[int] = []
@@ -571,7 +571,7 @@ def k4_rewrite(w: BraidWord) -> FreeWord:
             step = _AUT_S2 if k > 0 else _AUT_S2_INV
         shadow = shadow.then(step)
     result = W._cancel_inverse_pairs(out)
-    if not words_equal(classical(4), free_word_to_braid(result), w):
+    if not _equal_by_normal_forms(classical(4), free_word_to_braid(result), w):
         raise AssertionError("kernel rewriting failed verification")
     return result
 
@@ -630,6 +630,14 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for i in range(len(a))
     )
+
+
+def _mat_mul2(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """``mat_mul`` of two 2x2 matrices, unrolled."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
 def mat_inv2(m: IntMatrix) -> IntMatrix:
@@ -734,7 +742,8 @@ def free_words_check(generators: Sequence[Sequence[Sequence[int]]], max_len: int
     search stops when a word and that shortest one have lengths adding up to
     at most ``max_len``.  It multiplies out about (2k - 1)^h words for k
     generators: 13 120 for two generators at ``max_len`` 16, the largest it
-    is meant for (the ledger uses 10).
+    is meant for (the ledger uses 10).  Products of 2x2 matrices, the only
+    size the toolkit checks, are multiplied unrolled.
     """
     if not generators:
         raise ValueError("free_words_check needs at least one generator")
@@ -750,6 +759,7 @@ def free_words_check(generators: Sequence[Sequence[Sequence[int]]], max_len: int
         inv = _mat_inv_general(m)
         alphabet.append((i + 1, m))
         alphabet.append((-(i + 1), inv))
+    product = _mat_mul2 if size == 2 else mat_mul
     shortest = {ident: 0}
     frontier = [(ident, 0)]  # (matrix, last letter) of the words of one length
     for length in range(1, (max_len + 1) // 2 + 1):
@@ -758,7 +768,7 @@ def free_words_check(generators: Sequence[Sequence[Sequence[int]]], max_len: int
             for label, m in alphabet:
                 if label == -last:
                     continue
-                nxt = mat_mul(prod, m)
+                nxt = product(prod, m)
                 other = shortest.get(nxt)
                 if other is None:
                     shortest[nxt] = length

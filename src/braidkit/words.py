@@ -219,6 +219,27 @@ def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, _cancel_inverse_pairs(w.letters))
 
 
+def cancel_common_ends(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """The middles x, y of a = P x S and b = P y S, for the longest common
+    prefix P and then the longest common suffix S of the two words.
+
+    a and b are the same braid exactly when x and y are.  Letter-identical
+    words give two empty middles."""
+    la, lb = a.letters, b.letters
+    if la == lb:
+        return BraidWord(a.strands), BraidWord(b.strands)
+    m = min(len(la), len(lb))
+    i = 0
+    while i < m and la[i] == lb[i]:
+        i += 1
+    j = 0
+    while j < m - i and la[-1 - j] == lb[-1 - j]:
+        j += 1
+    if not i and not j:
+        return a, b
+    return BraidWord(a.strands, la[i:len(la) - j]), BraidWord(b.strands, lb[i:len(lb) - j])
+
+
 def exponent_sum(w: BraidWord) -> int:
     """Image under the homomorphism to the integers sending every generator to 1."""
     return sum(1 if k > 0 else -1 for k in w.letters)

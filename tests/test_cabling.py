@@ -125,6 +125,49 @@ def test_round_trip_random():
         assert C.mixed_membership(cab, comp)
 
 
+def test_extracting_a_cabled_word_compares_letters_only(monkeypatch):
+    # a deterministic work gate: recabling the parts of a cabled word
+    # reproduces it letter for letter, so the round-trip certificate weighs
+    # no normal form and computes no Burau row
+    calls = []
+
+    def counting(real):
+        def wrapper(*args):
+            calls.append(real)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(W, "_burau_row", counting(W._burau_row))
+    rng = random.Random(18)
+    for parts in ((2, 3, 2), (1, 1, 1), (3, 3)):
+        comp = C.Composition(parts)
+        st = classical(comp.total)
+        monkeypatch.setattr(st, "_weigh", counting(st._weigh))
+        for _ in range(5):
+            tub = rand_pure(rng, comp.count)
+            ints = [rand_word(rng, m, rng.randint(0, 6)) if m >= 2 else BraidWord.identity(1)
+                    for m in parts]
+            cab = C.cable(tub, ints, comp)
+            assert C.extract(cab, comp, "tubular").letters == tub.letters
+            for i, x in enumerate(ints, start=1):
+                assert C.extract(cab, comp, f"interior:{i}").letters == x.letters
+    assert not calls
+
+
+def test_extract_checks_the_part_before_splitting(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("the word was split")
+
+    monkeypatch.setattr(C, "_split", no_split)
+    d, comp = named_element("d", 4), C.Composition((2, 2))
+    for which in ("interior:x", "interior:", "interior", "inner:1", ""):
+        with pytest.raises(ValueError, match="unknown extraction"):
+            C.extract(d, comp, which)
+    for which in ("interior:0", "interior:3"):
+        with pytest.raises(ValueError, match="out of range"):
+            C.extract(d, comp, which)
+
+
 def test_image_membership_nonpure_tubular():
     # tubes may permute: cabled braids still stabilise the block vector only
     # when the tubular part does

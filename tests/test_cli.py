@@ -77,6 +77,13 @@ def test_cable_extract(capsys):
     assert code == 2
 
 
+def test_extract_refuses_a_bad_part_name(capsys):
+    code = main(["extract", "--comp", "2,2", "--part", "interior:x", "B4: 1 3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: unknown extraction 'interior:x'"]
+
+
 def test_abelianize(capsys):
     code, out = run(capsys, "abelianize", "--target", "P", "B3: 1 1")
     assert code == 0 and out.split() == ["1", "0", "0"]

@@ -94,6 +94,49 @@ def test_words_equal_separates_by_burau_without_the_kernel(monkeypatch):
             assert not weighed
 
 
+def test_words_equal_cancels_common_ends_like_the_oracle():
+    # P x S against P y S agree with the normal-form oracle: equal middles
+    # (relation moves), unequal middles, empty middles, one word a prefix
+    # of the other, and P or S empty
+    rng = random.Random(66)
+    for n in range(2, 9):
+        for struct in (classical(n), band(n)):
+            one = BraidWord.identity(n)
+            p, s = rand_word(rng, n, rng.randint(1, 10)), rand_word(rng, n, rng.randint(1, 10))
+            x, y = rand_word(rng, n, rng.randint(1, 12)), rand_word(rng, n, rng.randint(1, 12))
+            cases = [
+                (p, x, relation_rewrite(rng, x, 6), s, True),
+                (p, x, y, s, None),
+                (p, one, one, s, True),
+                (p, one, x, s, None),
+                (p, x, W.compose(x, y), one, None),
+                (one, x, y, s, None),
+                (p, x, y, one, None),
+            ]
+            if n >= 3:
+                i, j = rng.sample(range(1, n), 2)
+                cases.append((p, BraidWord(n, (i, i)), BraidWord(n, (j, j)), s, False))
+            for head, mid_a, mid_b, tail, equal in cases:
+                a, b = W.compose(head, mid_a, tail), W.compose(head, mid_b, tail)
+                expected = words_equal_by_normal_forms(struct, a, b)
+                assert equal is None or expected is equal, (a, b)
+                assert E.words_equal(struct, a, b) is expected, (a, b)
+                assert E._equal_by_normal_forms(struct, a, b) is expected, (a, b)
+                assert E.words_equal(struct, b, a) is expected, (a, b)
+
+
+def test_identical_words_are_equal_without_the_kernel(monkeypatch):
+    # a deterministic work gate: letter-identical words cancel to two empty
+    # middles, and no normal form is weighted
+    a = rand_word(random.Random(67), 12, 200)
+    b = BraidWord(12, a.letters)
+    for struct in (classical(12), band(12)):
+        weighed = count_calls(monkeypatch, struct, "_weigh")
+        assert E.words_equal(struct, a, b)
+        assert E._equal_by_normal_forms(struct, a, b)
+        assert not weighed
+
+
 def bigelow_kernel_braid():
     """Bigelow's braid in the kernel of the Burau representation of B5
     (Geom. Topol. 3, 1999): the commutator of a = psi1^-1 s4 psi1 and

@@ -404,6 +404,14 @@ def test_matrix_constants():
     assert lhs == rhs
 
 
+def test_unrolled_2x2_product_matches_mat_mul():
+    rng = random.Random(18)
+    for _ in range(200):
+        a, b = (tuple(tuple(rng.randint(-40, 40) for _ in range(2)) for _ in range(2))
+                for _ in range(2))
+        assert S._mat_mul2(a, b) == S.mat_mul(a, b)
+
+
 def test_free_words_check():
     assert S.free_words_check([S.T_MATRIX, S.U_MATRIX], 10)
     assert not S.free_words_check([S.S1_MATRIX, S.S2_MATRIX], 6)
