@@ -12,7 +12,11 @@ Relation matrices from Schreier rewriting are sparse and nearly all their
 pivots are units (Havas, Holt and Rees, Linear Algebra Appl. 192, 1993).
 The Smith reduction keeps its greedy minimal pivot rule but stops the pivot
 search at the first unit, skips the divisibility scan after a unit pivot and
-eliminates over the nonzero entries of the pivot row or column only.
+eliminates over the nonzero entries of the pivot row or column only.  It
+builds D and the column transform V, which coordinates are read with; the
+row transform U is never needed, so row operations act on the matrix alone.
+A kernel abelianization keeps one column of V per invariant factor other
+than 1.
 
 The four-strand specific tools rewrite the kernel of the projection onto
 three strands as a free group on two generators and read off induced integer
@@ -157,24 +161,17 @@ def parse_presentation(text: str) -> tuple[FinitePresentation, FiniteImageMap | 
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = U M V with U, V unimodular and D diagonal with a divisibility
-    chain; ``factors`` lists the diagonal up to min(rows, cols)."""
+    """D = U M V with V unimodular, for some unimodular U that is not kept,
+    and D diagonal with a divisibility chain; ``factors`` lists the diagonal
+    up to min(rows, cols)."""
 
     d: tuple[tuple[int, ...], ...]
-    u: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
     factors: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return sum(1 for f in self.factors if f)
-
-
-def _mat_id(k: int) -> list[list[int]]:
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        out[i][i] = 1
-    return out
 
 
 def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -198,20 +195,17 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Exact Smith reduction with greedy minimal pivots: each step takes the
     first entry of least absolute value in row-major order.
 
-    A pass reads the nonzero entries of the pivot row (of M and U) or of the
-    pivot column (of M and V) once and updates the other rows or columns
-    over those entries only.  After a unit pivot every remaining entry is a
-    multiple of it, so the divisibility scan is skipped.
+    Row operations act on M alone, so the row transform U of D = U M V is
+    never built; column operations act on M and V.  A pass reads the nonzero
+    entries of the pivot row of M or of the pivot column of M and V once and
+    updates the other rows or columns over those entries only.  After a unit
+    pivot every remaining entry is a multiple of it, so the divisibility scan
+    is skipped.
     """
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _mat_id(rows)
-    v = _mat_id(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_cols(i, j):
         for row in a:
@@ -219,8 +213,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         for row in v:
             row[i], row[j] = row[j], row[i]
 
-    def row_entries(m, i):  # nonzero (column, value) pairs of row i
-        return [(j, x) for j, x in enumerate(m[i]) if x]
+    def row_entries(i):  # nonzero (column, value) pairs of row i of M
+        return [(j, x) for j, x in enumerate(a[i]) if x]
 
     def col_entries(m, j):  # nonzero (row, value) pairs of column j
         return [(i, row[j]) for i, row in enumerate(m) if row[j]]
@@ -230,26 +224,23 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
         pivot = _least_entry(a, t)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         dirty = True
         while dirty:
             dirty = False
             # row[i] -= q * row[t] for every row i below the pivot
-            a_row, u_row = row_entries(a, t), row_entries(u, t)
+            a_row = row_entries(t)
             for i in range(t + 1, rows):
                 ai = a[i]
                 if ai[t]:
                     q = ai[t] // a[t][t]
                     for j, x in a_row:
                         ai[j] -= q * x
-                    ui = u[i]
-                    for j, x in u_row:
-                        ui[j] -= q * x
                     if ai[t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = ai, a[t]
                         dirty = True
-                        a_row, u_row = row_entries(a, t), row_entries(u, t)
+                        a_row = row_entries(t)
             # col[j] -= q * col[t] for every column j right of the pivot
             at = a[t]
             a_col, v_col = col_entries(a, t), col_entries(v, t)
@@ -273,17 +264,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
             )
             if bad is not None:
                 a[t] = [x + y for x, y in zip(a[t], a[bad])]
-                u[t] = [x + y for x, y in zip(u[t], u[bad])]
                 continue
         if p < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
 
     factors = tuple(a[i][i] for i in range(min(rows, cols)))
     return SmithForm(
         tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in u),
         tuple(tuple(row) for row in v),
         factors,
     )
@@ -361,8 +349,8 @@ class KernelAbelianization:
     invariant_factors: tuple[int, ...]
     _succ: tuple
     _pred: tuple
-    _v: tuple[tuple[int, ...], ...]
-    _diag: tuple[int, ...]
+    # (factor, column of V) per coordinate, for every factor other than 1
+    _columns: tuple[tuple[int, tuple[int, ...]], ...]
     _num_schreier: int
 
     @property
@@ -375,19 +363,12 @@ class KernelAbelianization:
         k = len(self.image.images)
         if any(g == 0 or abs(g) > k for g in word):
             raise ValueError(f"word references unknown generator: {word}")
-        cols = self._num_schreier
-        vec = _rewrite(self._succ, self._pred, cols, word, 0)
-        transformed = [0] * cols
-        for x, row in zip(vec, self._v):
-            if x:
-                transformed = [t + x * y for t, y in zip(transformed, row)]
+        vec = _rewrite(self._succ, self._pred, self._num_schreier, word, 0)
+        entries = [(i, x) for i, x in enumerate(vec) if x]
         out = []
-        for j, d in enumerate(self._diag):
-            if d == 1:
-                continue
-            out.append(transformed[j] % d if d > 1 else transformed[j])
-        for j in range(len(self._diag), cols):
-            out.append(transformed[j])
+        for d, col in self._columns:
+            y = sum(x * col[i] for i, x in entries)
+            out.append(y % d if d else y)
         return tuple(out)
 
 
@@ -420,21 +401,23 @@ def kernel_abelianization(
     ]
     if relation_rows:
         snf = smith_normal_form(relation_rows)
-        diag = snf.factors
-        v = snf.v
+        diag, v = snf.factors, snf.v
     else:
         diag = ()
         v = tuple(tuple(int(i == j) for j in range(count)) for i in range(count))
-    torsion = tuple(sorted(d for d in diag if d > 1))
-    free = count - sum(1 for d in diag if d)
+    # The factors form a divisibility chain, so the ones other than 1 are the
+    # torsion factors in increasing order followed by the free zeros.
+    factors = diag + (0,) * (count - len(diag))
+    columns = tuple(
+        (d, tuple(row[j] for row in v)) for j, d in enumerate(factors) if d != 1
+    )
     return KernelAbelianization(
         presentation=pres,
         image=image,
-        invariant_factors=torsion + (0,) * free,
+        invariant_factors=tuple(d for d, _ in columns),
         _succ=succ,
         _pred=pred,
-        _v=v,
-        _diag=diag,
+        _columns=columns,
         _num_schreier=count,
     )
 
@@ -655,15 +638,12 @@ U_MATRIX: IntMatrix = mat_mul(S2_MATRIX, mat_inv2(S1_MATRIX))
 
 # Conjugation by the first Artin generator on the rank-two abelianization of
 # the three-strand commutator subgroup, basis (u, t): u -> t^-1 u, t -> u.
+# Its cube is -I, so its powers are read from a table of six.
 _B3AB_M: IntMatrix = ((1, 1), (-1, 0))
-
-
-def _mat_pow(m: IntMatrix, k: int) -> IntMatrix:
-    out: IntMatrix = ((1, 0), (0, 1))
-    base = m if k >= 0 else mat_inv2(m)
-    for _ in range(abs(k)):
-        out = mat_mul(out, base)
-    return out
+_B3AB_POWERS: list[IntMatrix] = [((1, 0), (0, 1))]
+for _ in range(5):
+    _B3AB_POWERS.append(_mat_mul2(_B3AB_POWERS[-1], _B3AB_M))
+assert _mat_mul2(_B3AB_POWERS[-1], _B3AB_M) == _B3AB_POWERS[0]
 
 
 def b3_commutator_coordinates(w: BraidWord) -> tuple[int, int]:
@@ -685,12 +665,12 @@ def b3_commutator_coordinates(w: BraidWord) -> tuple[int, int]:
         if abs(k) == 1:
             height += 1 if k > 0 else -1
         elif k == 2:
-            m = _mat_pow(_B3AB_M, height)
+            m = _B3AB_POWERS[height % 6]
             coords = (coords[0] + m[0][0], coords[1] + m[1][0])
             height += 1
         else:
             height -= 1
-            m = _mat_pow(_B3AB_M, height)
+            m = _B3AB_POWERS[height % 6]
             coords = (coords[0] - m[0][0], coords[1] - m[1][0])
     assert height == 0
     return coords

@@ -99,9 +99,6 @@ class Permutation:
         lengths = [len(c) for c in self.cycles(include_fixed=True)]
         return tuple(sorted(lengths, reverse=True))
 
-    def sign(self) -> int:
-        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
-
     def __str__(self) -> str:
         cycles = self.cycles()
         if not cycles:

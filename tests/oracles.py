@@ -25,14 +25,19 @@ unreduced Burau matrix mod p as a product of whole generator matrices, and
 Faddeev-LeVerrier recursion, apart from the library's Hessenberg reduction.
 
 ``smith_normal_form_dense`` is the Smith reduction with greedy minimal
-pivots on whole rows and columns, ``kernel_coordinates_by_permutations`` the
+pivots on whole rows and columns.  It also carries the row transform U that
+the library does not build, so the certificate D = U M V with U and V
+unimodular is checked on it.  ``kernel_coordinates_by_permutations`` is the
 Schreier rewriting on ``Permutation`` states that it abelianizes and reads
 coordinates with, and ``decompose_by_inner_product`` the decomposition by
-one full inner product per irreducible.
+one full inner product per irreducible.  ``b3_commutator_coordinates_by_powers``
+multiplies out each power of the first-generator action letter by letter,
+where the library reads it from a table of the six powers.
 """
 
 import functools
 import math
+from typing import NamedTuple
 
 from braidkit import engine as E
 from braidkit import words as W
@@ -294,6 +299,15 @@ def free_words_check_dfs(generators, max_len):
     return dfs(ident, 0, 0)
 
 
+class DenseSmithForm(NamedTuple):
+    """D = U M V with U and V unimodular; ``factors`` as in ``SmithForm``."""
+
+    d: tuple
+    u: tuple
+    v: tuple
+    factors: tuple
+
+
 def smith_normal_form_dense(matrix):
     """Exact Smith reduction with greedy minimal pivots."""
     a = [list(map(int, row)) for row in matrix]
@@ -371,7 +385,7 @@ def smith_normal_form_dense(matrix):
         t += 1
 
     factors = tuple(a[i][i] for i in range(min(rows, cols)))
-    return S.SmithForm(
+    return DenseSmithForm(
         tuple(tuple(row) for row in a),
         tuple(tuple(row) for row in u),
         tuple(tuple(row) for row in v),
@@ -459,6 +473,38 @@ def kernel_coordinates_by_permutations(pres, image, words):
             out.append(transformed[j])
         coords.append(tuple(out))
     return relation_rows, coords
+
+
+def b3_commutator_coordinates_by_powers(w):
+    """Coordinates of a zero-exponent three-strand braid in the commutator
+    subgroup's abelianization, basis (u, t), with each power of the
+    first-generator action multiplied out one factor at a time."""
+
+    def mat_pow(m, k):
+        out = ((1, 0), (0, 1))
+        base = m if k >= 0 else S.mat_inv2(m)
+        for _ in range(abs(k)):
+            out = mat_mul(out, base)
+        return out
+
+    if w.strands != 3:
+        raise ValueError("defined on three strands")
+    if W.exponent_sum(w) != 0:
+        raise ValueError("not in the commutator subgroup")
+    coords = (0, 0)
+    height = 0
+    for k in w.letters:
+        if abs(k) == 1:
+            height += 1 if k > 0 else -1
+        elif k == 2:
+            m = mat_pow(S._B3AB_M, height)
+            coords = (coords[0] + m[0][0], coords[1] + m[1][0])
+            height += 1
+        else:
+            height -= 1
+            m = mat_pow(S._B3AB_M, height)
+            coords = (coords[0] - m[0][0], coords[1] - m[1][0])
+    return coords
 
 
 def decompose_by_inner_product(target, n):

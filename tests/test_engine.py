@@ -507,6 +507,21 @@ def test_atom_conjugate_shape_fails_classically():
     assert E.atom_conjugate_shape(x) is None
 
 
+def test_atom_conjugate_shape_refuses_other_shapes():
+    struct = band(3)
+    # odd canonical length, but the infimum is not -p
+    x = E.from_word(struct, BraidWord.parse("B3: 1 1 1"))
+    assert x.canonical_length % 2 == 1 and x.inf != -(x.canonical_length // 2)
+    assert E.atom_conjugate_shape(x) is None
+    # odd length and infimum -p, but the middle factor is not an atom
+    struct = band(4)
+    x = E.from_word(struct, BraidWord.parse("B4: 2 2 -2 -3 3 1"))
+    p = x.canonical_length // 2
+    assert x.canonical_length % 2 == 1 and x.inf == -p
+    assert struct.atom_length(x.factors[p]) != 1
+    assert E.atom_conjugate_shape(x) is None
+
+
 def test_atom_conjugate_shape_check_catches_faults(monkeypatch):
     # the ledger check asserts the band theorem and needs a certified
     # classical counterexample; breaking either side must turn it red
@@ -543,6 +558,16 @@ def test_pair_solver():
         assert u is not None
         assert E.words_equal(struct, W.conjugate(x, u), BraidWord(n, (1,)))
         assert E.words_equal(struct, W.conjugate(y, u), BraidWord(n, (2,)))
+
+
+def test_pair_solver_refuses_pairs_it_cannot_strip():
+    struct = band(3)
+    # Y = s1 s1 is not a conjugate of s2
+    assert E.solve_pair_to_generators(
+        struct, BraidWord.parse("B3: 1 1"), BraidWord.parse("B3: 1 1")) is None
+    # X = s1 s2 is no conjugate of an atom, so it has no centred shape
+    assert E.solve_pair_to_generators(
+        struct, BraidWord.parse("B3: 1 2"), BraidWord.parse("B3: 2")) is None
 
 
 # The closure without shortcuts, kept as the oracle of the circuit search:

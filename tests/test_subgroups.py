@@ -9,6 +9,7 @@ from braidkit import words as W
 from braidkit.garside import classical
 from braidkit.words import AutomorphismSpec, BraidWord, Permutation, named_element
 from oracles import (
+    b3_commutator_coordinates_by_powers,
     free_words_check_dfs,
     kernel_coordinates_by_permutations,
     smith_normal_form_dense,
@@ -49,42 +50,35 @@ def test_smith_examples():
     assert S.smith_normal_form([[2, 3], [4, 5]]).factors == (1, 2)
 
 
-def test_smith_random_soundness():
-    rng = random.Random(4)
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))
-        ]
-
-    for _ in range(40):
-        r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        f = S.smith_normal_form(m)
-        assert [list(row) for row in f.d] == matmul(
-            matmul([list(x) for x in f.u], m), [list(x) for x in f.v]
-        )
-        diag = [f.d[i][i] for i in range(min(r, c))]
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0 if a else b == 0
-        assert abs(S._det([list(x) for x in f.u])) == 1
-        assert abs(S._det([list(x) for x in f.v])) == 1
+def _assert_same_as_oracle(f, o):
+    assert (f.d, f.v, f.factors) == (o.d, o.v, o.factors)
 
 
 def _assert_smith_certificate(m, f):
-    """D = U M V, U and V unimodular, D diagonal with a divisibility chain."""
+    """f agrees with the dense oracle, whose U certifies D = U M V with U and
+    V unimodular (the library keeps no U); D is diagonal with a divisibility
+    chain."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    assert len(f.u) == rows and len(f.v) == cols
+    o = smith_normal_form_dense(m)
+    _assert_same_as_oracle(f, o)
+    assert len(o.u) == rows and len(o.v) == cols
     if rows and cols:
-        assert f.d == S.mat_mul(S.mat_mul(f.u, m), f.v)
-    assert abs(S._det(f.u)) == 1 and abs(S._det(f.v)) == 1
+        assert o.d == S.mat_mul(S.mat_mul(o.u, m), o.v)
+    assert abs(S._det(o.u)) == 1 and abs(S._det(o.v)) == 1
     assert all(f.d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
     assert f.factors == tuple(f.d[i][i] for i in range(min(rows, cols)))
     for a, b in zip(f.factors, f.factors[1:]):
         assert b % a == 0 if a else b == 0
     assert all(x >= 0 for x in f.factors)
+
+
+def test_smith_random_soundness():
+    rng = random.Random(4)
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        _assert_smith_certificate(m, S.smith_normal_form(m))
 
 
 def test_smith_edge_cases():
@@ -100,10 +94,10 @@ def test_smith_edge_cases():
         f = S.smith_normal_form(m)
         assert f.factors == factors, name
         _assert_smith_certificate(m, f)
-        assert f == smith_normal_form_dense(m), name
     # a -1 pivot comes out positive after a row negation
     f = S.smith_normal_form([[-1]])
-    assert f.d == ((1,),) and f.u == ((-1,),) and f.v == ((1,),)
+    assert f.d == ((1,),) and f.v == ((1,),)
+    assert smith_normal_form_dense([[-1]]).u == ((-1,),)
 
 
 def test_smith_matches_dense_oracle():
@@ -119,12 +113,10 @@ def test_smith_matches_dense_oracle():
             [rng.randint(-4, 5) if rng.random() < keep else 0 for _ in range(c)]
             for _ in range(r)
         ]
-        assert S.smith_normal_form(m) == smith_normal_form_dense(m), m
+        _assert_same_as_oracle(S.smith_normal_form(m), smith_normal_form_dense(m))
     for pres, image in (S.b4_commutator_presentation(), S.b3_commutator_presentation()):
         rows, _ = kernel_coordinates_by_permutations(pres, image, [])
-        f = S.smith_normal_form(rows)
-        assert f == smith_normal_form_dense(rows)
-        _assert_smith_certificate(rows, f)
+        _assert_smith_certificate(rows, S.smith_normal_form(rows))
 
 
 # -- kernel abelianization --------------------------------------------------
@@ -376,6 +368,25 @@ def test_b3_coordinates():
     assert E.words_equal(st, W.compose(s1, u, W.inverse(s1)),
                          W.compose(W.inverse(t), u))
     assert E.words_equal(st, W.compose(s1, t, W.inverse(s1)), u)
+
+
+def test_b3_coordinates_match_power_oracle():
+    # The height is the running exponent sum.  Each word climbs to +40 or
+    # -40 and two random heights, with random letters in between, and closes
+    # at 0; the table of six powers must agree with the powers multiplied out.
+    rng = random.Random(19)
+    for k in range(30):
+        letters = []
+        height = 0
+        for target in (40 if k % 2 else -40, rng.randint(-40, 40), rng.randint(-40, 40)):
+            step = 1 if target > height else -1
+            for _ in range(abs(target - height)):
+                letters.append(rng.choice((1, 2)) * step)
+            letters.extend(rng.choice((-2, -1, 1, 2)) for _ in range(3))
+            height = sum(1 if g > 0 else -1 for g in letters)
+        letters.extend([-1 if height > 0 else 1] * abs(height))
+        w = BraidWord(3, tuple(letters))
+        assert S.b3_commutator_coordinates(w) == b3_commutator_coordinates_by_powers(w)
 
 
 def test_action_matrix_b3ab():
