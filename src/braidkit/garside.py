@@ -83,10 +83,9 @@ class GarsideStructure:
     Garside element, the conversions ``_perm0`` (which refuses a key that is
     not simple), ``_from_perm0`` (None for a permutation that is not simple)
     and the checked ``_simple_of_perm0``, ``atom_length``, ``mul``,
-    ``left_quotient``, ``left_divides``, ``meet`` (through ``_weigh``),
-    ``mirror``, ``complement``, the twists, the letter atoms and products,
-    the capped ``simples`` and ``normalize_pair``, the kernel's wrapper on
-    ``Simple`` values.
+    ``meet`` (through ``_weigh``), ``mirror``, ``complement``, the twists,
+    the letter atoms and products, the capped ``simples`` and
+    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
     Everything generic (normal forms, sliding, conjugacy) lives in the
     engine module and only calls these methods.
     """
@@ -165,16 +164,6 @@ class GarsideStructure:
         if r is None or length(a.key) + length(b.key) != length(r.key):
             return None
         return r
-
-    def left_quotient(self, t: Simple, s: Simple) -> Simple:
-        """t^-1 s for a prefix t of s."""
-        return self._simple_of_perm0(_pmul(_pinv(self._perm0(t)), self._perm0(s)))
-
-    def left_divides(self, a: Simple, b: Simple) -> bool:
-        """Whether a is a prefix of b: a^-1 b is simple and the lengths add."""
-        q = self._from_perm0(_pmul(_pinv(self._perm0(a)), self._perm0(b)))
-        length = self._key_length
-        return q is not None and length(a.key) + length(q.key) == length(b.key)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
         """Greatest common prefix of a and b, read off the weighting kernel:

@@ -45,13 +45,6 @@ class LinkingMatrix:
         return json.dumps(triples, separators=(",", ":"))
 
 
-def pair_index(n: int, i: int, j: int) -> int:
-    """Position of the pair (i, j), i < j, in the lex-ordered coordinate vector."""
-    if not 1 <= i < j <= n:
-        raise ValueError("need 1 <= i < j <= n")
-    return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
-
-
 def linking_matrix(w: BraidWord) -> LinkingMatrix:
     """Pairwise linking numbers of a pure braid (single pass over the word)."""
     if not W.permutation_of(w).is_identity():

@@ -165,14 +165,19 @@ def decompose(target: str, n: int) -> dict[Partition, int]:
     else:
         raise ValueError(f"unknown decomposition target {target!r}")
 
-    # chi is weighed once per class; each irreducible is one dot product
+    # The monomials e_i^2 and e_i e_j make the symmetric square of the
+    # permutation module M^(n-1,1) + M^(n-2,2), so by Young's rule every
+    # constituent is (n), (n-1,1) or (n-2,2) (James, LNM 682, 1978).  chi is
+    # weighed once per class; each of the three is one dot product.
     weighted = _weighted_classes(chi, n)
     out: dict[Partition, int] = {}
-    for lam in partitions(n):
+    for lam in ((n,), (n - 1, 1), (n - 2, 2)):
         beta = _beta(lam)
         mult = _average(weighted, lambda rho: _strip_value(beta, rho), n)
         if mult:
             out[lam] = mult
+    if sum(m * hook_dimension(lam) for lam, m in out.items()) != chi((1,) * n):
+        raise AssertionError(f"{target} has a constituent outside (n), (n-1,1), (n-2,2)")
     return out
 
 

@@ -113,8 +113,9 @@ class FiniteImageMap:
 
 
 def parse_presentation(text: str) -> tuple[FinitePresentation, FiniteImageMap | None]:
-    """Read the minimal text format: a ``gens:`` line, ``rel:`` lines, and
-    optional ``degree:`` plus ``image:`` lines with cycle notation."""
+    """Read the minimal text format: a ``gens:`` line of distinct names,
+    ``rel:`` lines, and optional ``degree:`` plus one ``image:`` line in
+    cycle notation per name of ``gens:``."""
     gens: tuple[str, ...] | None = None
     relator_texts: list[str] = []
     image_texts: dict[str, str] = {}
@@ -128,13 +129,18 @@ def parse_presentation(text: str) -> tuple[FinitePresentation, FiniteImageMap | 
         rest = rest.strip()
         if key == "gens":
             gens = tuple(rest.replace(",", " ").split())
+            if len(set(gens)) != len(gens):
+                raise ValueError(f"repeated generator name in {raw.strip()!r}")
         elif key == "rel":
             relator_texts.append(rest)
         elif key == "degree":
             degree = int(rest)
         elif key == "image":
             name, _, cyc = rest.partition("=")
-            image_texts[name.strip()] = cyc.strip()
+            name = name.strip()
+            if name in image_texts:
+                raise ValueError(f"second image line for {name!r}")
+            image_texts[name] = cyc.strip()
         else:
             raise ValueError(f"unknown line {raw!r}")
     if gens is None:
@@ -143,6 +149,9 @@ def parse_presentation(text: str) -> tuple[FinitePresentation, FiniteImageMap | 
     relators = tuple(pres.parse_word(t) for t in relator_texts)
     pres = FinitePresentation(gens, relators)
     image = None
+    unknown = [name for name in image_texts if name not in gens]
+    if unknown:
+        raise ValueError(f"image lines for names not in gens: {unknown}")
     if image_texts:
         if degree is None:
             raise ValueError("image lines require a degree: line")
@@ -373,27 +382,16 @@ class KernelAbelianization:
 
 
 def kernel_abelianization(
-    pres: FinitePresentation,
-    image: FiniteImageMap,
-    expected_image_order: int | None = None,
+    pres: FinitePresentation, image: FiniteImageMap
 ) -> KernelAbelianization:
-    """Abelianize the kernel of the map onto the finite permutation group.
-
-    The kernel has index equal to the image order; pass
-    ``expected_image_order`` to fail fast when the generator images close up
-    to a group of a different size.
-    """
+    """Abelianize the kernel of the map onto the finite permutation group,
+    a subgroup of index equal to the image order."""
     if len(pres.generators) != len(image.images):
         raise ValueError("one image per generator required")
     for rel in pres.relators:
         if not image.word_image(rel).is_identity():
             raise ValueError(f"relator {rel} does not vanish in the image")
     succ, pred, count = _schreier_edges(image)
-    if expected_image_order is not None and len(succ) != expected_image_order:
-        raise ValueError(
-            f"generator images generate a group of order {len(succ)}, "
-            f"expected {expected_image_order}"
-        )
     relation_rows = [
         _rewrite(succ, pred, count, rel, s)
         for s in range(len(succ))
@@ -575,21 +573,6 @@ def format_free_word(fw: FreeWord) -> str:
     if not fw:
         return "1"
     return " ".join(names[abs(g)] + ("" if g > 0 else "^-1") for g in fw)
-
-
-def parse_free_word(text: str) -> FreeWord:
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    out = []
-    for tok in text.split():
-        m = re.fullmatch(r"(c|w)(?:\^(-?\d+))?", tok)
-        if not m:
-            raise ValueError(f"bad kernel word token {tok!r}")
-        g = 1 if m.group(1) == "c" else 2
-        k = int(m.group(2)) if m.group(2) else 1
-        out.extend([g if k > 0 else -g] * abs(k))
-    return W._cancel_inverse_pairs(out)
 
 
 def _free_abelianize(fw: FreeWord) -> tuple[int, int]:

@@ -51,9 +51,19 @@ class Permutation:
 
     @staticmethod
     def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        """The product of disjoint cycles; ValueError on an empty cycle, an
+        entry outside 1..n or an entry that occurs twice."""
         images = list(range(1, n + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)([cycle[0]])):
+        seen: set[int] = set()
+        for cycle in map(tuple, cycles):
+            if not cycle:
+                raise ValueError("empty cycle")
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                if not 1 <= a <= n:
+                    raise ValueError(f"cycle entry {a} out of range 1..{n}")
+                if a in seen:
+                    raise ValueError(f"cycle entry {a} occurs twice")
+                seen.add(a)
                 images[a - 1] = b
         return Permutation(tuple(images))
 
@@ -113,13 +123,10 @@ class Permutation:
             return Permutation.identity(degree)
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"bad cycle notation: {text!r}")
-        cycles = []
-        for part in text[1:-1].split(")("):
-            entries = part.replace(",", " ").split()
-            cycle = [int(e) for e in entries]
-            if any(not 1 <= e <= degree for e in cycle):
-                raise ValueError(f"cycle entry out of range in {text!r}")
-            cycles.append(cycle)
+        cycles = [
+            [int(e) for e in part.replace(",", " ").split()]
+            for part in text[1:-1].split(")(")
+        ]
         return Permutation.from_cycles(degree, cycles)
 
 
@@ -349,18 +356,10 @@ def band_generator(i: int, j: int, n: int) -> BraidWord:
     return BraidWord(n, tuple(down + up))
 
 
-def named_element(tag: str, n: int, i: int | None = None, j: int | None = None) -> BraidWord:
-    """Distinguished elements used throughout the toolkit.
-
-    Tags: ``Delta``, ``BandGen`` (with i, j), and the letters
-    ``u, v, w, c, d, t, tau``.
-    """
-    if tag == "Delta":
-        return delta(n)
-    if tag == "BandGen":
-        if i is None or j is None:
-            raise ValueError("BandGen needs indices i, j")
-        return band_generator(i, j, n)
+def named_element(tag: str, n: int) -> BraidWord:
+    """The paper's distinguished elements on n strands, by tag: ``u``,
+    ``t`` and ``v`` (n >= 3), ``c`` and ``w`` (n >= 4), ``d`` (n = 4) and
+    ``tau`` (n >= 4)."""
     if tag == "u":
         _need(n, 3, tag)
         return BraidWord(n, (2, -1))
@@ -379,23 +378,14 @@ def named_element(tag: str, n: int, i: int | None = None, j: int | None = None) 
     if tag == "d":
         if n != 4:
             raise ValueError("d is a 4-strand element")
-        from . import cabling
-
-        return cabling.cable(
-            BraidWord(2, (-1,)),
-            [BraidWord(2, (1, 1)), BraidWord(2, (1, 1))],
-            cabling.Composition((2, 2)),
-        )
+        # sigma1^-1 cabled with sigma1^2 in both tubes of composition (2, 2)
+        return BraidWord(4, (1, 1, 3, 3, -2, -1, -3, -2))
     if tag == "tau":
         _need(n, 4, tag)
-        from . import cabling
-
+        # the identity cabled with sigma1^(m(m-1)) and Delta_m^-2, tubes (2, m)
         m = n - 2
-        return cabling.cable(
-            BraidWord.identity(2),
-            [power(BraidWord(2, (1,)), m * (m - 1)), power(delta(m), -2)],
-            cabling.Composition((2, m)),
-        )
+        delta_inverse = tuple(-2 - k for k in reversed(delta(m).letters))
+        return BraidWord(n, (1,) * (m * (m - 1)) + delta_inverse * 2)
     raise ValueError(f"unknown element tag {tag!r}")
 
 

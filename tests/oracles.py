@@ -3,15 +3,17 @@
 ``meet`` is the greatest common prefix computed apart from the weighting
 kernel ``_weigh``, from which the library derives it: for classical simples
 by moving common first letters, for band simples as the common refinement of
-the cycles.  ``generic_normalize_pair`` weights a pair through the lattice
-operations (that ``meet``, ``complement``, ``mul``, ``left_quotient``)
-instead of a structure's kernel.  ``combine``, ``mul`` and ``from_word`` are
-the normal-form arithmetic on ``Simple`` values before the forward-pass
-insertion, run on that generic pair weighting: weight the junction of two
-weighted sequences forward and comb every change backwards, and read a word
-one letter at a time.  ``conjugate`` is g^-1 x g as two such products, and
-``atom_pair_walk`` the atom-pair search on normal forms with that
-conjugation, memoized per (atom, simple) across walks since it is pure.
+the cycles.  ``left_quotient`` and ``left_divides`` are the prefix quotient
+and the prefix test read off permutations and atom lengths; the brute-force
+lattice checks are built on them.  ``generic_normalize_pair`` weights a pair
+through the lattice operations (that ``meet``, ``complement``, ``mul``,
+``left_quotient``) instead of a structure's kernel.  ``combine``, ``mul``
+and ``from_word`` are the normal-form arithmetic on ``Simple`` values before
+the forward-pass insertion, run on that generic pair weighting: weight the
+junction of two weighted sequences forward and comb every change backwards,
+and read a word one letter at a time.  ``conjugate`` is g^-1 x g as two such
+products, and ``atom_pair_walk`` the atom-pair search on normal forms with
+that conjugation, memoized per (atom, simple) across walks since it is pure.
 
 ``pair_is_left_weighted``, ``right_meet`` and ``pair_is_right_weighted`` are
 the definitional checks of the normal forms.  The classical ``right_meet`` is
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import Simple, _cycle_labels, _pinv
+from braidkit.garside import Simple, _cycle_labels, _pinv, _pmul
 from braidkit import reptheory as R
 from braidkit import subgroups as S
 from braidkit.subgroups import _mat_inv_general, mat_mul
@@ -85,12 +87,24 @@ def meet(st, a, b):
     return Simple(st.kind, st.n, tuple(m))
 
 
+def left_quotient(st, t, s):
+    """t^-1 s for a prefix t of s."""
+    return st._simple_of_perm0(_pmul(_pinv(st._perm0(t)), st._perm0(s)))
+
+
+def left_divides(st, a, b):
+    """Whether a is a prefix of b: a^-1 b is simple and the lengths add."""
+    q = st._from_perm0(_pmul(_pinv(st._perm0(a)), st._perm0(b)))
+    length = st._key_length
+    return q is not None and length(a.key) + length(q.key) == length(b.key)
+
+
 def generic_normalize_pair(st, x, y):
     """Make (x, y) left weighted by moving t = meet(x^-1 delta, y) onto x."""
     t = meet(st, st.complement(x), y)
     if st.is_identity(t):
         return x, y, False
-    return st.mul(x, t), st.left_quotient(t, y), True
+    return st.mul(x, t), left_quotient(st, t, y), True
 
 
 def pair_is_left_weighted(st, x, y):

@@ -181,3 +181,16 @@ def test_tau_membership():
         tau = named_element("tau", n)
         assert W.exponent_sum(tau) == 0
         assert P.membership(tau, "J")
+
+
+def test_tau_letters_are_its_cabling():
+    # tau(n) is written out in words; it is the identity cabled with
+    # sigma1^(m(m-1)) and Delta_m^-2 in tubes of widths (2, m), m = n - 2
+    for n in range(4, 8):
+        m = n - 2
+        cabled = C.cable(
+            BraidWord.identity(2),
+            [W.power(BraidWord(2, (1,)), m * (m - 1)), W.power(delta(m), -2)],
+            C.Composition((2, m)),
+        )
+        assert named_element("tau", n) == cabled

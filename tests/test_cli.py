@@ -120,6 +120,27 @@ def test_char_decompose_nu(capsys):
     assert code == 0 and out.strip() == "(1 2)(3 4)(5 6)"
 
 
+def test_malformed_cycles_exit_2_with_one_line(capsys, tmp_path):
+    for perm in ("(1 2)(1 2)", "(1 1)", "(1 2)()"):
+        code = main(["nu", perm])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
+    path = tmp_path / "pres.txt"
+    for text in (
+        "gens: u u\ndegree: 3\nimage: u = (1 2 3)\n",
+        "gens: u\ndegree: 3\nimage: u = ()()\n",
+        "gens: u\ndegree: 3\nimage: u = (1 2 3)\nimage: x = (1 2)\n",
+    ):
+        path.write_text(text, encoding="utf-8")
+        code = main(["kernel-ab", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
 def test_k4_rewrite_and_pi(capsys):
     code, out = run(capsys, "k4-rewrite", "B4: 2 3 -1 -2")
     assert code == 0 and out.strip() == "w"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -34,13 +35,14 @@ def test_linking_examples():
 
 
 def test_band_generator_squares_hit_unit_vectors():
+    # coordinates are indexed by the pairs i < j in lex order
     n = 5
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vec = P.abelianize_pure(W.power(band_generator(i, j, n), 2), "P")
-            expected = [0] * (n * (n - 1) // 2)
-            expected[P.pair_index(n, i, j)] = 1
-            assert vec == tuple(expected)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for index, (i, j) in enumerate(pairs):
+        vec = P.abelianize_pure(W.power(band_generator(i, j, n), 2), "P")
+        expected = [0] * len(pairs)
+        expected[index] = 1
+        assert vec == tuple(expected)
 
 
 def test_upper_sum_equals_exponent_sum():

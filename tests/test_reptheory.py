@@ -97,11 +97,20 @@ def test_decompositions():
 
 
 def test_decompose_matches_inner_product_oracle():
-    for n in range(4, 11):
+    # the library tries three constituents; the oracle tries every partition
+    for n in range(4, 16):
         for target in ("Sym2Standard", "Sym2Vn11", "Wmodule"):
             got = R.decompose(target, n)
             want = decompose_by_inner_product(target, n)
             assert got == want and list(got) == list(want)
+
+
+def test_decompose_checks_the_dimension(monkeypatch):
+    # a constituent missed by the three-candidate loop shows as a dimension
+    # deficit; here a wrong dimension stands in for it
+    monkeypatch.setattr(R, "hook_dimension", lambda lam: 1)
+    with pytest.raises(AssertionError, match="constituent outside"):
+        R.decompose("Wmodule", 6)
 
 
 def test_inner_product_refuses_a_fractional_value():

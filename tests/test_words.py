@@ -69,6 +69,25 @@ def test_permutation_examples():
     assert W.permutation_of(u).cycle_type() == (3,)
 
 
+def test_cycles_must_be_disjoint_and_nonempty():
+    assert Permutation.parse("(1 2)(3 4 5)", 5).images == (2, 1, 4, 5, 3)
+    assert Permutation.parse("()", 4).is_identity()
+    assert Permutation.from_cycles(3, [(2,)]).is_identity()
+    for text, message in (
+        ("(1 2)(1 2)", "entry 1 occurs twice"),
+        ("(1 1)", "entry 1 occurs twice"),
+        ("(1 2)(3 2)", "entry 2 occurs twice"),
+        ("(1 2)()", "empty cycle"),
+        ("()()", "empty cycle"),
+        ("(1 7)", "entry 7 out of range"),
+        ("(0 1)", "entry 0 out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Permutation.parse(text, 6)
+    with pytest.raises(ValueError, match="empty cycle"):
+        Permutation.from_cycles(3, [(1, 2), ()])
+
+
 @settings(max_examples=60)
 @given(braid_words(), braid_words())
 def test_homomorphisms(a, b):
@@ -109,8 +128,6 @@ def test_inner_undoes_conjugation(x, y):
 
 def test_named_elements():
     assert W.delta(3).letters == (1, 2, 1)
-    assert W.named_element("Delta", 3).letters == (1, 2, 1)
-    assert W.named_element("BandGen", 3, 1, 3).letters == (2, 1, -2)
     assert W.named_element("u", 3).letters == (2, -1)
     assert W.named_element("t", 3).letters == (-1, 2)
     assert W.named_element("v", 3).letters == (1, 2, -1, -1)
