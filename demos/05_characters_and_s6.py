@@ -1,7 +1,10 @@
 """Symmetric-group character arithmetic and the degree-6 outer automorphism.
 
 Character values come from the border-strip recursion; decomposition into
-irreducibles is an exact inner-product computation.  The exceptional
+irreducibles is an exact inner-product computation.  The decomposed modules
+lie in the symmetric square of the permutation module, whose characters
+depend on a permutation only through its fixed points f and 2-cycles c, so
+each inner product is a sum over the pairs (f, c).  The exceptional
 automorphism of the degree-6 group swaps the two classes of order-3
 elements, which is what separates the two constituents of the trace-zero
 module.

@@ -3,9 +3,9 @@
 Cabling replaces the strands of a braid on k strands by braids running inside
 tubes of widths m_1, ..., m_k: interior braids are inserted at the start of
 their tubes and every crossing of the outer braid expands to a block of
-crossings between the two tubes involved.  Extraction recovers the tubular
+crossings between the two tubes involved.  Splitting recovers the tubular
 and interior braids of a cabled word by strand deletion, verified by a
-re-cabling round trip.
+re-cabling round trip; extraction selects one of them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,11 @@ class Composition:
 
     @staticmethod
     def parse(text: str) -> "Composition":
-        return Composition(tuple(int(p) for p in text.split(",")))
+        try:
+            parts = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError(f"bad composition: {text!r}") from None
+        return Composition(parts)
 
     def format(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -121,11 +125,13 @@ def extract(w: BraidWord, comp: Composition, which: str) -> BraidWord:
             raise ValueError(f"unknown extraction {which!r}")
         if not 1 <= i <= comp.count:
             raise ValueError("interior index out of range")
-    tubular, interiors = _split(w, comp)
+    tubular, interiors = split(w, comp)
     return interiors[i - 1] if i else tubular
 
 
-def _split(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]:
+def split(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]:
+    """The tubular braid and the list of interior braids of a cabled word,
+    from k + 1 strand deletions and one re-cabling certificate."""
     if w.strands != comp.total:
         raise ValueError("strand count does not match the composition")
     firsts = frozenset(comp.block(i)[0] for i in range(1, comp.count + 1))

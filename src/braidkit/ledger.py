@@ -633,16 +633,15 @@ def check_cabling_roundtrip(rng: random.Random):
         ]
         cab = C.cable(tub, ints, comp)
         _require(C.mixed_membership(cab, comp), "cabled braid leaves the mixed subgroup")
+        got_tub, got_ints = C.split(cab, comp)
         _require(
-            E.words_equal(classical(k), C.extract(cab, comp, "tubular"), tub),
+            E.words_equal(classical(k), got_tub, tub),
             f"tubular round trip failed on instance {idx}",
             {"composition": comp.format()},
         )
-        for i, x in enumerate(ints, start=1):
+        for i, (got, x) in enumerate(zip(got_ints, ints), start=1):
             _require(
-                E.words_equal(
-                    classical(parts[i - 1]), C.extract(cab, comp, f"interior:{i}"), x
-                ),
+                E.words_equal(classical(parts[i - 1]), got, x),
                 f"interior {i} round trip failed on instance {idx}",
                 {"composition": comp.format()},
             )

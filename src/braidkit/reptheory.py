@@ -3,15 +3,18 @@
 Irreducible character values come from the border-strip recursion on
 beta-sets; dimensions are cross-checked against the hook length product.
 Decompositions are computed purely at character level with exact integer
-inner products.  The degree-6 outer automorphism is built by factorising
-every permutation over two generators and mapping letterwise.
+inner products.  The decomposed modules lie in the symmetric square of the
+permutation module, so their characters and constituents depend on a class
+only through its fixed points f and 2-cycles c; each inner product is a sum
+over the pairs (f, c), never over the partitions of n.  The degree-6 outer
+automorphism is built by factorising every permutation over two generators
+and mapping letterwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Iterable
 
 from .words import Permutation
@@ -93,53 +96,14 @@ def hook_dimension(lam: Partition) -> int:
     return math.factorial(n) // hooks
 
 
-def _weighted_classes(chi, n: int) -> list[tuple[int, Partition]]:
-    """(class size times chi, cycle type) over the classes where chi is
-    nonzero."""
-    out = []
-    for rho in partitions(n):
-        w = class_size(rho) * chi(rho)
-        if w:
-            out.append((w, rho))
-    return out
-
-
-def _average(weighted: list[tuple[int, Partition]], chi, n: int) -> int:
-    """Inner product of chi with the class function whose weighted classes
-    are given; ValueError unless it is an integer."""
-    q, r = divmod(sum(w * chi(rho) for w, rho in weighted), math.factorial(n))
+def inner_product(chi1, chi2, n: int) -> int:
+    """Exact inner product of two class functions given as callables on
+    cycle types; ValueError unless it is an integer."""
+    total = sum(class_size(rho) * chi1(rho) * chi2(rho) for rho in partitions(n))
+    q, r = divmod(total, math.factorial(n))
     if r:
         raise ValueError("inner product is not an integer")
     return q
-
-
-def inner_product(chi1, chi2, n: int) -> int:
-    """Exact inner product of two class functions given as callables on
-    cycle types."""
-    return _average(_weighted_classes(chi1, n), chi2, n)
-
-
-def _square_type(rho: Partition) -> Partition:
-    parts = []
-    for c in rho:
-        if c % 2:
-            parts.append(c)
-        else:
-            parts.extend([c // 2, c // 2])
-    return tuple(sorted(parts, reverse=True))
-
-
-def natural_character(rho: Partition) -> int:
-    """Fixed points of the class: the permutation module on n points."""
-    return sum(1 for c in rho if c == 1)
-
-
-def sym2_character(chi, rho: Partition) -> int:
-    """(chi(g)^2 + chi(g^2)) / 2, exact."""
-    value = Fraction(chi(rho) ** 2 + chi(_square_type(rho)), 2)
-    if value.denominator != 1:
-        raise ValueError("symmetric-square character is not integral")
-    return int(value)
 
 
 def decompose(target: str, n: int) -> dict[Partition, int]:
@@ -153,30 +117,51 @@ def decompose(target: str, n: int) -> dict[Partition, int]:
     if n < 4:
         raise ValueError("need n >= 4 for a two-row constituent (n-2, 2)")
 
+    # On a permutation with f fixed points and c 2-cycles the permutation
+    # character is f and its value on g^2 is f + 2c, so (chi(g)^2 + chi(g^2))/2
+    # is (f^2 + f)/2 + c for the symmetric square and (f^2 - f)/2 + c for the
+    # square of the reflection module (chi = f - 1).
     if target == "Sym2Standard":
-        chi = lambda rho: sym2_character(natural_character, rho)
+        chi = lambda f, c: (f * f + f) // 2 + c
     elif target == "Sym2Vn11":
-        refl = lambda rho: natural_character(rho) - 1
-        chi = lambda rho: sym2_character(refl, rho)
+        chi = lambda f, c: (f * f - f) // 2 + c
     elif target == "Wmodule":
-        chi = lambda rho: (
-            sym2_character(natural_character, rho) - natural_character(rho) - 1
-        )
+        chi = lambda f, c: (f * f - f) // 2 + c - 1
     else:
         raise ValueError(f"unknown decomposition target {target!r}")
 
     # The monomials e_i^2 and e_i e_j make the symmetric square of the
     # permutation module M^(n-1,1) + M^(n-2,2), so by Young's rule every
-    # constituent is (n), (n-1,1) or (n-2,2) (James, LNM 682, 1978).  chi is
-    # weighed once per class; each of the three is one dot product.
-    weighted = _weighted_classes(chi, n)
+    # constituent is (n), (n-1,1) or (n-2,2) (James, LNM 682, 1978), whose
+    # characters are 1, f - 1 and f(f - 3)/2 + c.  All of them depend on a
+    # class only through (f, c); the permutations of one (f, c) number
+    # n!/(f! c! 2^c m!) D(m), with m = n - f - 2c and D(m) the permutations
+    # of m points whose cycles all have length >= 3: the point m either sits
+    # in such a cycle on the other m - 1 points (m - 1 places) or closes a
+    # 3-cycle with two of them.
+    d = [1, 0, 0]
+    for m in range(3, n + 1):
+        d.append((m - 1) * (d[m - 1] + (m - 2) * d[m - 3]))
+    fact = math.factorial
+    weighted = []
+    for f in range(n + 1):
+        for c in range((n - f) // 2 + 1):
+            m = n - f - 2 * c
+            w = fact(n) // (fact(f) * fact(c) * 2**c * fact(m)) * d[m] * chi(f, c)
+            if w:
+                weighted.append((w, f, c))
     out: dict[Partition, int] = {}
-    for lam in ((n,), (n - 1, 1), (n - 2, 2)):
-        beta = _beta(lam)
-        mult = _average(weighted, lambda rho: _strip_value(beta, rho), n)
+    for lam, psi in (
+        ((n,), lambda f, c: 1),
+        ((n - 1, 1), lambda f, c: f - 1),
+        ((n - 2, 2), lambda f, c: f * (f - 3) // 2 + c),
+    ):
+        mult, r = divmod(sum(w * psi(f, c) for w, f, c in weighted), fact(n))
+        if r:
+            raise ValueError("inner product is not an integer")
         if mult:
             out[lam] = mult
-    if sum(m * hook_dimension(lam) for lam, m in out.items()) != chi((1,) * n):
+    if sum(m * hook_dimension(lam) for lam, m in out.items()) != chi(n, 0):
         raise AssertionError(f"{target} has a constituent outside (n), (n-1,1), (n-2,2)")
     return out
 

@@ -20,6 +20,7 @@ problems.  Equal images prove nothing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -117,15 +118,16 @@ class Permutation:
 
     @staticmethod
     def parse(text: str, degree: int) -> "Permutation":
-        """Parse cycle notation such as ``(1 2)(3 4 5)``; ``()`` is the identity."""
+        """Parse cycle notation such as ``(1 2)(3 4 5)``, with or without
+        spaces between the cycles; ``()`` is the identity."""
         text = text.strip()
         if text in ("", "()"):
             return Permutation.identity(degree)
-        if not (text.startswith("(") and text.endswith(")")):
+        if not re.fullmatch(r"(\([0-9\s,]*\)\s*)+", text):
             raise ValueError(f"bad cycle notation: {text!r}")
         cycles = [
             [int(e) for e in part.replace(",", " ").split()]
-            for part in text[1:-1].split(")(")
+            for part in re.findall(r"\(([^)]*)\)", text)
         ]
         return Permutation.from_cycles(degree, cycles)
 

@@ -32,7 +32,10 @@ the library does not build, so the certificate D = U M V with U and V
 unimodular is checked on it.  ``kernel_coordinates_by_permutations`` is the
 Schreier rewriting on ``Permutation`` states that it abelianizes and reads
 coordinates with, and ``decompose_by_inner_product`` the decomposition by
-one full inner product per irreducible.  ``b3_commutator_coordinates_by_powers``
+one full inner product per irreducible over every partition of n, with the
+module characters built on cycle types by the symmetric-square rule
+(chi(g)^2 + chi(g^2))/2, apart from the library's closed forms in the fixed
+points and 2-cycles.  ``b3_commutator_coordinates_by_powers``
 multiplies out each power of the first-generator action letter by letter,
 where the library reads it from a table of the six powers.
 """
@@ -521,19 +524,43 @@ def b3_commutator_coordinates_by_powers(w):
     return coords
 
 
+def _square_type(rho):
+    """Cycle type of g^2 for g of cycle type rho."""
+    parts = []
+    for c in rho:
+        if c % 2:
+            parts.append(c)
+        else:
+            parts.extend([c // 2, c // 2])
+    return tuple(sorted(parts, reverse=True))
+
+
+def natural_character(rho):
+    """Fixed points of the class: the permutation module on n points."""
+    return sum(1 for c in rho if c == 1)
+
+
+def sym2_character(chi, rho):
+    """(chi(g)^2 + chi(g^2)) / 2, exact."""
+    q, r = divmod(chi(rho) ** 2 + chi(_square_type(rho)), 2)
+    if r:
+        raise ValueError("symmetric-square character is not integral")
+    return q
+
+
 def decompose_by_inner_product(target, n):
     """Irreducible multiplicities of a named character, one inner product
     over every class per irreducible."""
     if n < 4:
         raise ValueError("need n >= 4 for a two-row constituent (n-2, 2)")
     if target == "Sym2Standard":
-        chi = lambda rho: R.sym2_character(R.natural_character, rho)
+        chi = lambda rho: sym2_character(natural_character, rho)
     elif target == "Sym2Vn11":
-        refl = lambda rho: R.natural_character(rho) - 1
-        chi = lambda rho: R.sym2_character(refl, rho)
+        refl = lambda rho: natural_character(rho) - 1
+        chi = lambda rho: sym2_character(refl, rho)
     elif target == "Wmodule":
         chi = lambda rho: (
-            R.sym2_character(R.natural_character, rho) - R.natural_character(rho) - 1
+            sym2_character(natural_character, rho) - natural_character(rho) - 1
         )
     else:
         raise ValueError(f"unknown decomposition target {target!r}")

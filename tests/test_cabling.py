@@ -154,11 +154,34 @@ def test_extracting_a_cabled_word_compares_letters_only(monkeypatch):
     assert not calls
 
 
+def test_split_deletes_strands_once_per_part(monkeypatch):
+    # a deterministic work gate: one split reads the tubular braid and all
+    # k interiors with k + 1 strand deletions
+    calls = []
+    real = W._delete_strands_raw
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(W, "_delete_strands_raw", counting)
+    rng = random.Random(21)
+    for parts in ((2, 3, 2), (1, 1, 1), (3, 3), (2,)):
+        comp = C.Composition(parts)
+        tub = rand_pure(rng, comp.count) if comp.count >= 2 else BraidWord.identity(1)
+        ints = [rand_word(rng, m, 4) if m >= 2 else BraidWord.identity(1) for m in parts]
+        calls.clear()
+        got_tub, got_ints = C.split(C.cable(tub, ints, comp), comp)
+        assert len(calls) == comp.count + 1
+        assert got_tub.letters == tub.letters
+        assert [x.letters for x in got_ints] == [x.letters for x in ints]
+
+
 def test_extract_checks_the_part_before_splitting(monkeypatch):
     def no_split(*args):
         raise AssertionError("the word was split")
 
-    monkeypatch.setattr(C, "_split", no_split)
+    monkeypatch.setattr(C, "split", no_split)
     d, comp = named_element("d", 4), C.Composition((2, 2))
     for which in ("interior:x", "interior:", "interior", "inner:1", ""):
         with pytest.raises(ValueError, match="unknown extraction"):

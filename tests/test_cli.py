@@ -77,6 +77,13 @@ def test_cable_extract(capsys):
     assert code == 2
 
 
+def test_cable_refuses_a_bad_composition(capsys):
+    code = main(["cable", "--comp", "2,,2", "B2: -1", "B2: 1 1", "B2: 1 1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: bad composition: '2,,2'"]
+
+
 def test_extract_refuses_a_bad_part_name(capsys):
     code = main(["extract", "--comp", "2,2", "--part", "interior:x", "B4: 1 3"])
     err = capsys.readouterr().err
@@ -118,6 +125,11 @@ def test_char_decompose_nu(capsys):
     assert code == 0 and "5,1:1" in out and "4,2:1" in out
     code, out = run(capsys, "nu", "(1 2)")
     assert code == 0 and out.strip() == "(1 2)(3 4)(5 6)"
+    for perm in ("(1 2)(3 4)", "(1 2) (3 4)"):
+        code, out = run(capsys, "nu", perm)
+        assert code == 0 and out.strip() == "(1 4)(2 3)"
+    assert main(["nu", "(1 2) x"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: bad cycle notation: '(1 2) x'"]
 
 
 def test_malformed_cycles_exit_2_with_one_line(capsys, tmp_path):

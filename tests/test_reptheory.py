@@ -4,6 +4,7 @@ import random
 import pytest
 
 from braidkit import reptheory as R
+from braidkit.cli import main
 from braidkit.words import Permutation
 from oracles import decompose_by_inner_product
 
@@ -103,6 +104,23 @@ def test_decompose_matches_inner_product_oracle():
             got = R.decompose(target, n)
             want = decompose_by_inner_product(target, n)
             assert got == want and list(got) == list(want)
+
+
+def test_decompose_sums_over_fixed_points_and_two_cycles(monkeypatch, capsys):
+    # a deterministic work gate: no partition of n is listed and no
+    # border strip is removed, so n = 200 is in reach
+    def refuse(*args):
+        raise AssertionError("decompose went through the partitions of n")
+
+    monkeypatch.setattr(R, "partitions", refuse)
+    monkeypatch.setattr(R, "_strip_value", refuse)
+    n = 200
+    top, std, two = (n,), (n - 1, 1), (n - 2, 2)
+    assert R.decompose("Sym2Standard", n) == {top: 2, std: 2, two: 1}
+    assert R.decompose("Sym2Vn11", n) == {top: 1, std: 1, two: 1}
+    assert R.decompose("Wmodule", n) == {std: 1, two: 1}
+    assert main(["decompose", "Wmodule", "200"]) == 0
+    assert capsys.readouterr().out.strip() == "199,1:1  198,2:1"
 
 
 def test_decompose_checks_the_dimension(monkeypatch):

@@ -88,6 +88,16 @@ def test_cycles_must_be_disjoint_and_nonempty():
         Permutation.from_cycles(3, [(1, 2), ()])
 
 
+def test_cycle_notation_allows_spaces_between_cycles_only():
+    want = Permutation.parse("(1 2)(3 4 5)", 5)
+    for text in ("(1 2) (3 4 5)", " (1 2)  (3 4 5) ", "(1,2)(3,4,5)"):
+        assert Permutation.parse(text, 5) == want
+    for text in ("(1 2) x", "(1 2)(3 4", "(1 a)", "1 2", "(1 2))", "(-1 2)", "(1 (2))"):
+        with pytest.raises(ValueError) as info:
+            Permutation.parse(text, 5)
+        assert str(info.value) == f"bad cycle notation: {text!r}"
+
+
 @settings(max_examples=60)
 @given(braid_words(), braid_words())
 def test_homomorphisms(a, b):
