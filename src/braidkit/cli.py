@@ -54,7 +54,7 @@ def _parse_auto(text: str, n: int) -> AutomorphismSpec:
             step = AutomorphismSpec.phi(n)
         elif part == "delta~":
             step = AutomorphismSpec.delta_tilde(n)
-        elif part.startswith("sigma~"):
+        elif part.startswith("sigma~") and part[len("sigma~"):].isdecimal():
             step = AutomorphismSpec.sigma_tilde(int(part[len("sigma~"):]), n)
         elif part.startswith("inner:"):
             step = AutomorphismSpec.inner(BraidWord.parse(part[len("inner:"):]))
@@ -64,6 +64,13 @@ def _parse_auto(text: str, n: int) -> AutomorphismSpec:
     if spec is None:
         raise ValueError("empty automorphism")
     return spec
+
+
+def _parts(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad {what}: {text!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,7 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except E.SearchLimitExceeded as exc:
         print(f"braidkit: error: {exc}", file=sys.stderr)
@@ -234,9 +242,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "char":
-        lam = tuple(int(p) for p in args.partition.split(","))
-        rho = tuple(int(p) for p in args.cycle_type.split(","))
-        value = R.character_value(lam, rho)
+        value = R.character_value(_parts(args.partition, "partition"),
+                                  _parts(args.cycle_type, "cycle type"))
         _emit(args, {"value": value}, str(value))
         return 0
 

@@ -54,7 +54,9 @@ a^s is again an atom, and which, is read off the permutation of s
 exactly when s is a prefix of a s; that holds when a s is simple, and
 otherwise exactly when a is a prefix of s, so a^s is an atom exactly when i
 and j lie in one cycle of s or of delta s^-1.  A classical letter stays a
-letter exactly when s sends its two strands to neighbours.
+letter exactly when s sends its two strands to neighbours.  Nor does the
+pair solver search SC: Y is conjugate to an atom exactly when its circuit
+representative is one, since an atom has summit (inf, sup) = (0, 1).
 
 Three exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
@@ -586,12 +588,7 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
 
 
 def is_atom_nf(x: GarsideNormalForm) -> bool:
-    st = x.structure
-    return (
-        x.inf == 0
-        and len(x.factors) == 1
-        and st.atom_length(x.factors[0]) == 1
-    )
+    return x.inf == 0 and len(x.factors) == 1 and x.structure.atom_length(x.factors[0]) == 1
 
 
 def atom_conjugate_shape(x: GarsideNormalForm):
@@ -619,15 +616,10 @@ def atom_conjugate_shape(x: GarsideNormalForm):
 
 
 def _first_right_factor(x: GarsideNormalForm) -> Simple:
-    """Leading factor of the right normal form.
-
-    For x = delta^p A_1 ... A_r the mirror image is
-    delta^p . tau^p(mirror(A_r)) ... tau^p(mirror(A_1)), tau the twist; the
-    first right factor of x is the mirror of the last left factor of that."""
+    """Leading factor of the right normal form; delta when it has none."""
     st = x.structure
-    fs: list[tuple] = []
-    _insert_all(st, [st._perm0(st.mirror(f)) for f in reversed(x.factors)], x.inf, fs)
-    return st.mirror(st._simple_of_perm0(fs[-1])) if fs else st.delta()
+    right = normal_form(st, x.to_word(), "right").factors
+    return right[0] if right else st.delta()
 
 
 def _stripping_conjugators(st: GarsideStructure, x: GarsideNormalForm, b_p: Simple, y: Simple):
@@ -647,19 +639,17 @@ def solve_pair_to_generators(
     """For conjugates X, Y of the first two Artin generators with XYX = YXY,
     find u with X^u = s1 and Y^u = s2.
 
-    Runs in the band structure: repeatedly strip the outer normal-form level
-    of X by a conjugation that keeps Y an atom, then walk the finite graph of
-    atom pairs.
+    Runs in the band structure: slide Y to its circuit representative (None
+    unless that is an atom), then repeatedly strip the outer normal-form
+    level of X by a conjugation that keeps Y an atom, and walk the finite
+    graph of atom pairs.
     """
-    n = st.n
-    s1 = BraidWord(n, (1,))
-    s2 = BraidWord(n, (2,))
-    cert = conjugacy_solve(st, y_word, s2)
-    if not cert.conjugate:
+    s1, s2 = BraidWord(st.n, (1,)), BraidWord(st.n, (2,))
+    rep, u, _ = _slide_to_circuit(from_word(st, y_word))
+    if not is_atom_nf(rep):
         return None
-    u = cert.witness
     x = from_word(st, W.conjugate(x_word, u))
-    y = st.letter_simple(2)
+    y = rep.factors[0]
 
     while not is_atom_nf(x):
         shape = atom_conjugate_shape(x)

@@ -52,6 +52,12 @@ def _rand_word(rng: random.Random, n: int, length: int) -> BraidWord:
     return BraidWord(n, tuple(rng.choice(_letters(n)) for _ in range(length)))
 
 
+def _rand_interiors(rng: random.Random, parts: tuple[int, ...], longest: int) -> list[BraidWord]:
+    """One word of at most longest letters per part; one strand has only the identity."""
+    return [_rand_word(rng, m, rng.randint(0, longest)) if m >= 2 else BraidWord.identity(1)
+            for m in parts]
+
+
 def _rand_pure(rng: random.Random, n: int, blocks: int = 3) -> BraidWord:
     parts = [BraidWord.identity(n)]
     for _ in range(blocks):
@@ -627,10 +633,7 @@ def check_cabling_roundtrip(rng: random.Random):
         parts = tuple(rng.randint(1, 3) for _ in range(k))
         comp = C.Composition(parts)
         tub = _rand_pure(rng, k, 2) if k >= 2 else BraidWord.identity(1)
-        ints = [
-            _rand_word(rng, m, rng.randint(0, 4)) if m >= 2 else BraidWord.identity(1)
-            for m in parts
-        ]
+        ints = _rand_interiors(rng, parts, 4)
         cab = C.cable(tub, ints, comp)
         _require(C.mixed_membership(cab, comp), "cabled braid leaves the mixed subgroup")
         got_tub, got_ints = C.split(cab, comp)
@@ -651,14 +654,8 @@ def check_cabling_roundtrip(rng: random.Random):
         comp = C.Composition(parts)
         tub1 = _rand_pure(rng, k, 2) if k >= 2 else BraidWord.identity(1)
         tub2 = _rand_pure(rng, k, 2) if k >= 2 else BraidWord.identity(1)
-        ints1 = [
-            _rand_word(rng, m, rng.randint(0, 3)) if m >= 2 else BraidWord.identity(1)
-            for m in parts
-        ]
-        ints2 = [
-            _rand_word(rng, m, rng.randint(0, 3)) if m >= 2 else BraidWord.identity(1)
-            for m in parts
-        ]
+        ints1 = _rand_interiors(rng, parts, 3)
+        ints2 = _rand_interiors(rng, parts, 3)
         lhs = C.cable(
             W.compose(tub1, tub2),
             [W.compose(a, b) for a, b in zip(ints1, ints2)],

@@ -16,7 +16,8 @@ eliminates over the nonzero entries of the pivot row or column only.  It
 builds D and the column transform V, which coordinates are read with; the
 row transform U is never needed, so row operations act on the matrix alone.
 A kernel abelianization keeps one column of V per invariant factor other
-than 1.
+than 1.  Ranks and determinants come from fraction-free elimination
+(``_eliminate``) instead, whose entries are minors of the matrix.
 
 The four-strand specific tools rewrite the kernel of the projection onto
 three strands as a free group on two generators and read off induced integer
@@ -134,6 +135,8 @@ def parse_presentation(text: str) -> tuple[FinitePresentation, FiniteImageMap | 
         elif key == "rel":
             relator_texts.append(rest)
         elif key == "degree":
+            if not rest.isdecimal():
+                raise ValueError(f"bad degree line {raw.strip()!r}")
             degree = int(rest)
         elif key == "image":
             name, _, cyc = rest.partition("=")
@@ -177,10 +180,6 @@ class SmithForm:
     d: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
     factors: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for f in self.factors if f)
 
 
 def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -287,9 +286,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 
 
 def matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return smith_normal_form(matrix).rank
+    return _eliminate(matrix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +428,36 @@ def basis_check(elements: Iterable[Word], ka: KernelAbelianization) -> bool:
     return abs(_det(vectors)) == 1
 
 
-def _det(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Gaussian determinant (Bareiss)."""
+def _eliminate(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination, skipping columns without a pivot:
+    the rank and the signed last pivot.  Every entry is a minor of the matrix."""
     a = [list(row) for row in matrix]
-    k = len(a)
-    if k == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(k - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, k) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
+    rank, sign, prev = 0, 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = rank
+        while r < len(a) and not a[r][c]:
+            r += 1
+        if r == len(a):
+            continue
+        a[rank], a[r] = a[r], a[rank]
+        if r != rank:
             sign = -sign
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[k - 1][k - 1]
+        p = a[rank]
+        pc = p[c]
+        for row in a[rank + 1:]:
+            rc = row[c]
+            for j in range(c + 1, len(p)):
+                row[j] = (row[j] * pc - rc * p[j]) // prev
+            row[c] = 0
+        prev = pc
+        rank += 1
+    return rank, sign * prev
+
+
+def _det(matrix: Sequence[Sequence[int]]) -> int:
+    """The determinant: the signed last pivot of ``_eliminate`` at full rank."""
+    rank, last = _eliminate(matrix)
+    return last if rank == len(matrix) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,13 @@ class BraidWord:
         """Parse the text form ``B<n>: k1 k2 ...`` (identity: ``B<n>:``)."""
         head, sep, body = text.partition(":")
         head = head.strip()
-        if not sep or not head.startswith("B"):
+        if not sep or not re.fullmatch(r"B\s*\d+", head):
             raise ValueError(f"bad braid word: {text!r}")
-        try:
-            n = int(head[1:])
-        except ValueError:
-            raise ValueError(f"bad strand count in {text!r}") from None
-        letters = tuple(int(tok) for tok in body.split())
-        return BraidWord(n, letters)
+        tokens = body.split()
+        bad = next((tok for tok in tokens if not re.fullmatch(r"[+-]?\d+", tok)), None)
+        if bad is not None:
+            raise ValueError(f"bad letter {bad!r} in {text!r}")
+        return BraidWord(int(head[1:]), tuple(map(int, tokens)))
 
     def format(self) -> str:
         if not self.letters:

@@ -14,6 +14,9 @@ junction of two weighted sequences forward and comb every change backwards,
 and read a word one letter at a time.  ``conjugate`` is g^-1 x g as two such
 products, and ``atom_pair_walk`` the atom-pair search on normal forms with
 that conjugation, memoized per (atom, simple) across walks since it is pure.
+``solve_pair_by_conjugacy_decision`` is the pair solver whose first step
+conjugates Y to the second Artin letter by the full conjugacy decision,
+where the library reads Y's atom off Y's own slide trajectory.
 
 ``pair_is_left_weighted``, ``right_meet`` and ``pair_is_right_weighted`` are
 the definitional checks of the normal forms.  The classical ``right_meet`` is
@@ -247,6 +250,42 @@ def atom_pair_walk(st, x, y, seen=None):
                     return t2
                 new_frontier[state] = t2
         frontier = new_frontier
+    return None
+
+
+def solve_pair_by_conjugacy_decision(st, x_word, y_word):
+    """The pair solver with its first step decided by the conjugacy solver:
+    conjugate Y to the second Artin letter by ``conjugacy_solve``, then strip
+    X and walk the atom pairs as the library does."""
+    n = st.n
+    s1, s2 = BraidWord(n, (1,)), BraidWord(n, (2,))
+    cert = E.conjugacy_solve(st, y_word, s2)
+    if not cert.conjugate:
+        return None
+    u = cert.witness
+    x = E.from_word(st, W.conjugate(x_word, u))
+    y = st.letter_simple(2)
+    while not E.is_atom_nf(x):
+        shape = E.atom_conjugate_shape(x)
+        if shape is None:
+            return None
+        length_before = x.canonical_length
+        for g, s, sign in E._stripping_conjugators(st, x, shape[3][-1], y):
+            y_new = E.conjugate(E.simple_nf(st, y), g)
+            if E.is_atom_nf(y_new):
+                x, y, u = E.conjugate(x, g), y_new.factors[0], E._then(st, u, s, sign)
+                break
+        else:
+            return None
+        if x.canonical_length >= length_before:
+            return None
+    tail = E._atom_pair_walk(st, x.factors[0], y)
+    if tail is None:
+        return None
+    u = W.free_reduce(W.compose(u, tail))
+    if all(E._equal_by_normal_forms(st, W.conjugate(w, u), s)
+           for w, s in ((x_word, s1), (y_word, s2))):
+        return u
     return None
 
 

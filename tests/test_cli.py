@@ -167,6 +167,33 @@ def test_usage_errors(capsys):
     assert main(["char", "5,1", "4,1"]) == 2  # size mismatch
 
 
+def one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return captured.err.splitlines()
+
+
+def test_bad_letter_in_braid_word_is_named(capsys):
+    assert one_error_line(capsys, ["nf", "B3: 1 x"]) == ["error: bad letter 'x' in 'B3: 1 x'"]
+
+
+def test_bad_char_arguments_are_named(capsys):
+    assert one_error_line(capsys, ["char", "3,a", "2"]) == ["error: bad partition: '3,a'"]
+    assert one_error_line(capsys, ["char", "3", "2,,1"]) == ["error: bad cycle type: '2,,1'"]
+
+
+def test_bad_automorphism_step_is_named(capsys):
+    argv = ["pi", "--context", "B3primeAb", "sigma~x"]
+    assert one_error_line(capsys, argv) == ["error: unknown automorphism step 'sigma~x'"]
+
+
+def test_bad_degree_line_is_named(capsys, tmp_path):
+    path = tmp_path / "pres.txt"
+    path.write_text("gens: u\ndegree: x\nimage: u = (1 2)\n", encoding="utf-8")
+    assert one_error_line(capsys, ["kernel-ab", str(path)]) == ["error: bad degree line 'degree: x'"]
+
+
 def test_search_limit_exits_3_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(E, "_SC_MAX", 1)
     code = main(["sc", "B3: 1"])
@@ -200,6 +227,8 @@ def test_json_flag_after_command(capsys):
 
 def test_verify_unknown_filter(capsys):
     assert main(["verify-paper", "--filter", "nonexistent"]) == 2
+    assert main(["verify-paper", "--filter", "zzz"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no check id matches 'zzz'"
 
 
 def test_ledger_deterministic_reports():

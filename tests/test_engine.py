@@ -10,7 +10,12 @@ from braidkit import words as W
 from braidkit.cli import main
 from braidkit.garside import band, classical
 from braidkit.words import BraidWord
-from oracles import pair_is_left_weighted, pair_is_right_weighted, words_equal_by_normal_forms
+from oracles import (
+    pair_is_left_weighted,
+    pair_is_right_weighted,
+    solve_pair_by_conjugacy_decision,
+    words_equal_by_normal_forms,
+)
 
 
 def rand_word(rng, n, length):
@@ -568,6 +573,55 @@ def test_pair_solver_refuses_pairs_it_cannot_strip():
     # X = s1 s2 is no conjugate of an atom, so it has no centred shape
     assert E.solve_pair_to_generators(
         struct, BraidWord.parse("B3: 1 2"), BraidWord.parse("B3: 2")) is None
+
+
+def pair_instances(rng, count):
+    """Seeded band pairs, n 3..7, in four kinds: braiding pairs (s1, s2)^g,
+    Y a conjugate of s2 squared, Y a conjugate of an atom drawn apart from
+    X (rarely braiding), and X a random word."""
+    for i in range(count):
+        n = 3 + i % 5
+        g = rand_word(rng, n, rng.randint(0, 6))
+        x = W.conjugate(BraidWord(n, (1,)), g)
+        y = W.conjugate(BraidWord(n, (2,)), g)
+        kind = i // 5 % 4
+        if kind == 1:
+            y = W.power(y, 2)
+        elif kind == 2:
+            y = W.conjugate(BraidWord(n, (rng.randint(1, n - 1),)), rand_word(rng, n, rng.randint(0, 6)))
+        elif kind == 3:
+            x = rand_word(rng, n, rng.randint(1, 5))
+        yield band(n), x, y
+
+
+def test_pair_solver_matches_conjugacy_decision_oracle():
+    # Y's atom read off its own slide trajectory answers exactly as the
+    # full conjugacy decision of Y against s2
+    answered = 0
+    for struct, x, y in pair_instances(random.Random(2201), 300):
+        u = E.solve_pair_to_generators(struct, x, y)
+        assert (u is None) == (solve_pair_by_conjugacy_decision(struct, x, y) is None), (x, y)
+        if u is not None:
+            answered += 1
+            n = struct.n
+            assert E.words_equal(struct, W.conjugate(x, u), BraidWord(n, (1,)))
+            assert E.words_equal(struct, W.conjugate(y, u), BraidWord(n, (2,)))
+    assert 75 <= answered < 300
+
+
+def test_pair_solver_needs_no_conjugacy_decision(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair solver entered the conjugacy search")
+
+    monkeypatch.setattr(E, "conjugacy_solve", refuse)
+    monkeypatch.setattr(E, "_circuit_search", refuse)
+    rng = random.Random(10)
+    for n in range(3, 7):
+        for _ in range(6):
+            g = rand_word(rng, n, rng.randint(0, 6))
+            x = W.conjugate(BraidWord(n, (1,)), g)
+            y = W.conjugate(BraidWord(n, (2,)), g)
+            assert E.solve_pair_to_generators(band(n), x, y) is not None
 
 
 # The closure without shortcuts, kept as the oracle of the circuit search:

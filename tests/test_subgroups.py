@@ -131,6 +131,34 @@ def test_smith_matches_dense_oracle():
         _assert_smith_certificate(rows, S.smith_normal_form(rows))
 
 
+def test_matrix_rank_matches_dense_smith_oracle():
+    # dense draws stop at 6x6, where the oracle's greedy rule stays fast
+    rng = random.Random(31)
+    for _ in range(1500):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        m = [[rng.randint(-4, 5) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:  # a dependent row
+            i, j = rng.sample(range(r), 2)
+            k = rng.randint(-3, 3)
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        rank = sum(1 for f in smith_normal_form_dense(m).factors if f)
+        assert S.matrix_rank(m) == rank, m
+
+
+def test_matrix_rank_needs_no_smith_reduction(monkeypatch):
+    # the 6x7 matrix on which the greedy Smith rule grows entries of
+    # hundreds of thousands of digits
+    def refuse(matrix):
+        raise AssertionError("matrix_rank ran the Smith reduction")
+
+    monkeypatch.setattr(S, "smith_normal_form", refuse)
+    m = [[-2, 0, 4, 0, 3, -3, -4], [0, 1, -4, -4, 5, 0, 1], [-3, 1, 4, -2, 4, -4, -4],
+         [-3, 3, -2, 0, 2, -3, 3], [1, 5, 3, -1, -2, -4, 0], [1, 2, 3, 5, 2, 0, -3]]
+    assert S.matrix_rank(m) == 6
+    assert S.matrix_rank([list(col) for col in zip(*m)]) == 6
+    assert S.matrix_rank(m + [[a + b for a, b in zip(m[0], m[1])]]) == 6
+
+
 # -- kernel abelianization --------------------------------------------------
 
 
