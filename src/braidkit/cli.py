@@ -3,12 +3,16 @@
 Braid words are read in the text form ``B<n>: k1 k2 ...``; exit status is 0
 on success, 1 when a verification check fails, 2 on usage or input errors,
 and 3 when a search stops at one of its limits (``SearchLimitExceeded``).
+When the reader closes the output pipe early (``braidkit ... | head -1``),
+the command stops silently with status 141, the status a shell reports for a
+writer ended by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cabling as C
@@ -135,7 +139,15 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)

@@ -86,6 +86,17 @@ nothing, since a row or one prime can miss a difference and the Burau
 representation is not faithful for n >= 5 (Bigelow, Geom. Topol. 3, 1999):
 the normal forms or the closure then decide as before.
 
+One more exact shortcut shortens every word before it is weighted.
+``from_word`` first cancels each pair s_i^e ... s_i^-e whose letters in
+between are all far letters s_j^(+-1), |i - j| >= 2
+(``words._cancel_commuting_inverses``).  Far letters commute with s_i, so
+s_i^e M s_i^-e = M uses the far-commutation relations alone: the pair
+cancels in the trace monoid of the letters (Cartier-Foata, LNM 85, 1969),
+before the left-greedy insertion above.  Random words are full of such
+pairs.  Every normal form goes through ``from_word``, so ``normal_form`` on
+either side, ``words_equal`` and the witness checks shorten this way;
+``words.free_reduce``, which spells trail and witness words, does not.
+
 A last exact shortcut makes an equality check cost one pass over the
 letters when the two words share their ends.  Every equality check cancels
 the longest common prefix and suffix first (``words.cancel_common_ends``):
@@ -343,10 +354,11 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
     """Read the word right to left, one run of same-sign letters at a time.
     A positive run extends its simple on the left while it stays simple; a
     negative run b extends b^-1 on the right and enters as
-    delta^-1 . (delta b^-1)."""
+    delta^-1 . (delta b^-1).  Inverse letters that only far letters separate
+    are cancelled first (``words._cancel_commuting_inverses``)."""
     if w.strands != st.n:
         raise ValueError("strand count does not match the structure")
-    letters = w.letters
+    letters = W._cancel_commuting_inverses(w.letters)
     fs: list[tuple] = []
     e = 0
     i = len(letters)

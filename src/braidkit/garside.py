@@ -354,9 +354,11 @@ class ClassicalStructure(GarsideStructure):
         }
 
 
-def _cycle_labels(p) -> list:
-    """For each entry of p, the index of its cycle (cycles numbered in order
-    of their minima)."""
+def _cycle_labels(p, shift: int = 0) -> list:
+    """For each entry, the index of its cycle under the map v -> p[v - shift]
+    (indices mod n; cycles numbered in order of their minima): of p for
+    shift 0, of delta^-1 p, whose cycles are those of p^-1 delta, for
+    shift 1."""
     labels = [-1] * len(p)
     count = 0
     for start in range(len(p)):
@@ -364,7 +366,7 @@ def _cycle_labels(p) -> list:
             v = start
             while labels[v] < 0:
                 labels[v] = count
-                v = p[v]
+                v = p[v - shift]
             count += 1
     return labels
 
@@ -427,22 +429,21 @@ class BandStructure(GarsideStructure):
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         # t = meet(x^-1 delta, y) is the common refinement of the cycles of
         # c = x^-1 delta and the blocks (cycles) of y.  Label the cycles of
-        # c; then walk each cycle of y from its minimum, which for a simple
+        # c by walking c^-1, which is w -> x[w - 1], so c is never built;
+        # then walk each cycle of y from its minimum, which for a simple
         # visits the block in increasing order, and chain the entries of
-        # each label into one cycle of t.  Both inputs are simple: every
-        # array the engine holds comes from a checked conversion or a kernel.
+        # each label into one cycle of t.  A fixed point of y is a block of
+        # its own and is skipped, and t is built at the first entry that
+        # moves.  Both inputs are simple: every array the engine holds comes
+        # from a checked conversion or a kernel.
         n = self.n
-        c = [0] * n
-        for u, v in enumerate(x):
-            c[v] = (u + 1) % n
-        label = _cycle_labels(c)
-        t = list(range(n))
+        label = _cycle_labels(x, 1)
+        t = None
         first = [0] * n
         last = [-1] * n  # per label, its latest entry in the current cycle of y
         done = [False] * n
-        moved = False
         for start in range(n):
-            if done[start]:
+            if done[start] or y[start] == start:
                 continue
             opened = []
             v = start
@@ -454,14 +455,16 @@ class BandStructure(GarsideStructure):
                     first[k] = v
                     opened.append(k)
                 else:
+                    if t is None:
+                        t = list(range(n))
                     t[u] = v
-                    moved = True
                 last[k] = v
                 v = y[v]
             for k in opened:
-                t[last[k]] = first[k]
+                if t is not None:
+                    t[last[k]] = first[k]
                 last[k] = -1
-        if not moved:
+        if t is None:
             return None
         tinv = [0] * n
         for u, v in enumerate(t):

@@ -277,13 +277,33 @@ def test_seeded_full_report_stability():
     assert blobs[0] == blobs[1]
 
 
-def test_python_m_braidkit_runs_the_cli():
+def module_env():
+    """The environment with this braidkit first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_braidkit_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "braidkit", "nf", "B3: 1 2 1"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=module_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "inf=1" in proc.stdout
+
+
+def test_closed_output_pipe_stops_silently():
+    # the linking matrix of B400 is 79 800 lines, far more than a pipe
+    # holds, so the command is still writing when the reader closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidkit", "lk", "B400:"],
+        env=module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"lk(1,2) = 0\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""

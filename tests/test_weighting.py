@@ -60,6 +60,93 @@ def test_fast_paths_match_letter_by_letter_oracle():
             assert E.normal_form(struct, w, "right").key() == O.right_normal_form(struct, w).key()
 
 
+def sandwich(rng, gens, depth):
+    """s_i^e M s_i^-e for i in gens, M made of letters far from i and, up to
+    depth levels deep, of sandwiches of far letters."""
+    i, e = rng.choice(gens), rng.choice((1, -1))
+    far = [j for j in gens if abs(j - i) >= 2]
+    inner = []
+    for _ in range(rng.randint(0, 4) if far else 0):
+        if depth and rng.random() < 0.3:
+            inner += sandwich(rng, far, depth - 1)
+        else:
+            inner.append(rng.choice(far) * rng.choice((1, -1)))
+    return [e * i] + inner + [-e * i]
+
+
+def sandwich_words(rng, count):
+    """Words with n 2..12 and 0..200 letters, about half of them in
+    (possibly nested) sandwiches, the other half single mixed letters."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        gens = list(range(1, n))
+        length = rng.randint(0, 200)
+        letters = []
+        while len(letters) < length:
+            if rng.random() < 0.5:
+                letters += sandwich(rng, gens, 3)
+            else:
+                letters.append(rng.choice(gens) * rng.choice((1, -1)))
+        out.append(BraidWord(n, tuple(letters[:length])))
+    return out
+
+
+def test_commuting_cancellation_matches_letter_by_letter_oracle():
+    # the engine cancels sandwiches before weighting, the oracle reads every
+    # letter of the unreduced word
+    rng = random.Random(68)
+    for w in sandwich_words(rng, 8):
+        n, cut = w.strands, rng.randint(0, len(w))
+        # w with one more sandwich (the same braid), and w with one letter
+        # negated
+        padded = BraidWord(n, w.letters[:cut] + tuple(sandwich(rng, list(range(1, n)), 3))
+                           + w.letters[cut:])
+        flipped = BraidWord(n, w.letters[:cut] + tuple(-k for k in w.letters[cut:cut + 1])
+                            + w.letters[cut + 1:])
+        for struct in (classical(n), band(n)):
+            ow = O.from_word(struct, w)
+            assert E.from_word(struct, w).key() == ow.key(), w.format()
+            assert E.normal_form(struct, w, "right").key() == O.right_normal_form(struct, w).key()
+            for v in (padded, flipped):
+                assert E.words_equal(struct, w, v) is (O.from_word(struct, v).key() == ow.key())
+
+
+def reachable_inverse_pairs(letters):
+    """Brute force: every i < j with letters[j] == -letters[i] and every
+    letter in between far from letters[i]."""
+    return [
+        (i, j)
+        for i, k in enumerate(letters)
+        for j in range(i + 1, len(letters))
+        if letters[j] == -k and all(abs(abs(l) - abs(k)) >= 2 for l in letters[i + 1:j])
+    ]
+
+
+def test_commuting_cancellation_properties():
+    rng = random.Random(69)
+    removed_total = 0
+    for w in sandwich_words(rng, 60) + seeded_words(rng, 20):
+        out = W._cancel_commuting_inverses(w.letters)
+        # a subsequence of the input (an IndexError if not), with letters
+        # removed in inverse pairs
+        removed, i = [], 0
+        for k in out:
+            while w.letters[i] != k:
+                removed.append(w.letters[i])
+                i += 1
+            i += 1
+        removed += w.letters[i:]
+        assert all(removed.count(k) == removed.count(-k) for k in removed)
+        removed_total += len(removed)
+        v = BraidWord(w.strands, out)
+        assert W.exponent_sum(v) == W.exponent_sum(w)
+        assert W.permutation_of(v) == W.permutation_of(w)
+        assert W._cancel_commuting_inverses(out) == out
+        assert not reachable_inverse_pairs(out), w.format()
+    assert removed_total > 1000
+
+
 def test_first_right_factor_matches_oracle():
     rng = random.Random(62)
     for w in seeded_words(rng, 8):
