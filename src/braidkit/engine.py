@@ -17,7 +17,11 @@ power.  ``from_word`` blocks each run of same-sign letters into one simple
 while the product stays simple and inserts the blocks right to left; ``mul``
 inserts the twisted factors of its left operand.  The loop runs on each
 structure's permutation arrays through its kernel ``_weigh``; ``Simple``
-values are built only when a normal form is read in or handed out.
+values are built only when a normal form is read in or handed out.  Each
+normal form is checked once: a form built by hand has its factors checked
+when they are first read as arrays, and a form the engine builds from
+kernel outputs, which are simples, is marked checked and never checked
+again (``_from_perms``, ``_arrays``).
 
 The other two forms come from the left form by formula.  The inverse of
 delta^p A_1 ... A_r is delta^(-p-r) followed by the twisted complements of
@@ -33,7 +37,7 @@ Conjugacy is decided through cyclic sliding: iterating the sliding map lands
 on a periodic circuit, and the set SC of all elements on sliding circuits is a
 conjugacy-class invariant which we enumerate by closing under conjugation by
 simple elements.  Only ``_slide_to_circuit`` slides; it records each
-element's preferred prefix, so every circuit is slid once and the
+element's preferred prefix, so every circuit is slid at most once and the
 conjugators of its elements, hence verified witnesses, come from that
 record.  A trajectory stops at the first circuit already found.
 
@@ -58,7 +62,7 @@ letter exactly when s sends its two strands to neighbours.  Nor does the
 pair solver search SC: Y is conjugate to an atom exactly when its circuit
 representative is one, since an atom has summit (inf, sup) = (0, 1).
 
-Three exact shortcuts keep the search small.  Circuit elements lie in the
+Four exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
 invariants (Elrifai-Morton, Quart. J. Math. 45, 1994); a conjugate y^s of a
 summit element y by a simple s has inf <= inf(y) and sup >= sup(y), with
@@ -69,9 +73,16 @@ J. Symbolic Comput. 45, 2010).  So the closure discards every conjugate that
 leaves the summit (inf, sup) window before sliding it, and still reaches all
 of SC; ``conjugacy_solve`` answers "not conjugate" when the two circuit
 representatives differ in (inf, sup); and it stops the closure at the first
-element equal to the representative of the second input.  The closure holds
-its vertices as (inf, permutations) and builds a normal form only for a new
-conjugate inside the window, the one it slides.
+element equal to the representative of the second input.  SC is also
+closed under the twist tau(x) = delta^-1 x delta, which twists every factor
+and the preferred prefix, so it commutes with sliding and sends circuits to
+circuits, and the conjugates of tau(x) by the simples are the twists of
+those of x (the simples are closed under tau; Gebhardt-Gonzalez-Meneses,
+J. Symbolic Comput. 45, 2010).  So every new circuit brings its twisted
+images without a slide or a kernel call, and the closure conjugates one
+vertex per twist orbit.  The closure holds its vertices as
+(inf, permutations) and builds a normal form only for a new conjugate
+inside the window, the one it slides, and for a new twisted image.
 
 Two more exact shortcuts answer "no" without the Garside code.  The
 unreduced Burau representation at t = 3 modulo a prime is a homomorphism
@@ -111,8 +122,8 @@ ends with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Container, Iterator
 
 from . import words as W
 from .garside import GarsideStructure, Simple
@@ -135,12 +146,15 @@ class SearchLimitExceeded(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class GarsideNormalForm:
     """A power of the Garside element plus a weighted sequence of proper
-    simples; ``side`` records whether the power sits on the left or right."""
+    simples; ``side`` records whether the power sits on the left or right.
+    ``_checked`` marks a form whose factors the engine built from kernel
+    outputs, which need no check when they are read as arrays again."""
 
     structure: GarsideStructure
     inf: int
     factors: tuple[Simple, ...]
     side: str = "left"
+    _checked: bool = field(default=False, repr=False, compare=False)
 
     def key(self) -> tuple:
         return (
@@ -218,7 +232,7 @@ def _insert(
     return None if need_delta else 0
 
 
-def _insert_all(st: GarsideStructure, head: list[tuple], q: int, fs: list[tuple]) -> int:
+def _insert_all(st: GarsideStructure, head: tuple, q: int, fs: list[tuple]) -> int:
     """Multiply fs on the left by tau^q of the product of head, the simples
     inserted right to left; return the number of deltas split off.  Each
     delta moves left past the simples still to come, twisting them once
@@ -279,7 +293,17 @@ def _conjugate_simple(
 
 
 def _from_perms(st: GarsideStructure, inf: int, fs: list[tuple]) -> GarsideNormalForm:
-    return GarsideNormalForm(st, inf, tuple(map(st._simple_of_perm0, fs)))
+    """The left form delta^inf fs of kernel outputs, which are simples."""
+    kind, n = st.kind, st.n
+    return GarsideNormalForm(st, inf, tuple(Simple(kind, n, p) for p in fs), _checked=True)
+
+
+def _arrays(x: GarsideNormalForm) -> tuple[tuple, ...]:
+    """The factors of x as permutations; a form built by hand is checked
+    here, one the engine built is not checked again."""
+    if x._checked:
+        return tuple(f.key for f in x.factors)
+    return tuple(map(x.structure._perm0, x.factors))
 
 
 def identity_nf(st: GarsideStructure) -> GarsideNormalForm:
@@ -313,8 +337,8 @@ def _left_forms(*xs: GarsideNormalForm) -> GarsideStructure:
 
 def mul(x: GarsideNormalForm, y: GarsideNormalForm) -> GarsideNormalForm:
     st = _left_forms(x, y)
-    fs = [st._perm0(f) for f in y.factors]
-    e = _insert_all(st, [st._perm0(f) for f in x.factors], y.inf, fs)
+    fs = list(_arrays(y))
+    e = _insert_all(st, _arrays(x), y.inf, fs)
     return _from_perms(st, x.inf + y.inf + e, fs)
 
 
@@ -323,13 +347,12 @@ def inv(x: GarsideNormalForm) -> GarsideNormalForm:
     form of the inverse; each is the complement of a proper simple, hence
     proper."""
     st = _left_forms(x)
-    p, fs = x.inf, x.factors
+    p, fs = x.inf, _arrays(x)
     r = len(fs)
-    factors = tuple(
-        st.twist_pow(st.complement(fs[i]), -(p + i + 1))
+    return _from_perms(st, -p - r, [
+        st._twist_perm(st._complement_perm(fs[i]), -(p + i + 1))
         for i in range(r - 1, -1, -1)
-    )
-    return GarsideNormalForm(st, -p - r, factors)
+    ])
 
 
 def power(x: GarsideNormalForm, k: int) -> GarsideNormalForm:
@@ -344,9 +367,9 @@ def conjugate(x: GarsideNormalForm, g: GarsideNormalForm) -> GarsideNormalForm:
     """x^g = g^-1 x g.  For g = delta^k A_1 ... A_m, twist x's factors k
     times, then conjugate by A_1, ..., A_m in turn on the arrays."""
     st = _left_forms(x, g)
-    p, fs = x.inf, [st._twist_perm(st._perm0(f), g.inf) for f in x.factors]
-    for f in g.factors:
-        p, fs = _conjugate_simple(st, p, fs, st._perm0(f))
+    p, fs = x.inf, [st._twist_perm(f, g.inf) for f in _arrays(x)]
+    for f in _arrays(g):
+        p, fs = _conjugate_simple(st, p, fs, f)
     return _from_perms(st, p, fs)
 
 
@@ -435,8 +458,9 @@ def preferred_prefix(x: GarsideNormalForm) -> Simple:
     st = _left_forms(x)
     if not x.factors:
         return st.identity()
-    initial = st.twist_pow(x.factors[0], -x.inf)
-    initial_of_inverse = st.complement(x.factors[-1])
+    fs = _arrays(x)
+    initial = Simple(st.kind, st.n, st._twist_perm(fs[0], -x.inf))
+    initial_of_inverse = Simple(st.kind, st.n, st._complement_perm(fs[-1]))
     return st.meet(initial, initial_of_inverse)
 
 
@@ -461,7 +485,7 @@ def _then(st: GarsideStructure, trail: BraidWord, s: Simple, sign: int = 1) -> B
 
 
 def _slide_to_circuit(
-    x: GarsideNormalForm, known: set[tuple] | frozenset[tuple] = frozenset()
+    x: GarsideNormalForm, known: Container[tuple] = frozenset()
 ) -> tuple[GarsideNormalForm, BraidWord, list[tuple[GarsideNormalForm, Simple]]] | None:
     """Iterate sliding until the trajectory becomes periodic.
 
@@ -491,11 +515,16 @@ def _slide_to_circuit(
 
 
 def _circuit_search(
-    st: GarsideStructure, circuit: list[tuple[GarsideNormalForm, Simple]], trail: BraidWord
-) -> Iterator[tuple[tuple, tuple[GarsideNormalForm, BraidWord]]]:
+    st: GarsideStructure,
+    circuit: list[tuple[GarsideNormalForm, Simple]],
+    trail: BraidWord,
+) -> Iterator[tuple[tuple, GarsideNormalForm, tuple | None, tuple]]:
     """Yield every element of SC, the sliding circuits conjugate to circuit,
-    in discovery order as (key, (element, conjugating word from the start));
-    trail conjugates the start to the circuit's first element.
+    in discovery order as (key, element, parent key, step): step is a tuple
+    of simples and words whose product conjugates the parent, an element
+    yielded before, to this one.  The first element has parent None and
+    step (trail,), trail conjugating the start to it.  ``_spell`` spells
+    the steps.
 
     Every vertex lies in the super summit set, so every vertex has the
     circuit's (inf, sup); a conjugate outside that window is not on any
@@ -504,46 +533,80 @@ def _circuit_search(
     inside the window and new.  A conjugate slid before is skipped: its
     trajectory now ends at a circuit in found.  Inside the window the inf is
     fixed and simple and permutation determine each other, so the factor
-    arrays are an exact key.  The proper simples are enumerated, with their
-    permutations and left complements, once per search after the first
-    circuit is yielded: a caller that stops there needs none of them and
-    meets no enumeration cap.
+    arrays are an exact key.
+
+    SC is closed under the twist tau (module docstring), so each new
+    circuit comes with its twisted images not yet found, built from the
+    arrays, with trail(x) . delta^k as the trail of tau^k(x), and one vertex
+    per twist orbit is conjugated, by every simple other than 1 and delta.
+    The simples are enumerated, with their left complements, once per
+    search after the first circuit and its images are yielded: a caller
+    that stops there needs none of them and meets no enumeration cap.
     """
     inf, r = circuit[0][0].inf, circuit[0][0].canonical_length
+    head = (st.kind, st.n, "left", inf)
+    order = st.twist_order
+    delta_word = BraidWord(st.n, st.simple_word(st.delta()))
     found: set[tuple] = set()
-    tried: set[tuple] = set()
-    queue: list[tuple[tuple, BraidWord]] = []
+    covered: set[tuple] = set()  # every twist of every enqueued vertex
+    slid: set[tuple] = set()
+    queue: list[tuple[tuple, tuple]] = []
 
-    def add(circuit, trail):
+    def grow(key):
+        found.add(key)
+        if len(found) > _SC_MAX:
+            raise SearchLimitExceeded("sliding circuit", _SC_MAX, len(found))
+
+    def add(circuit, parent, step):
+        orbits = []
         for x, p in circuit:
             key = x.key()
-            found.add(key)
-            fs = tuple(map(st._perm0, x.factors))
-            tried.add(fs)
-            queue.append((fs, trail))
-            yield key, (x, trail)
-            trail = _then(st, trail, p)
+            grow(key)
+            yield key, x, parent, step
+            fs = _arrays(x)
+            orbit = [tuple(st._twist_perm(f, k) for f in fs) for k in range(order)]
+            orbits.append((key, orbit))
+            if fs not in covered:
+                covered.update(orbit)
+                queue.append((fs, key))
+            parent, step = key, (p,)
+        for k in range(1, order):
+            if head + (orbits[0][1][k],) in found:
+                continue
+            # delta^order is central, so delta^(k - order) twists as delta^k does
+            step = (W.power(delta_word, k if 2 * k <= order else k - order),)
+            for x_key, orbit in orbits:
+                image = _from_perms(st, inf, orbit[k])
+                key = image.key()
+                grow(key)
+                yield key, image, x_key, step
 
-    yield from add(circuit, trail)
-    simples = [s for s in st.simples() if not st.is_identity(s)]
-    perms = [st._perm0(s) for s in simples]
-    proper = list(zip(simples, perms, map(st._left_complement_perm, perms)))
+    yield from add(circuit, None, (trail,))
+    proper = [(s, st._left_complement_perm(s.key)) for s in st.simples()
+              if not (st.is_identity(s) or st.is_delta(s))]
     while queue:
-        fs, y_trail = queue.pop()
-        for s, sp, s_bar in proper:
-            z = _conjugate_simple(st, inf, fs, sp, True, s_bar)
+        fs, y_key = queue.pop()
+        for s, s_bar in proper:
+            z = _conjugate_simple(st, inf, fs, s.key, True, s_bar)
             if z is None or z[0] != inf or len(z[1]) != r:
                 continue
             zs = tuple(z[1])
-            if zs in tried:
+            if zs in covered or zs in slid:
                 continue
-            tried.add(zs)
-            reached = _slide_to_circuit(_from_perms(st, inf, z[1]), found)
+            slid.add(zs)
+            reached = _slide_to_circuit(_from_perms(st, inf, zs), found)
             if reached is not None:
                 _, z_trail, z_circuit = reached
-                yield from add(z_circuit, W.free_reduce(W.compose(_then(st, y_trail, s), z_trail)))
-                if len(found) > _SC_MAX:
-                    raise SearchLimitExceeded("sliding circuit", _SC_MAX, len(found))
+                yield from add(z_circuit, y_key, (s, z_trail))
+
+
+def _spell(st: GarsideStructure, steps) -> BraidWord:
+    """The product of the simples and words of the steps, freely reduced."""
+    letters: list[int] = []
+    for step in steps:
+        for part in step:
+            letters += st.simple_word(part) if isinstance(part, Simple) else part.letters
+    return W.free_reduce(BraidWord(st.n, letters))
 
 
 def sliding_circuits_with_trails(
@@ -552,7 +615,12 @@ def sliding_circuits_with_trails(
     """All elements on sliding circuits conjugate to w, each with a
     conjugating word from w to it."""
     _, trail, circuit = _slide_to_circuit(from_word(st, w))
-    return dict(_circuit_search(st, circuit, trail))
+    out: dict[tuple, tuple[GarsideNormalForm, BraidWord]] = {}
+    for key, x, parent, step in _circuit_search(st, circuit, trail):
+        # a parent is found, and spelled, before its children
+        before = (out[parent][1],) if parent is not None else ()
+        out[key] = x, _spell(st, (before, step))
+    return out
 
 
 def sliding_circuits(st: GarsideStructure, w: BraidWord) -> tuple[GarsideNormalForm, ...]:
@@ -584,9 +652,15 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
     if (a_rep.inf, a_rep.sup) != (b_rep.inf, b_rep.sup):
         return ConjugacyCertificate(False)
     target = b_rep.key()
-    for i, (key, (_, trail)) in enumerate(_circuit_search(st, a_circuit, a_trail), 1):
+    parents: dict[tuple, tuple] = {}
+    for i, (key, _, parent, step) in enumerate(_circuit_search(st, a_circuit, a_trail), 1):
+        parents[key] = parent, step
         if key == target:
-            u = W.free_reduce(W.compose(trail, W.inverse(b_trail)))
+            steps = [(W.inverse(b_trail),)]
+            while key is not None:
+                key, step = parents[key]
+                steps.append(step)
+            u = _spell(st, reversed(steps))
             if not _equal_by_normal_forms(st, W.conjugate(a, u), b):
                 raise AssertionError("conjugacy witness failed verification")
             return ConjugacyCertificate(True, u)

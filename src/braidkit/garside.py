@@ -27,7 +27,8 @@ are tested where they become arrays (``_perm0`` refuses a simple of another
 structure and a key that is not a permutation of range(n) passing the
 structure's ``_is_simple``) and arrays where they become keys
 (``_from_perm0``); the kernels take and return simples only, so neither
-``_weigh`` checks anything.  Nothing is cached.
+``_weigh`` checks anything, and the engine turns kernel outputs back into
+keys without a test.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ class GarsideStructure:
 
     def complement(self, s: Simple) -> Simple:
         """s^-1 . delta."""
-        return self._simple_of_perm0(_pmul(_pinv(self._perm0(s)), self._delta_perm))
+        return self._simple_of_perm0(self._complement_perm(self._perm0(s)))
 
     def twist_pow(self, s: Simple, k: int) -> Simple:
         """delta^-k s delta^k."""
@@ -278,6 +279,9 @@ class GarsideStructure:
 
     def _left_complement_perm(self, p: tuple) -> tuple:
         return _pmul(self._delta_perm, _pinv(p))
+
+    def _complement_perm(self, p: tuple) -> tuple:
+        return _pmul(_pinv(p), self._delta_perm)
 
 
 class ClassicalStructure(GarsideStructure):

@@ -829,20 +829,94 @@ def test_word_problem_kernel_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,w,forms,kernel", [
-    ("band", "B5: 3 -2 3", 96, 15803),
-    ("classical", "B5: -1 4", 169, 3053),
+    ("band", "B5: 3 -2 3", 96, 3613),
+    ("classical", "B5: -1 4", 97, 1556),
 ], ids=("band", "classical"))
 def test_sliding_circuits_conjugate_on_arrays(monkeypatch, kind, w, forms, kernel):
     # a deterministic work gate: the closure conjugates vertices as
-    # permutation arrays, stops a conjugation once its inf has dropped, and
-    # builds a normal form only for a new conjugate inside the summit window.
-    # The kernel count includes one call per preferred-prefix meet (90 band,
-    # 86 classical), since meet is read off the kernel.
+    # permutation arrays, one vertex per twist orbit, stops a conjugation
+    # once its inf has dropped, and builds a normal form only for a new
+    # conjugate inside the summit window and for the twisted images of a new
+    # circuit.  The kernel count includes one call per preferred-prefix meet
+    # (90 band, 50 classical), since meet is read off the kernel.  Conjugating
+    # every vertex took (96, 15 803) and (169, 3 053).
     struct = band(5) if kind == "band" else classical(5)
     built = count_calls(monkeypatch, E, "_from_perms")
     weighed = count_calls(monkeypatch, struct, "_weigh")
     E.sliding_circuits(struct, BraidWord.parse(w))
     assert (len(built), len(weighed)) == (forms, kernel)
+
+
+@pytest.mark.parametrize("kind,w,orbits", [
+    ("band", "B5: 3 -2 3", 18),
+    ("classical", "B5: -1 4", 3),
+], ids=("band", "classical"))
+def test_closure_conjugates_one_vertex_per_twist_orbit(monkeypatch, kind, w, orbits):
+    # a deterministic work gate: SC is closed under the twist, and the
+    # conjugates of tau(x) are the twists of those of x, so the closure
+    # conjugates one vertex per twist orbit by each simple other than 1 and
+    # delta.  Conjugating every vertex by every simple but 1 took 90 x 41
+    # band and 6 x 119 classical conjugations.
+    struct = band(5) if kind == "band" else classical(5)
+    real = E._conjugate_simple
+    tried = []
+
+    def counting(*args):
+        if len(args) > 4 and args[4]:  # keep_inf: the closure's conjugations
+            tried.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(E, "_conjugate_simple", counting)
+    sc = E.sliding_circuits(struct, BraidWord.parse(w))
+    delta = E.delta_power(struct, 1)
+    keys = {x.key() for x in sc}
+    orbit_of = {}
+    for x in sc:
+        orbit = [x]
+        while len(orbit) < struct.twist_order:
+            orbit.append(E.conjugate(orbit[-1], delta))
+        orbit_of[x.key()] = frozenset(y.key() for y in orbit)
+    assert all(orbit <= keys for orbit in orbit_of.values())
+    assert len(set(orbit_of.values())) == orbits
+    assert len(tried) == orbits * (len(struct.simples()) - 2)
+
+
+def test_sliding_circuits_are_twist_closed_and_match_exhaustive_oracle():
+    # the exhaustive closure takes seconds on a band(6) class of 60
+    # elements, so band(6) gets two fixed words with classes of 30 and 20
+    rng = random.Random(56)
+    cases = [(band(n), w) for n in (3, 4, 5) for w in [
+        rand_word(rng, n, rng.randint(1, 6)) for _ in range(3)]]
+    cases += [(band(6), BraidWord.parse(w)) for w in ("B6: 1 3", "B6: 1 2")]
+    cases += [(classical(n), w) for n in (3, 4, 5) for w in [
+        rand_word(rng, n, rng.randint(1, 6)) for _ in range(3)]]
+    for struct, w in cases:
+        sc = E.sliding_circuits(struct, w)
+        keys = {x.key() for x in sc}
+        delta = E.delta_power(struct, 1)
+        assert all(E.conjugate(x, delta).key() in keys for x in sc), w.format()
+        assert keys == exhaustive_sliding_circuits(struct, w), w.format()
+
+
+def test_twisted_conjugates_are_found_among_the_twisted_images(monkeypatch):
+    # b = a^(delta^k) slides to the k-th twist of a's circuit, which the
+    # search yields as a twisted image: no simple is enumerated, and the
+    # witness, spelled through delta^k, is verified
+    def no_enumeration():
+        raise AssertionError("simples were enumerated")
+
+    rng = random.Random(57)
+    for struct in [band(n) for n in (3, 4, 5, 6)] + [classical(n) for n in (3, 4, 5)]:
+        n = struct.n
+        monkeypatch.setattr(struct, "simples", no_enumeration)
+        delta = BraidWord(n, struct.simple_word(struct.delta()))
+        for _ in range(2):
+            a = rand_word(rng, n, rng.randint(1, 6))
+            for k in range(struct.twist_order):
+                b = W.conjugate(a, W.power(delta, k))
+                cert = E.conjugacy_solve(struct, a, b)
+                assert cert.conjugate, (a.format(), k)
+                assert E.words_equal(struct, W.conjugate(a, cert.witness), b), (a.format(), k)
 
 
 def test_sliding_circuit_trails_conjugate_to_their_element():
