@@ -2,8 +2,9 @@
 
 Elements are kept in left normal form delta^p A_1 ... A_r where every factor
 is a proper simple and every adjacent pair is left weighted.  Two braid words
-represent the same element exactly when their normal forms coincide, which
-turns the word problem into tuple comparison.
+a and b represent the same element exactly when the normal form of a . b^-1
+is the identity's, delta^0 with no factors, which turns the word problem
+into one normal form and a test for triviality.
 
 Left weighting happens in one place, ``_insert``: it multiplies a left
 weighted sequence on the left by one simple.  A single forward pass does
@@ -113,11 +114,18 @@ letters when the two words share their ends.  Every equality check cancels
 the longest common prefix and suffix first (``words.cancel_common_ends``):
 P x S and P y S are the same braid exactly when x and y are, so
 letter-identical words answer "equal" at once, and every later test runs on
-the middles only.  Callers that verify an equality they expect (the witness
-checks here, the round trips of ``subgroups.k4_rewrite`` and
-``cabling.extract``) skip the "unequal" tests and go straight to the normal
-forms through ``_equal_by_normal_forms``, the helper that ``words_equal``
-ends with.
+the middles only.  Then one normal form decides: x = y exactly when
+x . y^-1 = 1, so ``_equal_by_normal_forms``, the helper that ``words_equal``
+ends with, tests the left normal form of x . y^-1 for triviality.  For equal
+words that is cheap: the far-commutation canceller removes the pairs that
+relation moves leave at the junction, and the insertion reads x into a form
+that shrinks towards the identity, so most insertions stop after a few
+kernel calls.  Unequal words cost somewhat more than two forms would, but
+``words_equal`` lets them through only when their Burau rows agree, in
+practice only when x y^-1 lies in the Burau kernel, as Bigelow's braid
+does.  Callers that verify an equality they expect (the witness checks
+here, the round trips of ``subgroups.k4_rewrite`` and ``cabling.extract``)
+skip the "unequal" tests and go straight to this one form.
 """
 
 from __future__ import annotations
@@ -421,11 +429,13 @@ def normal_form(st: GarsideStructure, w: BraidWord, side: str = "left") -> Garsi
 
 
 def _equal_by_normal_forms(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
-    """Cancel the common ends of the two words, then compare the left normal
-    forms of what is left.  For callers that verify an equality they
-    expect, where the exact "unequal" tests of ``words_equal`` only cost."""
+    """Cancel the common ends of the two words, then test whether the left
+    normal form of a . b^-1 for what is left is trivial: a = b exactly when
+    a b^-1 = 1, whose form is delta^0 with no factors.  For callers that
+    verify an equality they expect, where the exact "unequal" tests of
+    ``words_equal`` only cost."""
     a, b = W.cancel_common_ends(a, b)
-    return a.letters == b.letters or from_word(st, a).key() == from_word(st, b).key()
+    return a.letters == b.letters or from_word(st, W.compose(a, W.inverse(b))).is_trivial()
 
 
 def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
@@ -582,8 +592,7 @@ def _circuit_search(
                 yield key, image, x_key, step
 
     yield from add(circuit, None, (trail,))
-    proper = [(s, st._left_complement_perm(s.key)) for s in st.simples()
-              if not (st.is_identity(s) or st.is_delta(s))]
+    proper = st._proper_simples()
     while queue:
         fs, y_key = queue.pop()
         for s, s_bar in proper:

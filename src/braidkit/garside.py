@@ -28,7 +28,9 @@ structure and a key that is not a permutation of range(n) passing the
 structure's ``_is_simple``) and arrays where they become keys
 (``_from_perm0``); the kernels take and return simples only, so neither
 ``_weigh`` checks anything, and the engine turns kernel outputs back into
-keys without a test.  Nothing is cached.
+keys without a test.  The only cache is the list of all simples, kept per
+structure up to ``_KEPT_SIMPLES`` of them, with the closure's conjugators
+beside it (``simples``, ``_proper_simples``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ import itertools
 from typing import Iterable, NamedTuple
 
 from .words import Permutation
+
+# Structures live as long as the process, so each keeps at most this many
+# simples: classical(8) has 40 320, band(10) 16 796, classical(9) 362 880.
+_KEPT_SIMPLES = 50_000
 
 
 class Simple(NamedTuple):
@@ -85,8 +91,9 @@ class GarsideStructure:
     not simple), ``_from_perm0`` (None for a permutation that is not simple)
     and the checked ``_simple_of_perm0``, ``atom_length``, ``mul``,
     ``meet`` (through ``_weigh``), ``mirror``, ``complement``, the twists,
-    the letter atoms and products, the capped ``simples`` and
-    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.
+    the letter atoms and products, the capped and kept ``simples``, the
+    closure's conjugators ``_proper_simples`` and ``normalize_pair``, the
+    kernel's wrapper on ``Simple`` values.
     Everything generic (normal forms, sliding, conjugacy) lives in the
     engine module and only calls these methods.
     """
@@ -108,6 +115,8 @@ class GarsideStructure:
             self._delta_powers.append(_pmul(self._delta_powers[-1], delta_perm))
         self._identity = self._simple_of_perm0(self._id)
         self._delta = self._simple_of_perm0(delta_perm)
+        self._simples: tuple[Simple, ...] | None = None
+        self._proper: tuple[tuple[Simple, tuple], ...] | None = None
 
     def identity(self) -> Simple:
         return self._identity
@@ -137,11 +146,35 @@ class GarsideStructure:
 
     # derived ---------------------------------------------------------------
     def simples(self) -> tuple[Simple, ...]:
+        """Every simple, in a fixed order: enumerated on the first call and
+        kept, unless there are more than ``_KEPT_SIMPLES``.  The cap is
+        checked on every call."""
         if self.n > self.cap:
             raise ValueError(
                 f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
             )
-        return self._enumerate()
+        if self._simples is not None:
+            return self._simples
+        out = self._enumerate()
+        if len(out) <= _KEPT_SIMPLES:
+            self._simples = out
+        return out
+
+    def _proper_simples(self) -> tuple[tuple[Simple, tuple], ...]:
+        """The simples other than 1 and delta, each with its left complement
+        delta s^-1 as a permutation, in the order of ``simples``: the
+        conjugators of the circuit closure.  Kept when the simples are."""
+        simples = self.simples()
+        if self._proper is not None:
+            return self._proper
+        out = tuple(
+            (s, self._left_complement_perm(s.key))
+            for s in simples
+            if s.key != self._id and s.key != self._delta_perm
+        )
+        if simples is self._simples:
+            self._proper = out
+        return out
 
     def letter_simple(self, j: int) -> Simple:
         """The atom of the positive Artin letter j; in both structures it
@@ -244,9 +277,9 @@ class GarsideStructure:
         or None when t is trivial, i.e. (x, y) is already left weighted."""
         raise NotImplementedError
 
-    def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
-        """For a simple p and q, p with its entries at u and v swapped:
-        whether q is a simple one atom longer than p."""
+    def _grows(self, q: tuple, u: int, v: int, j: int) -> bool:
+        """For q = s_j p or p s_j, a simple p with its entries at u and v
+        swapped: whether q is a simple one atom longer than p."""
         raise NotImplementedError
 
     def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
@@ -275,7 +308,7 @@ class GarsideStructure:
         else:
             u, v = p.index(j - 1), p.index(j)
             q[u], q[v] = j, j - 1
-        return tuple(q) if self._grows(p, q, u, v) else None
+        return tuple(q) if self._grows(q, u, v, j) else None
 
     def _left_complement_perm(self, p: tuple) -> tuple:
         return _pmul(self._delta_perm, _pinv(p))
@@ -344,9 +377,9 @@ class ClassicalStructure(GarsideStructure):
                 j += 1
         return (tuple(a), tuple(b)) if moved else None
 
-    def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
+    def _grows(self, q: tuple, u: int, v: int, j: int) -> bool:
         # one inversion more exactly when the swapped pair was in order
-        return u < v and p[u] < p[v]
+        return u < v and q[u] > q[v]
 
     def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
         # the conjugate of s_(i+1) swaps p[i] and p[i + 1]: a letter again
@@ -475,10 +508,14 @@ class BandStructure(GarsideStructure):
             tinv[v] = u
         return tuple(t[v] for v in x), tuple(y[v] for v in tinv)
 
-    def _grows(self, p: tuple, q: tuple, u: int, v: int) -> bool:
-        # one cycle fewer, and q passes the cycle count
-        cycles = _cycles(q)
-        return cycles == _cycles(p) - 1 and cycles + _cycles(q, 1) == self.n + 1
+    def _grows(self, q: tuple, u: int, v: int, j: int) -> bool:
+        # q is p times the transposition of j - 1 and j, so it joins their
+        # cycles or splits their common one.  A simple one atom longer joins
+        # them into one increasing cycle, which steps from j - 1 to its
+        # neighbour j.  Conversely q[j - 1] == j means p fixes j (left) or
+        # j - 1 (right), and q puts that point next to its neighbour in the
+        # other's block: the cycle still increases, and no block crosses.
+        return q[j - 1] == j
 
     def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
         # a^p is an atom exactly when it is positive, i.e. when p is a prefix

@@ -24,7 +24,8 @@ computed from shared final letters, independently of the mirror, which the
 library's right normal form goes through.
 
 ``words_equal_by_normal_forms`` is the word problem by comparing the two
-left normal forms, with no Burau test in front.  ``burau_matrix`` is the
+left normal forms, with no Burau test in front, where the library tests the
+one form of a . b^-1 for triviality.  ``burau_matrix`` is the
 unreduced Burau matrix mod p as a product of whole generator matrices, and
 ``charpoly_faddeev_leverrier`` its characteristic polynomial by the
 Faddeev-LeVerrier recursion, apart from the library's Hessenberg reduction.
@@ -41,6 +42,10 @@ module characters built on cycle types by the symmetric-square rule
 points and 2-cycles.  ``b3_commutator_coordinates_by_powers``
 multiplies out each power of the first-generator action letter by letter,
 where the library reads it from a table of the six powers.
+
+``band_letter_grows`` is the length test of the band letter products by
+cycle counts: q has one cycle fewer than p and passes the simplicity count,
+where the library reads one entry of q.
 """
 
 import functools
@@ -49,7 +54,7 @@ from typing import NamedTuple
 
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import Simple, _cycle_labels, _pinv, _pmul
+from braidkit.garside import Simple, _cycle_labels, _cycles, _pinv, _pmul
 from braidkit import reptheory as R
 from braidkit import subgroups as S
 from braidkit.subgroups import _mat_inv_general, mat_mul
@@ -287,6 +292,14 @@ def solve_pair_by_conjugacy_decision(st, x_word, y_word):
            for w, s in ((x_word, s1), (y_word, s2))):
         return u
     return None
+
+
+def band_letter_grows(st, p, q):
+    """Whether q, a band simple p times a letter, is a band simple one atom
+    longer than p: one cycle fewer, and cycles(q) + cycles(q^-1 delta) =
+    n + 1."""
+    cycles = _cycles(q)
+    return cycles == _cycles(p) - 1 and cycles + _cycles(q, 1) == st.n + 1
 
 
 def words_equal_by_normal_forms(st, a, b):

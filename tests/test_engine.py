@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkit import engine as E
+from braidkit import garside as G
 from braidkit import ledger as L
 from braidkit import words as W
 from braidkit.cli import main
@@ -158,9 +159,14 @@ def test_burau_kernel_braid_falls_back_to_normal_forms():
     assert len(w) == 122
     assert W._burau_row(w) == W._burau_row(one)
     assert W._burau_charpoly(w) == W._burau_charpoly(one)
+    rewritten = relation_rewrite(random.Random(73), w, 40)
     for struct in (classical(5), band(5)):
         assert not E.words_equal(struct, w, one)
         assert not words_equal_by_normal_forms(struct, w, one)
+        # the one normal form of w . 1^-1 is not trivial
+        assert not E._equal_by_normal_forms(struct, w, one)
+        assert E.words_equal(struct, w, rewritten)
+        assert E._equal_by_normal_forms(struct, rewritten, w)
     assert E.from_word(classical(5), w).canonical_length == 46
 
 
@@ -826,6 +832,60 @@ def test_word_problem_kernel_calls(monkeypatch):
                 E.normal_form(struct, w, "right")
             calls[struct.kind] += len(weighed)
     assert calls == {"classical": 6712, "band": 11078}
+
+
+def test_equal_by_normal_forms_kernel_calls(monkeypatch):
+    # a deterministic work gate: two relation-rewritten equal pairs per
+    # n = 3..12, 20..200 letters (5 514 in all), in both structures.  One
+    # normal form of a . b^-1 is tested for triviality; comparing the two
+    # forms of a and b (oracles.words_equal_by_normal_forms) takes 6 920
+    # classical and 11 741 band kernel calls on the same set.
+    rng = random.Random(72)
+    calls = {"classical": 0, "band": 0}
+    for n in range(3, 13):
+        pairs = []
+        for _ in range(2):
+            w = rand_word(rng, n, rng.randint(20, 200))
+            pairs.append((w, relation_rewrite(rng, w, 20)))
+        for struct in (classical(n), band(n)):
+            weighed = count_calls(monkeypatch, struct, "_weigh")
+            for a, b in pairs:
+                assert E._equal_by_normal_forms(struct, a, b)
+            calls[struct.kind] += len(weighed)
+    assert calls == {"classical": 474, "band": 588}
+
+
+def test_second_search_does_not_enumerate_simples(monkeypatch):
+    # a deterministic work gate: the simples, and the closure's conjugators
+    # with their left complements, are enumerated once per structure
+    for struct, w in ((band(5), "B5: 3 -2 3"), (classical(5), "B5: -1 4")):
+        first = E.sliding_circuits(struct, BraidWord.parse(w))
+        proper = struct._proper_simples()
+        enumerated = count_calls(monkeypatch, struct, "_enumerate")
+        assert E.sliding_circuits(struct, BraidWord.parse(w)) == first
+        assert not enumerated
+        assert struct._proper_simples() is proper
+
+
+def test_simples_are_kept_per_structure_up_to_a_bound(monkeypatch):
+    # fresh structures, so that the cached ones keep their lists
+    monkeypatch.setattr(G, "_KEPT_SIMPLES", 10)
+    for st, kept in ((G.BandStructure(3), True), (G.BandStructure(4), False)):
+        enumerated = count_calls(monkeypatch, st, "_enumerate")
+        first = st.simples()
+        assert st.simples() == first
+        assert (st._proper_simples() is st._proper_simples()) is kept
+        assert len(enumerated) == (1 if kept else 4)
+        assert [s for s, _ in st._proper_simples()] == [
+            s for s in first if not (st.is_identity(s) or st.is_delta(s))]
+    # the cap is checked in front of the kept list
+    st = G.ClassicalStructure(4)
+    st.simples()
+    st.cap = 3
+    with pytest.raises(ValueError):
+        st.simples()
+    with pytest.raises(ValueError):
+        st._proper_simples()
 
 
 @pytest.mark.parametrize("kind,w,forms,kernel", [

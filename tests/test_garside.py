@@ -12,7 +12,14 @@ from braidkit import engine as E
 from braidkit import words as W
 from braidkit.garside import Simple, band, classical
 from braidkit.words import BraidWord
-from oracles import generic_normalize_pair, left_divides, left_quotient, meet, right_meet
+from oracles import (
+    band_letter_grows,
+    generic_normalize_pair,
+    left_divides,
+    left_quotient,
+    meet,
+    right_meet,
+)
 
 
 def all_structures(ns=(2, 3, 4)):
@@ -470,6 +477,22 @@ def test_letter_products_match_mul():
                 for left, product in ((True, st.mul(a, p)), (False, st.mul(p, a))):
                     got = st._mul_letter(st._perm0(p), j, left)
                     assert got == (None if product is None else st._perm0(product))
+
+
+def test_band_letter_test_matches_cycle_counts():
+    # s_j p swaps the images of j - 1 and j, p s_j the values; the library
+    # reads one entry of the product where the oracle counts cycles
+    for n in range(2, 9):
+        st = band(n)
+        for s in st.simples():
+            p = s.key
+            for j in range(1, n):
+                left = list(p)
+                left[j - 1], left[j] = p[j], p[j - 1]
+                right = [j if v == j - 1 else j - 1 if v == j else v for v in p]
+                for side, q in ((True, tuple(left)), (False, tuple(right))):
+                    expected = q if band_letter_grows(st, p, q) else None
+                    assert st._mul_letter(p, j, side) == expected, (p, j, side)
 
 
 def test_band_twist_pow_is_repeated_twist():
