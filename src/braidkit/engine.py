@@ -40,7 +40,10 @@ conjugacy-class invariant which we enumerate by closing under conjugation by
 simple elements.  Only ``_slide_to_circuit`` slides; it records each
 element's preferred prefix, so every circuit is slid at most once and the
 conjugators of its elements, hence verified witnesses, come from that
-record.  A trajectory stops at the first circuit already found.
+record.  A trajectory stops at the first circuit already found.  A
+conjugator stays a list of steps, simples and words, until a caller needs
+its letters, and ``_spell`` alone spells steps, reducing freely once: free
+reduction is confluent, so that gives the letters of reducing step by step.
 
 Conjugation by a simple s is one backward and one forward pass on the
 arrays, ``_conjugate_simple``.  ``_append`` multiplies a weighted sequence on
@@ -53,15 +56,17 @@ conjugation.  The circuit closure calls ``_conjugate_simple`` on
 permutations directly, with each simple's left complement computed once, and
 asks it to stop as soon as the inf has dropped: unless appending s split off
 a delta, the inf is kept only if the first step of the insertion makes the
-first factor delta.  The atom-pair walk needs no conjugation at all: whether
-a^s is again an atom, and which, is read off the permutation of s
-(``_atom_images``).  For the band atom a swapping i and j, a^s is positive
-exactly when s is a prefix of a s; that holds when a s is simple, and
-otherwise exactly when a is a prefix of s, so a^s is an atom exactly when i
-and j lie in one cycle of s or of delta s^-1.  A classical letter stays a
-letter exactly when s sends its two strands to neighbours.  Nor does the
-pair solver search SC: Y is conjugate to an atom exactly when its circuit
-representative is one, since an atom has summit (inf, sup) = (0, 1).
+first factor delta.  The pair solver runs in the band structure whatever
+structure it is given, since the centred shape of an atom's conjugates that
+it strips is a band theorem (Birman-Ko-Lee) and fails classically.  Its
+atom-pair walk needs no conjugation at all: whether a^s is again an atom,
+and which, is read off the permutation of s (``_atom_images``).  For the
+atom a swapping i and j, a^s is positive exactly when s is a prefix of a s;
+that holds when a s is simple, and otherwise exactly when a is a prefix of
+s, so a^s is an atom exactly when i and j lie in one cycle of s or of
+delta s^-1.  Nor does the pair solver search SC: Y is conjugate to an atom
+exactly when its circuit representative is one, since an atom has summit
+(inf, sup) = (0, 1).
 
 Four exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
@@ -107,7 +112,7 @@ cancels in the trace monoid of the letters (Cartier-Foata, LNM 85, 1969),
 before the left-greedy insertion above.  Random words are full of such
 pairs.  Every normal form goes through ``from_word``, so ``normal_form`` on
 either side, ``words_equal`` and the witness checks shorten this way;
-``words.free_reduce``, which spells trail and witness words, does not.
+``_spell``, which spells trails and witnesses, reduces freely only.
 
 A last exact shortcut makes an equality check cost one pass over the
 letters when the two words share their ends.  Every equality check cancels
@@ -134,7 +139,7 @@ from dataclasses import dataclass, field
 from typing import Container, Iterator
 
 from . import words as W
-from .garside import GarsideStructure, Simple
+from .garside import BandStructure, GarsideStructure, Simple, band
 from .words import BraidWord
 
 _SC_MAX = 20000
@@ -438,6 +443,14 @@ def _equal_by_normal_forms(st: GarsideStructure, a: BraidWord, b: BraidWord) -> 
     return a.letters == b.letters or from_word(st, W.compose(a, W.inverse(b))).is_trivial()
 
 
+def _check_strands(st: GarsideStructure, a: BraidWord, b: BraidWord) -> None:
+    """ValueError unless both words have the structure's strand count."""
+    if a.strands != st.n:
+        raise ValueError("strand count does not match the structure")
+    if a.strands != b.strands:
+        raise ValueError("strand-count mismatch")
+
+
 def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
     """Whether the two words are the same braid.
 
@@ -445,8 +458,7 @@ def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
     middles answer "equal"; then the middles' exponent sums, permutations
     and Burau rows (``words._burau_row``) are compared, and any difference
     answers "unequal"; then their left normal forms decide."""
-    if a.strands != b.strands:
-        raise ValueError("strand-count mismatch")
+    _check_strands(st, a, b)
     a, b = W.cancel_common_ends(a, b)
     if a.letters == b.letters:
         return True
@@ -488,23 +500,17 @@ def cyclic_sliding(st: GarsideStructure, w: BraidWord) -> BraidWord:
     return y.to_word()
 
 
-def _then(st: GarsideStructure, trail: BraidWord, s: Simple, sign: int = 1) -> BraidWord:
-    """The word trail . s (trail . s^-1 for sign -1), freely reduced."""
-    step = BraidWord(st.n, st.simple_word(s))
-    return W.free_reduce(W.compose(trail, step if sign > 0 else W.inverse(step)))
-
-
 def _slide_to_circuit(
     x: GarsideNormalForm, known: Container[tuple] = frozenset()
-) -> tuple[GarsideNormalForm, BraidWord, list[tuple[GarsideNormalForm, Simple]]] | None:
+) -> tuple[GarsideNormalForm, tuple[Simple, ...], list[tuple[GarsideNormalForm, Simple]]] | None:
     """Iterate sliding until the trajectory becomes periodic.
 
-    Returns the circuit's element of least key, a conjugating word from x to
-    it, and the circuit as (element, preferred prefix) pairs in sliding order
-    from that element; None as soon as the trajectory meets a key in known,
-    a union of whole circuits.
+    Returns the circuit's element of least key, the preferred prefixes whose
+    product conjugates x to it (a step that ``_spell`` spells), and the
+    circuit as (element, preferred prefix) pairs in sliding order from that
+    element; None as soon as the trajectory meets a key in known, a union of
+    whole circuits.
     """
-    st = x.structure
     seen: dict[tuple, int] = {}
     traj: list[tuple[GarsideNormalForm, Simple]] = []
     cur = x
@@ -518,23 +524,20 @@ def _slide_to_circuit(
         traj.append((cur, p))
         cur = nxt
     r = min(range(seen[k], len(traj)), key=lambda j: traj[j][0].key())
-    trail = BraidWord.identity(st.n)
-    for _, p in traj[:r]:
-        trail = _then(st, trail, p)
-    return traj[r][0], trail, traj[r:] + traj[seen[k]:r]
+    return traj[r][0], tuple(p for _, p in traj[:r]), traj[r:] + traj[seen[k]:r]
 
 
 def _circuit_search(
     st: GarsideStructure,
     circuit: list[tuple[GarsideNormalForm, Simple]],
-    trail: BraidWord,
+    prefixes: tuple[Simple, ...],
 ) -> Iterator[tuple[tuple, GarsideNormalForm, tuple | None, tuple]]:
     """Yield every element of SC, the sliding circuits conjugate to circuit,
     in discovery order as (key, element, parent key, step): step is a tuple
     of simples and words whose product conjugates the parent, an element
     yielded before, to this one.  The first element has parent None and
-    step (trail,), trail conjugating the start to it.  ``_spell`` spells
-    the steps.
+    step prefixes, the preferred prefixes conjugating the start to it.
+    ``_spell`` spells the steps; nothing is spelled here.
 
     Every vertex lies in the super summit set, so every vertex has the
     circuit's (inf, sup); a conjugate outside that window is not on any
@@ -547,7 +550,7 @@ def _circuit_search(
 
     SC is closed under the twist tau (module docstring), so each new
     circuit comes with its twisted images not yet found, built from the
-    arrays, with trail(x) . delta^k as the trail of tau^k(x), and one vertex
+    arrays, with the step delta^k from x to tau^k(x), and one vertex
     per twist orbit is conjugated, by every simple other than 1 and delta.
     The simples are enumerated, with their left complements, once per
     search after the first circuit and its images are yielded: a caller
@@ -591,7 +594,7 @@ def _circuit_search(
                 grow(key)
                 yield key, image, x_key, step
 
-    yield from add(circuit, None, (trail,))
+    yield from add(circuit, None, prefixes)
     proper = st._proper_simples()
     while queue:
         fs, y_key = queue.pop()
@@ -605,12 +608,13 @@ def _circuit_search(
             slid.add(zs)
             reached = _slide_to_circuit(_from_perms(st, inf, zs), found)
             if reached is not None:
-                _, z_trail, z_circuit = reached
-                yield from add(z_circuit, y_key, (s, z_trail))
+                _, z_prefixes, z_circuit = reached
+                yield from add(z_circuit, y_key, (s, *z_prefixes))
 
 
 def _spell(st: GarsideStructure, steps) -> BraidWord:
-    """The product of the simples and words of the steps, freely reduced."""
+    """The product of the simples and words of the steps, freely reduced:
+    the only place where a conjugator becomes letters."""
     letters: list[int] = []
     for step in steps:
         for part in step:
@@ -623,9 +627,9 @@ def sliding_circuits_with_trails(
 ) -> dict[tuple, tuple[GarsideNormalForm, BraidWord]]:
     """All elements on sliding circuits conjugate to w, each with a
     conjugating word from w to it."""
-    _, trail, circuit = _slide_to_circuit(from_word(st, w))
+    _, prefixes, circuit = _slide_to_circuit(from_word(st, w))
     out: dict[tuple, tuple[GarsideNormalForm, BraidWord]] = {}
-    for key, x, parent, step in _circuit_search(st, circuit, trail):
+    for key, x, parent, step in _circuit_search(st, circuit, prefixes):
         # a parent is found, and spelled, before its children
         before = (out[parent][1],) if parent is not None else ()
         out[key] = x, _spell(st, (before, step))
@@ -650,22 +654,21 @@ class ConjugacyCertificate:
 def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> ConjugacyCertificate:
     """Decide conjugacy; a positive answer carries u with a^u = b, verified
     before it is returned."""
-    if a.strands != b.strands:
-        raise ValueError("strand-count mismatch")
+    _check_strands(st, a, b)
     if W.exponent_sum(a) != W.exponent_sum(b):
         return ConjugacyCertificate(False)
     if W.permutation_of(a).cycle_type() != W.permutation_of(b).cycle_type():
         return ConjugacyCertificate(False)
-    a_rep, a_trail, a_circuit = _slide_to_circuit(from_word(st, a))
-    b_rep, b_trail, _ = _slide_to_circuit(from_word(st, b))
+    a_rep, a_prefixes, a_circuit = _slide_to_circuit(from_word(st, a))
+    b_rep, b_prefixes, _ = _slide_to_circuit(from_word(st, b))
     if (a_rep.inf, a_rep.sup) != (b_rep.inf, b_rep.sup):
         return ConjugacyCertificate(False)
     target = b_rep.key()
     parents: dict[tuple, tuple] = {}
-    for i, (key, _, parent, step) in enumerate(_circuit_search(st, a_circuit, a_trail), 1):
+    for i, (key, _, parent, step) in enumerate(_circuit_search(st, a_circuit, a_prefixes), 1):
         parents[key] = parent, step
         if key == target:
-            steps = [(W.inverse(b_trail),)]
+            steps = [(W.inverse(_spell(st, [b_prefixes])),)]
             while key is not None:
                 key, step = parents[key]
                 steps.append(step)
@@ -734,17 +737,23 @@ def solve_pair_to_generators(
     """For conjugates X, Y of the first two Artin generators with XYX = YXY,
     find u with X^u = s1 and Y^u = s2.
 
-    Runs in the band structure: slide Y to its circuit representative (None
-    unless that is an atom), then repeatedly strip the outer normal-form
-    level of X by a conjugation that keeps Y an atom, and walk the finite
-    graph of atom pairs.
+    Runs in band(n) whatever structure st is, since only the band structure
+    has the centred shape of atom conjugates (``atom_conjugate_shape``):
+    slide Y to its circuit representative (None unless that is an atom),
+    then repeatedly strip the outer normal-form level of X by a conjugation
+    that keeps Y an atom, and walk the finite graph of atom pairs.  The
+    conjugators are kept as steps and spelled once, before u is verified.
     """
+    st = band(st.n)
     s1, s2 = BraidWord(st.n, (1,)), BraidWord(st.n, (2,))
-    rep, u, _ = _slide_to_circuit(from_word(st, y_word))
+    rep, prefixes, _ = _slide_to_circuit(from_word(st, y_word))
     if not is_atom_nf(rep):
         return None
-    x = from_word(st, W.conjugate(x_word, u))
+    x = from_word(st, x_word)
+    for p in prefixes:
+        x = conjugate(x, simple_nf(st, p))
     y = rep.factors[0]
+    steps = [prefixes]
 
     while not is_atom_nf(x):
         shape = atom_conjugate_shape(x)
@@ -754,7 +763,8 @@ def solve_pair_to_generators(
         for g, s, sign in _stripping_conjugators(st, x, shape[3][-1], y):
             y_new = conjugate(simple_nf(st, y), g)
             if is_atom_nf(y_new):
-                x, y, u = conjugate(x, g), y_new.factors[0], _then(st, u, s, sign)
+                x, y = conjugate(x, g), y_new.factors[0]
+                steps.append((s,) if sign > 0 else (W.inverse(_spell(st, [(s,)])),))
                 break
         else:
             return None
@@ -764,29 +774,28 @@ def solve_pair_to_generators(
     tail = _atom_pair_walk(st, x.factors[0], y)
     if tail is None:
         return None
-    u = W.free_reduce(W.compose(u, tail))
+    u = _spell(st, [*steps, (tail,)])
     if all(_equal_by_normal_forms(st, W.conjugate(w, u), s)
            for w, s in ((x_word, s1), (y_word, s2))):
         return u
     return None
 
 
-def _atom_pair_walk(st: GarsideStructure, x: Simple, y: Simple) -> BraidWord | None:
-    """Breadth-first search through pairs of atoms conjugated by simples,
-    from (x, y) to the pair of the first two Artin letters; None if x or y
-    is not an atom, since the exponent sum is a conjugacy invariant.
+def _atom_pair_walk(st: BandStructure, x: Simple, y: Simple) -> BraidWord | None:
+    """Breadth-first search through pairs of band atoms conjugated by
+    simples, from (x, y) to the pair of the first two Artin letters; None if
+    x or y is not an atom, since the exponent sum is a conjugacy invariant.
 
     An atom is held as the pair i < j of strands it swaps, and a^s for a
     proper simple s is read off the permutation p of s (``_atom_images``):
     it swaps p[i] and p[j], and it is an atom exactly when i and j lie in
-    one cycle of p or of delta p^-1 (band), or when p[i] and p[j] are
-    neighbours (classical).  In the band structure a^s is positive exactly
-    when s is a prefix of a s: if a s is simple, a is a suffix of
-    delta p^-1 and p^-1 a p is a reflection; if not, the greatest simple
-    prefix of a s is s, so s = a t and a^s = a^t with a t simple.  Each
-    simple's table is built once per walk, so a move costs two lookups and
-    no kernel call.  Moves are tried in the order of ``simples``, and the
-    trail is built along the path found only, one ``_then`` per move."""
+    one cycle of p or of delta p^-1, since a^s is positive exactly when s is
+    a prefix of a s: if a s is simple, a is a suffix of delta p^-1 and
+    p^-1 a p is a reflection; if not, the greatest simple prefix of a s is
+    s, so s = a t and a^s = a^t with a t simple.  Each simple's table is
+    built once per walk, so a move costs two lookups and no kernel call.
+    Moves are tried in the order of ``simples``, and only the path found is
+    spelled."""
     n = st.n
 
     def ends(s: Simple) -> tuple[int, int] | None:
@@ -820,9 +829,6 @@ def _atom_pair_walk(st: GarsideStructure, x: Simple, y: Simple) -> BraidWord | N
                 while parent[state] is not None:
                     state, s = parent[state]
                     path.append(s)
-                trail = BraidWord.identity(n)
-                for s in reversed(path):
-                    trail = _then(st, trail, s)
-                return trail
+                return _spell(st, [reversed(path)])
             queue.append((a2, b2))
     return None

@@ -83,19 +83,18 @@ class GarsideStructure:
     its Garside element to ``__init__`` and supplies the simplicity test
     ``_is_simple`` of a permutation, the weighting kernel ``_weigh`` that
     the engine's normal forms run on and its only lattice kernel, the
-    length test ``_grows`` of the letter products, the table
-    ``_atom_images`` of the atoms that a simple conjugates to atoms, which
-    the atom-pair walk runs on, ``_key_length``, ``atoms``, ``_enumerate``
-    and ``simple_word``.  From these the class derives the identity and
-    Garside element, the conversions ``_perm0`` (which refuses a key that is
-    not simple), ``_from_perm0`` (None for a permutation that is not simple)
-    and the checked ``_simple_of_perm0``, ``atom_length``, ``mul``,
-    ``meet`` (through ``_weigh``), ``mirror``, ``complement``, the twists,
-    the letter atoms and products, the capped and kept ``simples``, the
-    closure's conjugators ``_proper_simples`` and ``normalize_pair``, the
-    kernel's wrapper on ``Simple`` values.
-    Everything generic (normal forms, sliding, conjugacy) lives in the
-    engine module and only calls these methods.
+    length test ``_grows`` of the letter products, ``_key_length``,
+    ``atoms``, ``_enumerate`` and ``simple_word``.  From these the class
+    derives the identity and Garside element, the conversions ``_perm0``
+    (which refuses a key that is not simple), ``_from_perm0`` (None for a
+    permutation that is not simple) and the checked ``_simple_of_perm0``,
+    ``atom_length``, ``mul``, ``meet`` (through ``_weigh``), ``mirror``,
+    ``complement``, the twists, the letter atoms and products, the capped
+    and kept ``simples``, the closure's conjugators ``_proper_simples`` and
+    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.  The band
+    structure alone supplies ``_atom_images``, which the atom-pair walk of
+    the pair solver runs on.  Everything generic (normal forms, sliding,
+    conjugacy) lives in the engine module and only calls these methods.
     """
 
     kind: str
@@ -282,13 +281,6 @@ class GarsideStructure:
         swapped: whether q is a simple one atom longer than p."""
         raise NotImplementedError
 
-    def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
-        """For a simple p: each atom a, given by the strands i < j it swaps,
-        with p^-1 a p again an atom, mapped to that atom's pair.  The
-        conjugate swaps p[i] and p[j] in both structures; which atoms stay
-        atoms differs."""
-        raise NotImplementedError
-
     def _twist_perm(self, p: tuple, k: int) -> tuple:
         """delta^-k p delta^k."""
         k %= self.twist_order
@@ -381,15 +373,6 @@ class ClassicalStructure(GarsideStructure):
         # one inversion more exactly when the swapped pair was in order
         return u < v and q[u] > q[v]
 
-    def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
-        # the conjugate of s_(i+1) swaps p[i] and p[i + 1]: a letter again
-        # exactly when those are neighbours
-        return {
-            (i, i + 1): (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-            for i in range(self.n - 1)
-            if abs(p[i] - p[i + 1]) == 1
-        }
-
 
 def _cycle_labels(p, shift: int = 0) -> list:
     """For each entry, the index of its cycle under the map v -> p[v - shift]
@@ -411,16 +394,7 @@ def _cycle_labels(p, shift: int = 0) -> list:
 def _cycles(p, shift: int = 0) -> int:
     """Number of cycles of the map v -> p[v - shift] (indices mod n): of p
     for shift 0, of delta^-1 p for shift 1."""
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if not seen[start]:
-            count += 1
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = p[v - shift]
-    return count
+    return max(_cycle_labels(p, shift)) + 1
 
 
 class BandStructure(GarsideStructure):
@@ -518,6 +492,9 @@ class BandStructure(GarsideStructure):
         return q[j - 1] == j
 
     def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
+        """For a simple p: each atom a, given by the strands i < j it swaps,
+        with p^-1 a p again an atom, mapped to that atom's pair; the
+        conjugate swaps p[i] and p[j].  The atom-pair walk runs on it."""
         # a^p is an atom exactly when it is positive, i.e. when p is a prefix
         # of a p.  If a p is simple, which is when a is a suffix of
         # delta p^-1 (i and j in one cycle of it), that holds in absolute

@@ -278,7 +278,9 @@ def solve_pair_by_conjugacy_decision(st, x_word, y_word):
         for g, s, sign in E._stripping_conjugators(st, x, shape[3][-1], y):
             y_new = E.conjugate(E.simple_nf(st, y), g)
             if E.is_atom_nf(y_new):
-                x, y, u = E.conjugate(x, g), y_new.factors[0], E._then(st, u, s, sign)
+                step = BraidWord(n, st.simple_word(s))
+                step = step if sign > 0 else W.inverse(step)
+                x, y, u = E.conjugate(x, g), y_new.factors[0], W.free_reduce(W.compose(u, step))
                 break
         else:
             return None

@@ -329,8 +329,9 @@ def test_sliding_fixed_points():
 def test_sliding_reaches_minimal_length():
     struct = classical(3)
     x = BraidWord(3, (-2, 1, 2))
-    rep, trail, _ = E._slide_to_circuit(E.from_word(struct, x))
+    rep, prefixes, _ = E._slide_to_circuit(E.from_word(struct, x))
     assert rep.canonical_length == 1
+    trail = E._spell(struct, [prefixes])
     assert E.words_equal(struct, W.conjugate(x, trail), rep.to_word())
 
 
@@ -461,6 +462,20 @@ def test_degenerate_strand_counts():
     assert (nf.inf, nf.canonical_length) == (1, 0)  # the lone letter is delta
 
 
+def test_words_equal_refuses_a_structure_of_another_strand_count():
+    # refused before the common ends and the exponent sums, which would
+    # answer these pairs without the structure
+    for a, b in (("B4: 1", "B4: 1"), ("B4: 1", "B4: 2")):
+        with pytest.raises(ValueError, match="strand count does not match the structure"):
+            E.words_equal(classical(3), BraidWord.parse(a), BraidWord.parse(b))
+
+
+def test_conjugacy_solve_refuses_a_structure_of_another_strand_count():
+    # refused before the exponent-sum test, which would answer "not conjugate"
+    with pytest.raises(ValueError, match="strand count does not match the structure"):
+        E.conjugacy_solve(classical(3), BraidWord.parse("B4: 1"), BraidWord.parse("B4: -1"))
+
+
 def test_circuit_search_respects_caps():
     with pytest.raises(ValueError, match="cap"):
         E.sliding_circuits(classical(9), BraidWord(9, (1,)))
@@ -558,17 +573,19 @@ def test_atom_conjugate_shape_check_catches_faults(monkeypatch):
 
 
 def test_pair_solver():
+    # the solver runs in band(n) whatever structure it is given, so a
+    # classical structure answers every braiding pair too
     rng = random.Random(77)
     for _ in range(8):
         n = rng.randint(3, 5)
-        struct = band(n)
         g = rand_word(rng, n, rng.randint(0, 6))
         x = W.conjugate(BraidWord(n, (1,)), g)
         y = W.conjugate(BraidWord(n, (2,)), g)
-        u = E.solve_pair_to_generators(struct, x, y)
-        assert u is not None
-        assert E.words_equal(struct, W.conjugate(x, u), BraidWord(n, (1,)))
-        assert E.words_equal(struct, W.conjugate(y, u), BraidWord(n, (2,)))
+        for struct in (band(n), classical(n)):
+            u = E.solve_pair_to_generators(struct, x, y)
+            assert u is not None, (struct.kind, g.format())
+            assert E.words_equal(struct, W.conjugate(x, u), BraidWord(n, (1,)))
+            assert E.words_equal(struct, W.conjugate(y, u), BraidWord(n, (2,)))
 
 
 def test_pair_solver_refuses_pairs_it_cannot_strip():
