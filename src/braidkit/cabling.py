@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import words as W
-from .engine import _equal_by_normal_forms
-from .garside import classical
 from .words import BraidWord
 
 
@@ -141,6 +139,6 @@ def split(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]:
         for i in range(1, comp.count + 1)
     ]
     recabled = cable(tubular, interiors, comp)
-    if not _equal_by_normal_forms(classical(w.strands), recabled, w):
+    if not W.same_braid(recabled, w):
         raise ValueError("not tube-preserving for this composition")
     return tubular, interiors

@@ -1,10 +1,7 @@
 """Structure-generic word and conjugacy machinery.
 
 Elements are kept in left normal form delta^p A_1 ... A_r where every factor
-is a proper simple and every adjacent pair is left weighted.  Two braid words
-a and b represent the same element exactly when the normal form of a . b^-1
-is the identity's, delta^0 with no factors, which turns the word problem
-into one normal form and a test for triviality.
+is a proper simple and every adjacent pair is left weighted.
 
 Left weighting happens in one place, ``_insert``: it multiplies a left
 weighted sequence on the left by one simple.  A single forward pass does
@@ -90,18 +87,16 @@ vertex per twist orbit.  The closure holds its vertices as
 (inf, permutations) and builds a normal form only for a new conjugate
 inside the window, the one it slides, and for a new twisted image.
 
-Two more exact shortcuts answer "no" without the Garside code.  The
+One more exact shortcut answers "no" without the Garside code.  The
 unreduced Burau representation at t = 3 modulo a prime is a homomorphism
-from B_n to GL_n(F_p) (``words._burau_row``).  ``words_equal`` answers
-"unequal" when a fixed row times the two images differs, after the
-exponent-sum and permutation tests and before any normal form is built.
-``conjugacy_solve`` answers "not conjugate" when the two characteristic
-polynomials differ; it compares them once, after the start's circuit has
-been yielded without a match and before the closure enumerates a simple, so
-a positive found on that circuit never computes them.  Equal images prove
-nothing, since a row or one prime can miss a difference and the Burau
-representation is not faithful for n >= 5 (Bigelow, Geom. Topol. 3, 1999):
-the normal forms or the closure then decide as before.
+from B_n to GL_n(F_p) (``words._burau_row``), so ``conjugacy_solve``
+answers "not conjugate" when the two characteristic polynomials differ
+(``words._burau_charpoly``); it compares them once, after the start's
+circuit has been yielded without a match and before the closure enumerates
+a simple, so a positive found on that circuit never computes them.  Equal
+polynomials prove nothing, since one prime can miss a difference and the
+Burau representation is not faithful for n >= 5 (Bigelow, Geom. Topol. 3,
+1999): the closure then decides as before.
 
 One more exact shortcut shortens every word before it is weighted.
 ``from_word`` first cancels each pair s_i^e ... s_i^-e whose letters in
@@ -111,26 +106,16 @@ s_i^e M s_i^-e = M uses the far-commutation relations alone: the pair
 cancels in the trace monoid of the letters (Cartier-Foata, LNM 85, 1969),
 before the left-greedy insertion above.  Random words are full of such
 pairs.  Every normal form goes through ``from_word``, so ``normal_form`` on
-either side, ``words_equal`` and the witness checks shorten this way;
-``_spell``, which spells trails and witnesses, reduces freely only.
+either side and every search shortens its words this way; ``_spell``,
+which spells trails and witnesses, reduces freely only.
 
-A last exact shortcut makes an equality check cost one pass over the
-letters when the two words share their ends.  Every equality check cancels
-the longest common prefix and suffix first (``words.cancel_common_ends``):
-P x S and P y S are the same braid exactly when x and y are, so
-letter-identical words answer "equal" at once, and every later test runs on
-the middles only.  Then one normal form decides: x = y exactly when
-x . y^-1 = 1, so ``_equal_by_normal_forms``, the helper that ``words_equal``
-ends with, tests the left normal form of x . y^-1 for triviality.  For equal
-words that is cheap: the far-commutation canceller removes the pairs that
-relation moves leave at the junction, and the insertion reads x into a form
-that shrinks towards the identity, so most insertions stop after a few
-kernel calls.  Unequal words cost somewhat more than two forms would, but
-``words_equal`` lets them through only when their Burau rows agree, in
-practice only when x y^-1 lies in the Burau kernel, as Bigelow's braid
-does.  Callers that verify an equality they expect (the witness checks
-here, the round trips of ``subgroups.k4_rewrite`` and ``cabling.extract``)
-skip the "unequal" tests and go straight to this one form.
+Equality is not decided by normal forms.  ``words.same_braid`` cancels the
+common ends of two words and compares the Dynnikov coordinates of the
+middles, with no simple and no kernel call; ``words_equal`` is that
+comparison after a strand check, so the structure it takes does not enter.
+The witness checks here and the round trips of ``subgroups.k4_rewrite`` and
+``cabling.extract`` make the same comparison, so every certificate is
+checked by code that shares nothing with the search that found it.
 """
 
 from __future__ import annotations
@@ -433,16 +418,6 @@ def normal_form(st: GarsideStructure, w: BraidWord, side: str = "left") -> Garsi
     return GarsideNormalForm(st, x.inf, factors, side="right")
 
 
-def _equal_by_normal_forms(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
-    """Cancel the common ends of the two words, then test whether the left
-    normal form of a . b^-1 for what is left is trivial: a = b exactly when
-    a b^-1 = 1, whose form is delta^0 with no factors.  For callers that
-    verify an equality they expect, where the exact "unequal" tests of
-    ``words_equal`` only cost."""
-    a, b = W.cancel_common_ends(a, b)
-    return a.letters == b.letters or from_word(st, W.compose(a, W.inverse(b))).is_trivial()
-
-
 def _check_strands(st: GarsideStructure, a: BraidWord, b: BraidWord) -> None:
     """ValueError unless both words have the structure's strand count."""
     if a.strands != st.n:
@@ -452,23 +427,11 @@ def _check_strands(st: GarsideStructure, a: BraidWord, b: BraidWord) -> None:
 
 
 def words_equal(st: GarsideStructure, a: BraidWord, b: BraidWord) -> bool:
-    """Whether the two words are the same braid.
-
-    In order: the longest common prefix and suffix are cancelled, and equal
-    middles answer "equal"; then the middles' exponent sums, permutations
-    and Burau rows (``words._burau_row``) are compared, and any difference
-    answers "unequal"; then their left normal forms decide."""
+    """Whether the two words are the same braid.  The structure only fixes
+    the strand count: the common ends are cancelled and the middles'
+    Dynnikov coordinates decide (``words.same_braid``)."""
     _check_strands(st, a, b)
-    a, b = W.cancel_common_ends(a, b)
-    if a.letters == b.letters:
-        return True
-    if W.exponent_sum(a) != W.exponent_sum(b):
-        return False
-    if W.permutation_of(a) != W.permutation_of(b):
-        return False
-    if W._burau_row(a) != W._burau_row(b):
-        return False
-    return _equal_by_normal_forms(st, a, b)
+    return W.same_braid(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +636,7 @@ def conjugacy_solve(st: GarsideStructure, a: BraidWord, b: BraidWord) -> Conjuga
                 key, step = parents[key]
                 steps.append(step)
             u = _spell(st, reversed(steps))
-            if not _equal_by_normal_forms(st, W.conjugate(a, u), b):
+            if not W.same_braid(W.conjugate(a, u), b):
                 raise AssertionError("conjugacy witness failed verification")
             return ConjugacyCertificate(True, u)
         if i == len(a_circuit) and W._burau_charpoly(a) != W._burau_charpoly(b):
@@ -775,8 +738,7 @@ def solve_pair_to_generators(
     if tail is None:
         return None
     u = _spell(st, [*steps, (tail,)])
-    if all(_equal_by_normal_forms(st, W.conjugate(w, u), s)
-           for w, s in ((x_word, s1), (y_word, s2))):
+    if all(W.same_braid(W.conjugate(w, u), s) for w, s in ((x_word, s1), (y_word, s2))):
         return u
     return None
 
@@ -792,10 +754,10 @@ def _atom_pair_walk(st: BandStructure, x: Simple, y: Simple) -> BraidWord | None
     one cycle of p or of delta p^-1, since a^s is positive exactly when s is
     a prefix of a s: if a s is simple, a is a suffix of delta p^-1 and
     p^-1 a p is a reflection; if not, the greatest simple prefix of a s is
-    s, so s = a t and a^s = a^t with a t simple.  Each simple's table is
-    built once per walk, so a move costs two lookups and no kernel call.
-    Moves are tried in the order of ``simples``, and only the path found is
-    spelled."""
+    s, so s = a t and a^s = a^t with a t simple.  The tables are built
+    once per structure (``_atom_moves``), so a move costs two lookups and
+    no kernel call.  Moves are tried in the order of ``simples``, and only
+    the path found is spelled."""
     n = st.n
 
     def ends(s: Simple) -> tuple[int, int] | None:
@@ -811,7 +773,7 @@ def _atom_pair_walk(st: BandStructure, x: Simple, y: Simple) -> BraidWord | None
         return BraidWord.identity(n)
     if None in start:
         return None
-    moves = [(s, st._atom_images(st._perm0(s))) for s in st.simples() if not st.is_identity(s)]
+    moves = st._atom_moves()
     parent: dict[tuple, tuple | None] = {start: None}
     queue = [start]
     for state in queue:  # appends below extend the iteration: FIFO

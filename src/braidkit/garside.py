@@ -30,7 +30,8 @@ structure's ``_is_simple``) and arrays where they become keys
 ``_weigh`` checks anything, and the engine turns kernel outputs back into
 keys without a test.  The only cache is the list of all simples, kept per
 structure up to ``_KEPT_SIMPLES`` of them, with the closure's conjugators
-beside it (``simples``, ``_proper_simples``).
+and, in the band structure, the atom-pair walk's moves beside it
+(``simples``, ``_proper_simples``, ``_atom_moves``).
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ class GarsideStructure:
     ``complement``, the twists, the letter atoms and products, the capped
     and kept ``simples``, the closure's conjugators ``_proper_simples`` and
     ``normalize_pair``, the kernel's wrapper on ``Simple`` values.  The band
-    structure alone supplies ``_atom_images``, which the atom-pair walk of
-    the pair solver runs on.  Everything generic (normal forms, sliding,
-    conjugacy) lives in the engine module and only calls these methods.
+    structure alone supplies ``_atom_images`` and the kept list of them,
+    ``_atom_moves``, which the atom-pair walk of the pair solver runs on.
+    Everything generic (normal forms, sliding, conjugacy) lives in the
+    engine module and only calls these methods.
     """
 
     kind: str
@@ -411,6 +413,7 @@ class BandStructure(GarsideStructure):
     def __init__(self, n: int, cap: int = 10):
         self.twist_order = max(n, 1)
         super().__init__(n, cap, tuple((i + 1) % n for i in range(n)))
+        self._moves: tuple[tuple[Simple, dict], ...] | None = None
 
     def _is_simple(self, p: tuple) -> bool:
         # p lies below delta in absolute order (Bessis 2003)
@@ -510,6 +513,18 @@ class BandStructure(GarsideStructure):
             for j in range(i + 1, n)
             if cycle[i] == cycle[j] or co_cycle[i] == co_cycle[j]
         }
+
+    def _atom_moves(self) -> tuple[tuple[Simple, dict], ...]:
+        """Each simple other than 1 with its ``_atom_images`` table, in the
+        order of ``simples``: the moves of the atom-pair walk.  Kept when
+        the simples are."""
+        simples = self.simples()
+        if self._moves is not None:
+            return self._moves
+        out = tuple((s, self._atom_images(s.key)) for s in simples if s.key != self._id)
+        if simples is self._simples:
+            self._moves = out
+        return out
 
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):

@@ -109,6 +109,8 @@ def check_word_problem(rng: random.Random):
 
 
 def check_structure_agreement(rng: random.Random):
+    # the Dynnikov verdict of words_equal against the left normal form of
+    # a . b^-1 in each structure: three independent deciders of each pair
     equal_count = 0
     for idx in range(200):
         n = rng.randint(2, 5)
@@ -122,14 +124,17 @@ def check_structure_agreement(rng: random.Random):
             b = BraidWord(n, tuple(letters))
         else:
             b = _rand_word(rng, n, rng.randint(0, 12))
-        v1 = E.words_equal(classical(n), a, b)
-        v2 = E.words_equal(band(n), a, b)
+        quotient = W.compose(a, W.inverse(b))
+        verdict = E.words_equal(classical(n), a, b)
+        v1 = E.normal_form(classical(n), quotient).is_trivial()
+        v2 = E.normal_form(band(n), quotient).is_trivial()
         _require(
-            v1 == v2,
+            verdict == v1 == v2,
             f"structures disagree on instance {idx}",
-            {"a": a.format(), "b": b.format(), "classical": v1, "band": v2},
+            {"a": a.format(), "b": b.format(), "dynnikov": verdict,
+             "classical": v1, "band": v2},
         )
-        equal_count += v1
+        equal_count += verdict
     return f"200 verdict pairs agree ({equal_count} equal, {200 - equal_count} distinct)"
 
 

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import words as W
-from .engine import _equal_by_normal_forms
-from .garside import classical
 from .words import BraidWord, Permutation
 
 Word = tuple[int, ...]  # signed 1-based generator indices
@@ -543,7 +541,7 @@ def k4_rewrite(w: BraidWord) -> FreeWord:
     if w.strands != 4:
         raise ValueError("defined on four strands")
     proj = W.project_to_b3(w)
-    if not _equal_by_normal_forms(classical(3), proj, BraidWord.identity(3)):
+    if not W.same_braid(proj, BraidWord.identity(3)):
         raise ValueError("braid does not project trivially to three strands")
     shadow = FreeAut(_C, _W)
     out: list[int] = []
@@ -558,7 +556,7 @@ def k4_rewrite(w: BraidWord) -> FreeWord:
             step = _AUT_S2 if k > 0 else _AUT_S2_INV
         shadow = shadow.then(step)
     result = W._cancel_inverse_pairs(out)
-    if not _equal_by_normal_forms(classical(4), free_word_to_braid(result), w):
+    if not W.same_braid(free_word_to_braid(result), w):
         raise AssertionError("kernel rewriting failed verification")
     return result
 

@@ -12,10 +12,18 @@ The unreduced Burau representation sends s_k to the identity matrix with
 [[1-t, t], [1, 0]] on rows and columns k, k+1 (Burau, Abh. Math. Sem.
 Hamburg 11, 1936; Birman, *Braids, Links, and Mapping Class Groups*, 1974,
 ch. 3).  Evaluated at t = 3 modulo the prime 2^30 - 35 it is a homomorphism
-to GL_n(F_p), computed from the word alone: different images prove two words
-unequal, and different characteristic polynomials prove them not conjugate.
-The engine uses both as exact early answers of the word and conjugacy
-problems.  Equal images prove nothing.
+to GL_n(F_p), computed from the word alone: different characteristic
+polynomials prove two words not conjugate, an exact early answer of the
+conjugacy problem.  Equal polynomials prove nothing.
+
+Equality is decided here too, without a Garside structure.  The Dynnikov
+coordinates of a word are the image of (0, 1, ..., 0, 1) in Z^(2n) under a
+faithful action of B_n by piecewise-linear integer maps, so two words are
+the same braid exactly when their coordinates agree (Dynnikov, Russian Math.
+Surveys 57, 2002; Dehornoy, "Efficient solutions to the braid isotopy
+problem", Discrete Appl. Math. 156, 2008; Dehornoy-Dynnikov-Rolfsen-Wiest,
+*Ordering Braids*, AMS 2008, ch. XII).  One pass over the letters computes
+them, and an entry gains at most three bits per letter.
 """
 
 from __future__ import annotations
@@ -268,6 +276,52 @@ def cancel_common_ends(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord
     if not i and not j:
         return a, b
     return BraidWord(a.strands, la[i:len(la) - j]), BraidWord(b.strands, lb[i:len(lb) - j])
+
+
+def dynnikov_coordinates(w: BraidWord, start: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The coordinates (x_1, y_1, ..., x_n, y_n) that w sends the start
+    (0, 1, ..., 0, 1) to, or another given vector of 2n integers; letters
+    act left to right.
+
+    s_i and s_i^-1 change x_i, y_i, x_(i+1) and y_(i+1) only.  With
+    u+ = max(u, 0) and u- = min(u, 0), s_i takes z = x_i - y_i- - x_(i+1) +
+    y_(i+1)+ and gives (x_i + y_i+ + (y_(i+1)+ - z)+, y_(i+1) - z+,
+    x_(i+1) + y_(i+1)- + (y_i- + z)-, y_i + z+); s_i^-1 takes z = x_i + y_i-
+    - x_(i+1) - y_(i+1)+ and gives (x_i - y_i+ - (y_(i+1)+ + z)+,
+    y_(i+1) + z-, x_(i+1) - y_(i+1)- - (y_i- - z)-, y_i - z-)
+    (Dehornoy, Discrete Appl. Math. 156, 2008).  The action is faithful, so
+    w is the identity exactly when it fixes the start."""
+    v = list(start) if start is not None else [0, 1] * w.strands
+    for k in w.letters:
+        i = 2 * k - 2 if k > 0 else -2 * k - 2
+        x1, y1, x2, y2 = v[i:i + 4]
+        p1 = y1 if y1 > 0 else 0
+        m1 = y1 - p1
+        p2 = y2 if y2 > 0 else 0
+        m2 = y2 - p2
+        if k > 0:
+            z = x1 - m1 - x2 + p2
+            zp = z if z > 0 else 0
+            t, u = p2 - z, m1 + z
+            v[i:i + 4] = (x1 + p1 + (t if t > 0 else 0), y2 - zp,
+                          x2 + m2 + (u if u < 0 else 0), y1 + zp)
+        else:
+            z = x1 + m1 - x2 - p2
+            zm = z if z < 0 else 0
+            t, u = p2 + z, m1 - z
+            v[i:i + 4] = (x1 - p1 - (t if t > 0 else 0), y2 + zm,
+                          x2 - m2 - (u if u < 0 else 0), y1 - zm)
+    return tuple(v)
+
+
+def same_braid(a: BraidWord, b: BraidWord) -> bool:
+    """Whether the two words are the same braid: cancel their common ends
+    (``cancel_common_ends``), answer "equal" on identical middles, and
+    otherwise compare the Dynnikov coordinates of the middles."""
+    if a.strands != b.strands:
+        raise ValueError("strand-count mismatch")
+    a, b = cancel_common_ends(a, b)
+    return a.letters == b.letters or dynnikov_coordinates(a) == dynnikov_coordinates(b)
 
 
 def exponent_sum(w: BraidWord) -> int:

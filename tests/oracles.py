@@ -24,11 +24,13 @@ computed from shared final letters, independently of the mirror, which the
 library's right normal form goes through.
 
 ``words_equal_by_normal_forms`` is the word problem by comparing the two
-left normal forms, with no Burau test in front, where the library tests the
-one form of a . b^-1 for triviality.  ``burau_matrix`` is the
-unreduced Burau matrix mod p as a product of whole generator matrices, and
-``charpoly_faddeev_leverrier`` its characteristic polynomial by the
-Faddeev-LeVerrier recursion, apart from the library's Hessenberg reduction.
+left normal forms, and ``equal_by_quotient_normal_form`` by testing the one
+left normal form of a . b^-1 for triviality after cancelling the common
+ends, where the library compares Dynnikov coordinates and builds no normal
+form.  ``burau_matrix`` is the unreduced Burau matrix mod p as a product of
+whole generator matrices, and ``charpoly_faddeev_leverrier`` its
+characteristic polynomial by the Faddeev-LeVerrier recursion, apart from the
+library's Hessenberg reduction.
 
 ``smith_normal_form_dense`` is the Smith reduction with greedy minimal
 pivots on whole rows and columns.  It also carries the row transform U that
@@ -290,7 +292,7 @@ def solve_pair_by_conjugacy_decision(st, x_word, y_word):
     if tail is None:
         return None
     u = W.free_reduce(W.compose(u, tail))
-    if all(E._equal_by_normal_forms(st, W.conjugate(w, u), s)
+    if all(equal_by_quotient_normal_form(st, W.conjugate(w, u), s)
            for w, s in ((x_word, s1), (y_word, s2))):
         return u
     return None
@@ -309,6 +311,14 @@ def words_equal_by_normal_forms(st, a, b):
     if a.strands != b.strands:
         raise ValueError("strand-count mismatch")
     return E.from_word(st, a).key() == E.from_word(st, b).key()
+
+
+def equal_by_quotient_normal_form(st, a, b):
+    """Cancel the common ends of the two words, then test whether the left
+    normal form of a . b^-1 for what is left is trivial: a = b exactly when
+    a b^-1 = 1, whose form is delta^0 with no factors."""
+    a, b = W.cancel_common_ends(a, b)
+    return a.letters == b.letters or E.from_word(st, W.compose(a, W.inverse(b))).is_trivial()
 
 
 def burau_matrix(w, p=W._BURAU_P, t=W._BURAU_T):

@@ -4,14 +4,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidkit import cabling as C
 from braidkit import engine as E
 from braidkit import garside as G
 from braidkit import ledger as L
+from braidkit import subgroups as S
 from braidkit import words as W
 from braidkit.cli import main
 from braidkit.garside import band, classical
 from braidkit.words import BraidWord
 from oracles import (
+    equal_by_quotient_normal_form,
     pair_is_left_weighted,
     pair_is_right_weighted,
     solve_pair_by_conjugacy_decision,
@@ -84,8 +87,8 @@ def test_words_equal_matches_normal_form_oracle():
 
 
 def test_words_equal_separates_by_burau_without_the_kernel(monkeypatch):
-    # a deterministic work gate: pairs whose Burau rows differ are refused
-    # before any normal form is built
+    # a deterministic work gate: unequal pairs, here ones whose Burau rows
+    # differ too, are refused without building a normal form
     def no_normal_form(*args):
         raise AssertionError("a normal form was built")
 
@@ -127,7 +130,7 @@ def test_words_equal_cancels_common_ends_like_the_oracle():
                 expected = words_equal_by_normal_forms(struct, a, b)
                 assert equal is None or expected is equal, (a, b)
                 assert E.words_equal(struct, a, b) is expected, (a, b)
-                assert E._equal_by_normal_forms(struct, a, b) is expected, (a, b)
+                assert equal_by_quotient_normal_form(struct, a, b) is expected, (a, b)
                 assert E.words_equal(struct, b, a) is expected, (a, b)
 
 
@@ -139,7 +142,7 @@ def test_identical_words_are_equal_without_the_kernel(monkeypatch):
     for struct in (classical(12), band(12)):
         weighed = count_calls(monkeypatch, struct, "_weigh")
         assert E.words_equal(struct, a, b)
-        assert E._equal_by_normal_forms(struct, a, b)
+        assert equal_by_quotient_normal_form(struct, a, b)
         assert not weighed
 
 
@@ -164,10 +167,40 @@ def test_burau_kernel_braid_falls_back_to_normal_forms():
         assert not E.words_equal(struct, w, one)
         assert not words_equal_by_normal_forms(struct, w, one)
         # the one normal form of w . 1^-1 is not trivial
-        assert not E._equal_by_normal_forms(struct, w, one)
+        assert not equal_by_quotient_normal_form(struct, w, one)
         assert E.words_equal(struct, w, rewritten)
-        assert E._equal_by_normal_forms(struct, rewritten, w)
+        assert equal_by_quotient_normal_form(struct, rewritten, w)
     assert E.from_word(classical(5), w).canonical_length == 46
+
+
+def test_dynnikov_coordinates_match_the_normal_form_oracle():
+    # whole words, no ends cancelled: relation-rewritten equal pairs,
+    # square-swapped unequal pairs that agree in exponent sum and
+    # permutation, and independent random pairs, n = 3..12; Bigelow's braid
+    # in the Burau kernel moves the start
+    rng = random.Random(74)
+    for n in range(3, 13):
+        for _ in range(3):
+            w = rand_word(rng, n, rng.randint(5, 40))
+            pairs = [(w, relation_rewrite(rng, w, 20)), square_swap_pair(rng, n, 15),
+                     (w, rand_word(rng, n, rng.randint(0, 40)))]
+            for a, b in pairs:
+                same = W.dynnikov_coordinates(a) == W.dynnikov_coordinates(b)
+                for struct in (classical(n), band(n)):
+                    assert words_equal_by_normal_forms(struct, a, b) is same, (a, b)
+    assert W.dynnikov_coordinates(bigelow_kernel_braid()) != (0, 1) * 5
+
+
+def test_dynnikov_coordinates_of_a_long_word_stay_small():
+    # an entry gains at most three bits per letter; on this random
+    # 10 000-letter B8 word the largest has 1 314 bits.  The full twist is
+    # central, so W . delta^2 = delta^2 . W in both structures.
+    w = rand_word(random.Random(75), 8, 10000)
+    assert max(abs(c).bit_length() for c in W.dynnikov_coordinates(w)) <= 1500
+    d2 = W.power(W.delta(8), 2)
+    for struct in (classical(8), band(8)):
+        assert E.words_equal(struct, W.compose(w, d2), W.compose(d2, w))
+        assert not E.words_equal(struct, W.compose(w, d2), W.compose(d2, w, d2))
 
 
 def test_burau_blind_negative_is_decided_by_the_closure(monkeypatch):
@@ -851,25 +884,60 @@ def test_word_problem_kernel_calls(monkeypatch):
     assert calls == {"classical": 6712, "band": 11078}
 
 
-def test_equal_by_normal_forms_kernel_calls(monkeypatch):
-    # a deterministic work gate: two relation-rewritten equal pairs per
-    # n = 3..12, 20..200 letters (5 514 in all), in both structures.  One
-    # normal form of a . b^-1 is tested for triviality; comparing the two
-    # forms of a and b (oracles.words_equal_by_normal_forms) takes 6 920
-    # classical and 11 741 band kernel calls on the same set.
+def test_equality_checks_make_no_kernel_calls(monkeypatch):
+    # a deterministic work gate: every equality is decided by Dynnikov
+    # coordinates, so words_equal in both structures, the witness checks of
+    # conjugacy_solve and solve_pair_to_generators, and the round trips of
+    # subgroups.k4_rewrite and cabling.extract weigh nothing.  On the equal
+    # pairs below the one normal form of a . b^-1 took 474 classical and
+    # 588 band kernel calls.
+    counted = [count_calls(monkeypatch, make(n), "_weigh")
+               for make in (classical, band) for n in range(2, 13)]
+
+    def weighed():
+        return sum(map(len, counted))
+
     rng = random.Random(72)
-    calls = {"classical": 0, "band": 0}
     for n in range(3, 13):
         pairs = []
         for _ in range(2):
             w = rand_word(rng, n, rng.randint(20, 200))
-            pairs.append((w, relation_rewrite(rng, w, 20)))
+            pairs.append((w, relation_rewrite(rng, w, 20), True))
+        pairs.append(square_swap_pair(rng, n, 50) + (False,))
         for struct in (classical(n), band(n)):
-            weighed = count_calls(monkeypatch, struct, "_weigh")
-            for a, b in pairs:
-                assert E._equal_by_normal_forms(struct, a, b)
-            calls[struct.kind] += len(weighed)
-    assert calls == {"classical": 474, "band": 588}
+            for a, b, equal in pairs:
+                assert E.words_equal(struct, a, b) is equal
+    c = W.named_element("c", 4)
+    for _ in range(10):
+        g = rand_word(rng, 4, rng.randint(0, 6))
+        x = W.compose(W.conjugate(c, g), W.inverse(c))
+        assert E.words_equal(classical(4), S.free_word_to_braid(S.k4_rewrite(x)), x)
+    comp = C.Composition((2, 3))
+    cabled = C.cable(BraidWord(2, (1, 1)), [BraidWord(2, (1,)), BraidWord(3, (2, -1))], comp)
+    cabled = relation_rewrite(rng, cabled, 10)
+    assert C.extract(cabled, comp, "interior:2").strands == 3
+    assert not weighed()
+
+    checked = []
+    real = W.same_braid
+
+    def same_braid_weighing_nothing(a, b):
+        before = weighed()
+        verdict = real(a, b)
+        checked.append(weighed() == before)
+        return verdict
+
+    monkeypatch.setattr(W, "same_braid", same_braid_weighing_nothing)
+    for n in (3, 4, 5):
+        g = rand_word(rng, n, 6)
+        a = rand_word(rng, n, 8)
+        for struct in (classical(n), band(n)):
+            assert E.conjugacy_solve(struct, a, W.conjugate(a, g)).conjugate
+        x = W.conjugate(BraidWord(n, (1,)), g)
+        y = W.conjugate(BraidWord(n, (2,)), g)
+        assert E.solve_pair_to_generators(band(n), x, y) is not None
+    assert len(checked) == 3 * 2 + 3 * 2 and all(checked)
+    assert weighed()  # the searches themselves weigh, so the counters count
 
 
 def test_second_search_does_not_enumerate_simples(monkeypatch):

@@ -381,7 +381,7 @@ def test_atom_images_match_conjugation_kernel():
     assert cases == 11510
 
 
-def test_classical_atom_pair_walk_matches_oracle():
+def test_atom_pair_walk_refuses_starts_that_are_not_two_atoms():
     # the walk runs in the band structure only, where the pair solver calls
     # it; a start that is not a pair of atoms returns None there
     struct = band(4)

@@ -247,3 +247,28 @@ def test_burau_charpoly_is_a_conjugacy_invariant():
             x = rand_word(rng, n, rng.randint(1, 12))
             g = rand_word(rng, n, rng.randint(0, 12))
             assert W._burau_charpoly(x) == W._burau_charpoly(W.conjugate(x, g)), (x, g)
+
+
+def test_dynnikov_action_respects_the_braid_relations():
+    # on random integer vectors, signs mixed, n = 3..8: s_i s_i^-1 and
+    # s_i^-1 s_i act as the identity, the braid relation holds in both signs,
+    # and far letters commute; so the letters act as a group, B_n
+    rng = random.Random(68)
+    for n in range(3, 9):
+        ks = range(1, n)
+        relations = [((k, -k), ()) for k in ks] + [((-k, k), ()) for k in ks]
+        for i in range(1, n - 1):
+            relations.append(((i, i + 1, i), (i + 1, i, i + 1)))
+            relations.append(((-i, -i - 1, -i), (-i - 1, -i, -i - 1)))
+        for i, j in itertools.combinations(ks, 2):
+            if j - i >= 2:
+                for a, b in itertools.product((i, -i), (j, -j)):
+                    relations.append(((a, b), (b, a)))
+        for lhs, rhs in relations:
+            for _ in range(20):
+                v = [rng.randint(-40, 40) for _ in range(2 * n)]
+                assert W.dynnikov_coordinates(BraidWord(n, lhs), v) == W.dynnikov_coordinates(
+                    BraidWord(n, rhs), v), (n, lhs, rhs, v)
+        start = W.dynnikov_coordinates(BraidWord.identity(n))
+        assert start == (0, 1) * n
+        assert all(W.dynnikov_coordinates(BraidWord(n, (k,))) != start for k in ks)
