@@ -55,15 +55,20 @@ asks it to stop as soon as the inf has dropped: unless appending s split off
 a delta, the inf is kept only if the first step of the insertion makes the
 first factor delta.  The pair solver runs in the band structure whatever
 structure it is given, since the centred shape of an atom's conjugates that
-it strips is a band theorem (Birman-Ko-Lee) and fails classically.  Its
-atom-pair walk needs no conjugation at all: whether a^s is again an atom,
-and which, is read off the permutation of s (``_atom_images``).  For the
-atom a swapping i and j, a^s is positive exactly when s is a prefix of a s;
-that holds when a s is simple, and otherwise exactly when a is a prefix of
-s, so a^s is an atom exactly when i and j lie in one cycle of s or of
-delta s^-1.  Nor does the pair solver search SC: Y is conjugate to an atom
-exactly when its circuit representative is one, since an atom has summit
-(inf, sup) = (0, 1).
+it strips is a band theorem (Birman-Ko-Lee) and fails classically.  For
+X = delta^-p A_p ... a ... B_p, C_p its first right factor and y Y's atom,
+a strip conjugates by B_p^-1 if B_p y is simple, else by C_p if y C_p is.
+If s y is simple, s y = t s for the reflection t = s y s^-1 below s y, so
+y^(s^-1) = t is the atom swapping the images of y's strands under s^-1; if
+y s is simple, y^s swaps their images under s (Bessis 2003).  So Y is never
+conjugated as a normal form.  Nor does the atom-pair walk conjugate:
+whether a^s is again an atom, and which, is read off the permutation of s
+(``_atom_images``).  For the atom a swapping i and j, a^s is positive
+exactly when s is a prefix of a s; that holds when a s is simple, and
+otherwise exactly when a is a prefix of s, so a^s is an atom exactly when
+i and j lie in one cycle of s or of delta s^-1.  The pair solver does not
+search SC either: Y is conjugate to an atom exactly when its circuit
+representative is one, since an atom has summit (inf, sup) = (0, 1).
 
 Four exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
@@ -683,15 +688,10 @@ def _first_right_factor(x: GarsideNormalForm) -> Simple:
     return right[0] if right else st.delta()
 
 
-def _stripping_conjugators(st: GarsideStructure, x: GarsideNormalForm, b_p: Simple, y: Simple):
-    """The candidate conjugators that strip the outer level of x, in order,
-    as (normal form, simple, sign): B_p^-1 when B_p y is simple, then C_p,
-    the first right factor of x, when y C_p is simple."""
-    if st.mul(b_p, y) is not None:
-        yield inv(simple_nf(st, b_p)), b_p, -1
-    c_p = _first_right_factor(x)
-    if st.mul(y, c_p) is not None:
-        yield simple_nf(st, c_p), c_p, 1
+def _atom_ends(st: BandStructure, s: Simple) -> tuple[int, ...] | None:
+    """The strands the atom s swaps; None if s is no atom."""
+    st._perm0(s)
+    return tuple(v for v, w in enumerate(s.key) if v != w) if st._key_length(s.key) == 1 else None
 
 
 def solve_pair_to_generators(
@@ -704,8 +704,9 @@ def solve_pair_to_generators(
     has the centred shape of atom conjugates (``atom_conjugate_shape``):
     slide Y to its circuit representative (None unless that is an atom),
     then repeatedly strip the outer normal-form level of X by a conjugation
-    that keeps Y an atom, and walk the finite graph of atom pairs.  The
-    conjugators are kept as steps and spelled once, before u is verified.
+    that keeps Y an atom, chosen by rule and reading Y's new atom off its
+    permutation (module docstring), and walk the finite graph of atom pairs.
+    The conjugators are kept as steps and spelled once, before u is verified.
     """
     st = band(st.n)
     s1, s2 = BraidWord(st.n, (1,)), BraidWord(st.n, (2,))
@@ -723,14 +724,17 @@ def solve_pair_to_generators(
         if shape is None:
             return None
         length_before = x.canonical_length
-        for g, s, sign in _stripping_conjugators(st, x, shape[3][-1], y):
-            y_new = conjugate(simple_nf(st, y), g)
-            if is_atom_nf(y_new):
-                x, y = conjugate(x, g), y_new.factors[0]
-                steps.append((s,) if sign > 0 else (W.inverse(_spell(st, [(s,)])),))
-                break
+        b_p, (i, j) = shape[3][-1], _atom_ends(st, y)
+        if st.mul(b_p, y) is not None:
+            g, step = inv(simple_nf(st, b_p)), W.inverse(_spell(st, [(b_p,)]))
+            i, j = b_p.key.index(i), b_p.key.index(j)
         else:
-            return None
+            c_p = _first_right_factor(x)
+            if st.mul(y, c_p) is None:
+                return None
+            g, step, i, j = simple_nf(st, c_p), c_p, c_p.key[i], c_p.key[j]
+        x, y = conjugate(x, g), st.band_simple(i + 1, j + 1)
+        steps.append((step,))
         if x.canonical_length >= length_before:
             return None
 
@@ -758,19 +762,10 @@ def _atom_pair_walk(st: BandStructure, x: Simple, y: Simple) -> BraidWord | None
     once per structure (``_atom_moves``), so a move costs two lookups and
     no kernel call.  Moves are tried in the order of ``simples``, and only
     the path found is spelled."""
-    n = st.n
-
-    def ends(s: Simple) -> tuple[int, int] | None:
-        """The strands the atom s swaps; None if s is no atom."""
-        p = st._perm0(s)
-        if st._key_length(s.key) != 1:
-            return None
-        return tuple(v for v in range(n) if p[v] != v)
-
-    target = (ends(st.letter_simple(1)), ends(st.letter_simple(2)))
-    start = (ends(x), ends(y))
+    target = (_atom_ends(st, st.letter_simple(1)), _atom_ends(st, st.letter_simple(2)))
+    start = (_atom_ends(st, x), _atom_ends(st, y))
     if start == target:
-        return BraidWord.identity(n)
+        return BraidWord.identity(st.n)
     if None in start:
         return None
     moves = st._atom_moves()

@@ -28,10 +28,11 @@ structure and a key that is not a permutation of range(n) passing the
 structure's ``_is_simple``) and arrays where they become keys
 (``_from_perm0``); the kernels take and return simples only, so neither
 ``_weigh`` checks anything, and the engine turns kernel outputs back into
-keys without a test.  The only cache is the list of all simples, kept per
-structure up to ``_KEPT_SIMPLES`` of them, with the closure's conjugators
-and, in the band structure, the atom-pair walk's moves beside it
-(``simples``, ``_proper_simples``, ``_atom_moves``).
+keys without a test.  The only cache is the list of all simples, built
+once per structure and kept, with the closure's conjugators and, in the band
+structure, the atom-pair walk's moves beside it (``simples``,
+``_proper_simples``, ``_atom_moves``).  Each structure enumerates up to a
+fixed ``cap`` strands, so the largest list is classical(8)'s 8! = 40 320.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ import itertools
 from typing import Iterable, NamedTuple
 
 from .words import Permutation
-
-# Structures live as long as the process, so each keeps at most this many
-# simples: classical(8) has 40 320, band(10) 16 796, classical(9) 362 880.
-_KEPT_SIMPLES = 50_000
 
 
 class Simple(NamedTuple):
@@ -80,33 +77,34 @@ def _inversions(a: tuple) -> int:
 class GarsideStructure:
     """Shared interface of the two structures.
 
-    A subclass sets ``kind`` and ``twist_order``, passes the permutation of
-    its Garside element to ``__init__`` and supplies the simplicity test
-    ``_is_simple`` of a permutation, the weighting kernel ``_weigh`` that
-    the engine's normal forms run on and its only lattice kernel, the
-    length test ``_grows`` of the letter products, ``_key_length``,
-    ``atoms``, ``_enumerate`` and ``simple_word``.  From these the class
-    derives the identity and Garside element, the conversions ``_perm0``
-    (which refuses a key that is not simple), ``_from_perm0`` (None for a
-    permutation that is not simple) and the checked ``_simple_of_perm0``,
-    ``atom_length``, ``mul``, ``meet`` (through ``_weigh``), ``mirror``,
-    ``complement``, the twists, the letter atoms and products, the capped
-    and kept ``simples``, the closure's conjugators ``_proper_simples`` and
-    ``normalize_pair``, the kernel's wrapper on ``Simple`` values.  The band
-    structure alone supplies ``_atom_images`` and the kept list of them,
-    ``_atom_moves``, which the atom-pair walk of the pair solver runs on.
-    Everything generic (normal forms, sliding, conjugacy) lives in the
-    engine module and only calls these methods.
+    A subclass sets ``kind``, ``twist_order`` and the enumeration ``cap`` on
+    strands, passes the permutation of its Garside element to ``__init__``
+    and supplies the simplicity test ``_is_simple`` of a permutation, the
+    weighting kernel ``_weigh`` that the engine's normal forms run on and
+    its only lattice kernel, the length test ``_grows`` of the letter
+    products, ``_key_length``, ``atoms``, ``_enumerate`` and
+    ``simple_word``.  From these the class derives the identity and Garside
+    element, the conversions ``_perm0`` (which refuses a key that is not
+    simple), ``_from_perm0`` (None for a permutation that is not simple) and
+    the checked ``_simple_of_perm0``, ``atom_length``, ``mul``, ``meet``
+    (through ``_weigh``), ``mirror``, ``complement``, the twists, the letter
+    atoms and products, the capped ``simples``, the closure's conjugators
+    ``_proper_simples`` and ``normalize_pair``, the kernel's wrapper on
+    ``Simple`` values.  The band structure alone supplies ``_atom_images``
+    and the list of them, ``_atom_moves``, which the atom-pair walk of the
+    pair solver runs on.  Each of the three lists is built on its first
+    call and kept.  Everything generic (normal forms, sliding, conjugacy)
+    lives in the engine module and only calls these methods.
     """
 
     kind: str
     twist_order: int
+    cap: int
 
-    def __init__(self, n: int, cap: int, delta_perm: tuple):
+    def __init__(self, n: int, delta_perm: tuple):
         if n < 1:
             raise ValueError("need at least one strand")
         self.n = n
-        self.cap = cap
         self._id = tuple(range(n))
         self._id_set = frozenset(self._id)
         self._delta_perm = delta_perm
@@ -148,34 +146,27 @@ class GarsideStructure:
     # derived ---------------------------------------------------------------
     def simples(self) -> tuple[Simple, ...]:
         """Every simple, in a fixed order: enumerated on the first call and
-        kept, unless there are more than ``_KEPT_SIMPLES``.  The cap is
-        checked on every call."""
+        kept.  The cap is checked on every call."""
         if self.n > self.cap:
             raise ValueError(
                 f"enumeration cap exceeded: n={self.n} > cap={self.cap}"
             )
-        if self._simples is not None:
-            return self._simples
-        out = self._enumerate()
-        if len(out) <= _KEPT_SIMPLES:
-            self._simples = out
-        return out
+        if self._simples is None:
+            self._simples = self._enumerate()
+        return self._simples
 
     def _proper_simples(self) -> tuple[tuple[Simple, tuple], ...]:
         """The simples other than 1 and delta, each with its left complement
         delta s^-1 as a permutation, in the order of ``simples``: the
-        conjugators of the circuit closure.  Kept when the simples are."""
+        conjugators of the circuit closure."""
         simples = self.simples()
-        if self._proper is not None:
-            return self._proper
-        out = tuple(
-            (s, self._left_complement_perm(s.key))
-            for s in simples
-            if s.key != self._id and s.key != self._delta_perm
-        )
-        if simples is self._simples:
-            self._proper = out
-        return out
+        if self._proper is None:
+            self._proper = tuple(
+                (s, self._left_complement_perm(s.key))
+                for s in simples
+                if s.key != self._id and s.key != self._delta_perm
+            )
+        return self._proper
 
     def letter_simple(self, j: int) -> Simple:
         """The atom of the positive Artin letter j; in both structures it
@@ -316,9 +307,10 @@ class ClassicalStructure(GarsideStructure):
 
     kind = "classical"
     twist_order = 2
+    cap = 8
 
-    def __init__(self, n: int, cap: int = 8):
-        super().__init__(n, cap, tuple(range(n - 1, -1, -1)))
+    def __init__(self, n: int):
+        super().__init__(n, tuple(range(n - 1, -1, -1)))
 
     def _is_simple(self, p: tuple) -> bool:
         return True
@@ -409,10 +401,11 @@ class BandStructure(GarsideStructure):
     """
 
     kind = "band"
+    cap = 10
 
-    def __init__(self, n: int, cap: int = 10):
+    def __init__(self, n: int):
         self.twist_order = max(n, 1)
-        super().__init__(n, cap, tuple((i + 1) % n for i in range(n)))
+        super().__init__(n, tuple((i + 1) % n for i in range(n)))
         self._moves: tuple[tuple[Simple, dict], ...] | None = None
 
     def _is_simple(self, p: tuple) -> bool:
@@ -516,15 +509,13 @@ class BandStructure(GarsideStructure):
 
     def _atom_moves(self) -> tuple[tuple[Simple, dict], ...]:
         """Each simple other than 1 with its ``_atom_images`` table, in the
-        order of ``simples``: the moves of the atom-pair walk.  Kept when
-        the simples are."""
+        order of ``simples``: the moves of the atom-pair walk."""
         simples = self.simples()
-        if self._moves is not None:
-            return self._moves
-        out = tuple((s, self._atom_images(s.key)) for s in simples if s.key != self._id)
-        if simples is self._simples:
-            self._moves = out
-        return out
+        if self._moves is None:
+            self._moves = tuple(
+                (s, self._atom_images(s.key)) for s in simples if s.key != self._id
+            )
+        return self._moves
 
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
@@ -576,13 +567,13 @@ def _noncrossing_partitions(elements: tuple) -> Iterable[tuple]:
 
 
 @functools.lru_cache(maxsize=None)
-def classical(n: int, cap: int = 8) -> ClassicalStructure:
-    return ClassicalStructure(n, cap)
+def classical(n: int) -> ClassicalStructure:
+    return ClassicalStructure(n)
 
 
 @functools.lru_cache(maxsize=None)
-def band(n: int, cap: int = 10) -> BandStructure:
-    return BandStructure(n, cap)
+def band(n: int) -> BandStructure:
+    return BandStructure(n)
 
 
 def structure(kind: str, n: int) -> GarsideStructure:

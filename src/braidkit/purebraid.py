@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 
 from . import words as W
-from .engine import from_word
-from .garside import classical
 from .words import BraidWord
 
 
@@ -109,10 +107,15 @@ def abelianize_pure(w: BraidWord, target: str = "P") -> tuple[int, ...]:
 
 
 def periodic_degree(w: BraidWord) -> int | None:
-    """d if the pure braid is the d-th power of the full twist, else None."""
+    """d if the pure braid is the d-th power of the full twist, else None:
+    the full twist has exponent sum n(n - 1), so only d = e / (n(n - 1)) for
+    the exponent sum e can fit, and ``words.same_braid`` decides that one."""
     if not membership(w, "pure"):
         raise ValueError("degree is defined for pure braids only")
-    nf = from_word(classical(w.strands), w)
-    if nf.canonical_length == 0 and nf.inf % 2 == 0:
-        return nf.inf // 2
-    return None
+    n = w.strands
+    if n == 1:
+        return 0
+    d, rest = divmod(W.exponent_sum(w), n * (n - 1))
+    if rest or not W.same_braid(w, W.power(W.delta(n), 2 * d)):
+        return None
+    return d

@@ -353,16 +353,15 @@ _BURAU_T = 3
 _BURAU_T_INV = pow(_BURAU_T, -1, _BURAU_P)
 
 
-def _burau_row(w: BraidWord, row: Sequence[int] | None = None) -> tuple[int, ...]:
+def _burau_row(w: BraidWord, row: Sequence[int]) -> tuple[int, ...]:
     """The row vector row . B(w) mod p, B the unreduced Burau matrix at t.
 
     s_k changes entries k-1 and k only, (a, b) -> ((1-t) a + b, t a), and
-    s_k^-1 maps (a, b) -> (b/t, a + (1 - 1/t) b).  The default row is
-    (7, 7^2, ..., 7^n), not the fixed row (1, t, ..., t^(n-1)).
+    s_k^-1 maps (a, b) -> (b/t, a + (1 - 1/t) b).
     """
     p, t, ti = _BURAU_P, _BURAU_T, _BURAU_T_INV
     u, ui = 1 - t, 1 - ti
-    v = list(row) if row is not None else [pow(7, i, p) for i in range(1, w.strands + 1)]
+    v = list(row)
     for k in w.letters:
         if k > 0:
             a, b = v[k - 1], v[k]

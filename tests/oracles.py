@@ -16,7 +16,12 @@ products, and ``atom_pair_walk`` the atom-pair search on normal forms with
 that conjugation, memoized per (atom, simple) across walks since it is pure.
 ``solve_pair_by_conjugacy_decision`` is the pair solver whose first step
 conjugates Y to the second Artin letter by the full conjugacy decision,
-where the library reads Y's atom off Y's own slide trajectory.
+where the library reads Y's atom off Y's own slide trajectory, and whose
+strips try each ``stripping_conjugators`` candidate on Y's atom as a normal
+form, where the library reads the conjugated atom off a permutation.
+``periodic_degree_by_normal_form`` reads the full-twist degree of a pure
+braid off its classical left normal form, where the library compares
+Dynnikov coordinates with the one power its exponent sum allows.
 
 ``pair_is_left_weighted``, ``right_meet`` and ``pair_is_right_weighted`` are
 the definitional checks of the normal forms.  The classical ``right_meet`` is
@@ -30,7 +35,8 @@ ends, where the library compares Dynnikov coordinates and builds no normal
 form.  ``burau_matrix`` is the unreduced Burau matrix mod p as a product of
 whole generator matrices, and ``charpoly_faddeev_leverrier`` its
 characteristic polynomial by the Faddeev-LeVerrier recursion, apart from the
-library's Hessenberg reduction.
+library's Hessenberg reduction.  ``burau_row_of_powers`` is no oracle but
+the one row, (7, 7^2, ..., 7^n) . B(w), that the Burau tests read.
 
 ``smith_normal_form_dense`` is the Smith reduction with greedy minimal
 pivots on whole rows and columns.  It also carries the row transform U that
@@ -56,7 +62,7 @@ from typing import NamedTuple
 
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import Simple, _cycle_labels, _cycles, _pinv, _pmul
+from braidkit.garside import Simple, _cycle_labels, _cycles, _pinv, _pmul, classical
 from braidkit import reptheory as R
 from braidkit import subgroups as S
 from braidkit.subgroups import _mat_inv_general, mat_mul
@@ -260,10 +266,23 @@ def atom_pair_walk(st, x, y, seen=None):
     return None
 
 
+def stripping_conjugators(st, x, b_p, y):
+    """The candidate conjugators that strip the outer level of x, in order,
+    as (normal form, simple, sign): B_p^-1 when B_p y is simple, then C_p,
+    the first right factor of x, when y C_p is simple."""
+    if st.mul(b_p, y) is not None:
+        yield E.inv(E.simple_nf(st, b_p)), b_p, -1
+    c_p = E._first_right_factor(x)
+    if st.mul(y, c_p) is not None:
+        yield E.simple_nf(st, c_p), c_p, 1
+
+
 def solve_pair_by_conjugacy_decision(st, x_word, y_word):
     """The pair solver with its first step decided by the conjugacy solver:
     conjugate Y to the second Artin letter by ``conjugacy_solve``, then strip
-    X and walk the atom pairs as the library does."""
+    X by trying each stripping conjugator on Y's atom as a normal form, where
+    the library reads the conjugated atom off a permutation, and walk the atom
+    pairs as the library does."""
     n = st.n
     s1, s2 = BraidWord(n, (1,)), BraidWord(n, (2,))
     cert = E.conjugacy_solve(st, y_word, s2)
@@ -277,7 +296,7 @@ def solve_pair_by_conjugacy_decision(st, x_word, y_word):
         if shape is None:
             return None
         length_before = x.canonical_length
-        for g, s, sign in E._stripping_conjugators(st, x, shape[3][-1], y):
+        for g, s, sign in stripping_conjugators(st, x, shape[3][-1], y):
             y_new = E.conjugate(E.simple_nf(st, y), g)
             if E.is_atom_nf(y_new):
                 step = BraidWord(n, st.simple_word(s))
@@ -296,6 +315,22 @@ def solve_pair_by_conjugacy_decision(st, x_word, y_word):
            for w, s in ((x_word, s1), (y_word, s2))):
         return u
     return None
+
+
+def periodic_degree_by_normal_form(w):
+    """d if the pure braid w is the d-th power of the full twist, else None:
+    its classical left normal form is delta^(2d) with no factors."""
+    nf = E.from_word(classical(w.strands), w)
+    if nf.canonical_length == 0 and nf.inf % 2 == 0:
+        return nf.inf // 2
+    return None
+
+
+def burau_row_of_powers(w):
+    """The Burau row (7, 7^2, ..., 7^n) . B(w) mod p, one fixed row whose
+    image tells most braids apart."""
+    p = W._BURAU_P
+    return W._burau_row(w, [pow(7, i, p) for i in range(1, w.strands + 1)])
 
 
 def band_letter_grows(st, p, q):

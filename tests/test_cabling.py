@@ -142,7 +142,7 @@ def test_extracting_a_cabled_word_compares_letters_only(monkeypatch):
     for parts in ((2, 3, 2), (1, 1, 1), (3, 3)):
         comp = C.Composition(parts)
         st = classical(comp.total)
-        monkeypatch.setattr(st, "_weigh", counting(st._weigh))
+        monkeypatch.setitem(vars(st), "_weigh", counting(st._weigh))
         for _ in range(5):
             tub = rand_pure(rng, comp.count)
             ints = [rand_word(rng, m, rng.randint(0, 6)) if m >= 2 else BraidWord.identity(1)

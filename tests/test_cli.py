@@ -46,7 +46,7 @@ def test_conj_band_pair_answers_without_enumeration(capsys, monkeypatch):
     def no_enumeration():
         raise AssertionError("simples were enumerated")
 
-    monkeypatch.setattr(band(10), "simples", no_enumeration)
+    monkeypatch.setitem(vars(band(10)), "simples", no_enumeration)
     a, b = "B10: 1 2 -3 4 5 6 -7 8 9", "B10: 9 8 -7 6 5 4 3 2 -1"
     code, out = run(capsys, "conj", "--structure", "band", a, b)
     assert code == 0 and "not conjugate" in out

@@ -14,6 +14,7 @@ from braidkit.cli import main
 from braidkit.garside import band, classical
 from braidkit.words import BraidWord
 from oracles import (
+    burau_row_of_powers,
     equal_by_quotient_normal_form,
     pair_is_left_weighted,
     pair_is_right_weighted,
@@ -86,7 +87,7 @@ def test_words_equal_matches_normal_form_oracle():
                 assert words_equal_by_normal_forms(struct, a, b) is equal, (a, b)
 
 
-def test_words_equal_separates_by_burau_without_the_kernel(monkeypatch):
+def test_words_equal_separates_by_dynnikov_coordinates_without_the_kernel(monkeypatch):
     # a deterministic work gate: unequal pairs, here ones whose Burau rows
     # differ too, are refused without building a normal form
     def no_normal_form(*args):
@@ -98,7 +99,7 @@ def test_words_equal_separates_by_burau_without_the_kernel(monkeypatch):
         for struct in (classical(n), band(n)):
             weighed = count_calls(monkeypatch, struct, "_weigh")
             a, b = square_swap_pair(rng, n, 50)
-            assert W._burau_row(a) != W._burau_row(b)
+            assert burau_row_of_powers(a) != burau_row_of_powers(b)
             assert not E.words_equal(struct, a, b)
             assert not weighed
 
@@ -157,10 +158,10 @@ def bigelow_kernel_braid():
     return W.compose(W.inverse(a), W.inverse(b), a, b)
 
 
-def test_burau_kernel_braid_falls_back_to_normal_forms():
+def test_burau_kernel_braid_is_separated_by_dynnikov_coordinates():
     w, one = bigelow_kernel_braid(), BraidWord.identity(5)
     assert len(w) == 122
-    assert W._burau_row(w) == W._burau_row(one)
+    assert burau_row_of_powers(w) == burau_row_of_powers(one)
     assert W._burau_charpoly(w) == W._burau_charpoly(one)
     rewritten = relation_rewrite(random.Random(73), w, 40)
     for struct in (classical(5), band(5)):
@@ -230,7 +231,7 @@ def test_burau_polynomial_answers_before_enumeration(monkeypatch, kind, a, b):
     def no_enumeration():
         raise AssertionError("simples were enumerated")
 
-    monkeypatch.setattr(struct, "simples", no_enumeration)
+    monkeypatch.setitem(vars(struct), "simples", no_enumeration)
     assert W._burau_charpoly(a) != W._burau_charpoly(b)
     assert not E.conjugacy_solve(struct, a, b).conjugate
 
@@ -527,7 +528,7 @@ def test_circuit_search_respects_caps():
 def test_band_normal_forms_beyond_the_enumeration_range():
     # normal forms need no simple enumeration, so they work past the caps
     rng = random.Random(2)
-    st = classical(9, cap=8)
+    st = classical(9)
     w = rand_word(rng, 9, 30)
     assert E.mul(E.from_word(st, w), E.inv(E.from_word(st, w))).is_trivial()
     bs = band(7)
@@ -629,6 +630,47 @@ def test_pair_solver_refuses_pairs_it_cannot_strip():
     # X = s1 s2 is no conjugate of an atom, so it has no centred shape
     assert E.solve_pair_to_generators(
         struct, BraidWord.parse("B3: 1 2"), BraidWord.parse("B3: 2")) is None
+
+
+def strip_conjugates(struct, n):
+    """For every simple s and atom y with s y simple, y^(s^-1) as a normal
+    form with the atom swapping the images under s^-1 of y's strands, and
+    for every y s simple, y^s with the atom swapping their images under s:
+    (cases, normal forms that are no atom, atoms other than the one read
+    off the permutation) for each side."""
+    st = struct(n)
+    out = []
+    for left in (True, False):
+        cases = not_atoms = misread = 0
+        for s in st.simples():
+            for y in st.atoms():
+                i, j = E._atom_ends(st, y)
+                if left and st.mul(s, y) is not None:
+                    g, ends = E.inv(E.simple_nf(st, s)), (s.key.index(i), s.key.index(j))
+                elif not left and st.mul(y, s) is not None:
+                    g, ends = E.simple_nf(st, s), (s.key[i], s.key[j])
+                else:
+                    continue
+                cases += 1
+                z = E.conjugate(E.simple_nf(st, y), g)
+                if not E.is_atom_nf(z):
+                    not_atoms += 1
+                elif E._atom_ends(st, z.factors[0]) != tuple(sorted(ends)):
+                    misread += 1
+        out.append((cases, not_atoms, misread))
+    return out
+
+
+def test_pair_solver_strip_rule_is_exhaustively_right_in_band():
+    # the pair solver strips Y's atom by rule: in band(n), s y simple makes
+    # y^(s^-1) the atom read off s^-1, and y s simple makes y^s the atom
+    # read off s (Bessis 2003), checked on every simple and atom
+    for n, cases in ((3, 6), (4, 28), (5, 120), (6, 495)):
+        assert strip_conjugates(band, n) == [(cases, 0, 0)] * 2
+    # the classical structure fails the same check, which is why the
+    # solver runs in band(n)
+    for n, cases, not_atoms in ((3, 6, 2), (4, 36, 18), (5, 240, 144), (6, 1800, 1200)):
+        assert strip_conjugates(classical, n) == [(cases, not_atoms, 0)] * 2
 
 
 def pair_instances(rng, count):
@@ -853,7 +895,10 @@ def test_sliding_circuits_slide_count(monkeypatch, kind, w, size, most):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Patch owner.name to count its calls."""
+    """Patch owner.name, of a module or an instance, to count its calls.
+    It is patched in the owner's attribute dict, so undoing the patch on an
+    instance deletes the attribute instead of leaving the bound method
+    behind on a cached structure."""
     real = getattr(owner, name)
     calls = []
 
@@ -861,8 +906,16 @@ def count_calls(monkeypatch, owner, name):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setitem(vars(owner), name, counting)
     return calls
+
+
+def test_count_calls_leaves_no_patch_on_a_cached_structure():
+    with pytest.MonkeyPatch.context() as mp:
+        weighed = count_calls(mp, classical(3), "_weigh")
+        E.normal_form(classical(3), BraidWord(3, (1, 2, -1)))
+        assert weighed
+    assert "_weigh" not in vars(classical(3))
 
 
 def test_word_problem_kernel_calls(monkeypatch):
@@ -952,17 +1005,19 @@ def test_second_search_does_not_enumerate_simples(monkeypatch):
         assert struct._proper_simples() is proper
 
 
-def test_simples_are_kept_per_structure_up_to_a_bound(monkeypatch):
+def test_simples_are_kept_per_structure(monkeypatch):
     # fresh structures, so that the cached ones keep their lists
-    monkeypatch.setattr(G, "_KEPT_SIMPLES", 10)
-    for st, kept in ((G.BandStructure(3), True), (G.BandStructure(4), False)):
+    for st in (G.BandStructure(4), G.ClassicalStructure(4)):
         enumerated = count_calls(monkeypatch, st, "_enumerate")
         first = st.simples()
-        assert st.simples() == first
-        assert (st._proper_simples() is st._proper_simples()) is kept
-        assert len(enumerated) == (1 if kept else 4)
+        assert st.simples() is first
+        assert st._proper_simples() is st._proper_simples()
+        assert len(enumerated) == 1
         assert [s for s, _ in st._proper_simples()] == [
             s for s in first if not (st.is_identity(s) or st.is_delta(s))]
+    st = G.BandStructure(4)
+    assert st._atom_moves() is st._atom_moves()
+    assert [s for s, _ in st._atom_moves()] == [s for s in st.simples() if not st.is_identity(s)]
     # the cap is checked in front of the kept list
     st = G.ClassicalStructure(4)
     st.simples()
@@ -1053,7 +1108,7 @@ def test_twisted_conjugates_are_found_among_the_twisted_images(monkeypatch):
     rng = random.Random(57)
     for struct in [band(n) for n in (3, 4, 5, 6)] + [classical(n) for n in (3, 4, 5)]:
         n = struct.n
-        monkeypatch.setattr(struct, "simples", no_enumeration)
+        monkeypatch.setitem(vars(struct), "simples", no_enumeration)
         delta = BraidWord(n, struct.simple_word(struct.delta()))
         for _ in range(2):
             a = rand_word(rng, n, rng.randint(1, 6))

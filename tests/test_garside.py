@@ -9,6 +9,7 @@ import pytest
 
 import braidkit
 from braidkit import engine as E
+from braidkit import garside as G
 from braidkit import words as W
 from braidkit.garside import Simple, band, classical
 from braidkit.words import BraidWord
@@ -49,10 +50,15 @@ def test_simple_counts():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^enumeration cap exceeded: n=9 > cap=8$"):
         classical(9).simples()
-    # caps are configuration: a wider structure enumerates fine
-    assert len(classical(9, cap=9).simples()) == math.factorial(9)
+    with pytest.raises(ValueError, match=r"^enumeration cap exceeded: n=11 > cap=10$"):
+        band(11).simples()
+    # one fixed cap per structure, and the largest structures below it
+    # enumerate: fresh ones, so that no cached structure keeps the lists
+    assert (classical(9).cap, band(11).cap) == (8, 10)
+    assert len(G.ClassicalStructure(8).simples()) == math.factorial(8)
+    assert len(G.BandStructure(10).simples()) == math.comb(20, 10) // 11
 
 
 def test_atom_counts():

@@ -28,3 +28,17 @@ def test_source_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names
     ]
     assert not outside, outside
+
+
+def test_invariant_modules_import_no_garside_code():
+    # linking numbers, cabling and the subgroup machinery decide equality by
+    # Dynnikov coordinates (words.same_braid), so they need no normal form
+    for name in ("purebraid", "cabling", "subgroups"):
+        path = SOURCE / f"{name}.py"
+        imported = {
+            node.module or alias.name
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        assert not imported & {"engine", "garside"}, (name, imported)

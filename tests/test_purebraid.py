@@ -7,6 +7,7 @@ import pytest
 from braidkit import purebraid as P
 from braidkit import words as W
 from braidkit.words import BraidWord, band_generator, delta, named_element
+from oracles import periodic_degree_by_normal_form
 
 
 def rand_word(rng, n, length):
@@ -105,6 +106,27 @@ def test_periodic_degree():
     assert all(lk[i, j] == 2 for i in range(1, 5) for j in range(i + 1, 5))
     with pytest.raises(ValueError):
         P.periodic_degree(BraidWord(3, (1,)))
+
+
+def test_periodic_degree_matches_the_normal_form_oracle():
+    # conjugated full-twist powers, alone, times a pure braid, and times a
+    # commutator of two pure braids (exponent sum 0, so only the comparison
+    # with the one candidate power can refuse it), n = 1..7
+    rng = random.Random(79)
+    with_degree = 0
+    for n in range(1, 8):
+        for i in range(30):
+            g = rand_word(rng, n, rng.randint(0, 8)) if n > 1 else BraidWord.identity(1)
+            w = W.conjugate(W.power(delta(n), 2 * rng.randint(-2, 2)), g)
+            if n > 1 and i % 3 == 1:
+                w = W.compose(w, rand_pure(rng, n, 2))
+            elif n > 1 and i % 3 == 2:
+                a, b = rand_pure(rng, n, 1), rand_pure(rng, n, 1)
+                w = W.compose(w, W.inverse(a), W.inverse(b), a, b)
+            expected = periodic_degree_by_normal_form(w)
+            assert P.periodic_degree(w) == expected, w.format()
+            with_degree += expected is not None
+    assert 100 <= with_degree <= 180
 
 
 def test_linking_json():
