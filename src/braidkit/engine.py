@@ -61,14 +61,22 @@ a strip conjugates by B_p^-1 if B_p y is simple, else by C_p if y C_p is.
 If s y is simple, s y = t s for the reflection t = s y s^-1 below s y, so
 y^(s^-1) = t is the atom swapping the images of y's strands under s^-1; if
 y s is simple, y^s swaps their images under s (Bessis 2003).  So Y is never
-conjugated as a normal form.  Nor does the atom-pair walk conjugate:
-whether a^s is again an atom, and which, is read off the permutation of s
-(``_atom_images``).  For the atom a swapping i and j, a^s is positive
-exactly when s is a prefix of a s; that holds when a s is simple, and
-otherwise exactly when a is a prefix of s, so a^s is an atom exactly when
-i and j lie in one cycle of s or of delta s^-1.  The pair solver does not
-search SC either: Y is conjugate to an atom exactly when its circuit
-representative is one, since an atom has summit (inf, sup) = (0, 1).
+conjugated as a normal form.  Nor does the last step search.  A band
+atom is a chord between two of the points 0, ..., n - 1 on a circle, and
+two atoms braid exactly when their chords share one endpoint q
+(Birman-Ko-Lee).  The letter s_k, and the band between the first and last
+strands for k = n, is the chord from k - 1 to k mod n.  Conjugating by
+it, or by its inverse, fixes every chord that it does not meet, and it
+moves the end that a chord shares with it to its own other end, by the
+relation a_ts a_sr = a_tr a_ts = a_sr a_tr for t > s > r in cyclic order.
+So s1^-1 if q = 0, then s_q, ..., s_2, bring q to 1; of the two other
+ends, the one that comes first after 2 in cyclic order goes down to 2 by
+s_k, and the other one on to 0 by s_(k+1)^-1, each step missing the chord
+already in place; and if x's chord is the one that ended at 2,
+Delta_3 = s1 s2 s1 exchanges s1 and s2.  That is at most 4n - 6 letters
+(``_atom_pair_conjugator``).  The pair solver does not search SC either:
+Y is conjugate to an atom exactly when its circuit representative is one,
+since an atom has summit (inf, sup) = (0, 1).
 
 Four exact shortcuts keep the search small.  Circuit elements lie in the
 super summit set, whose inf and sup (the summit inf and sup) are conjugacy
@@ -705,9 +713,12 @@ def solve_pair_to_generators(
     slide Y to its circuit representative (None unless that is an atom),
     then repeatedly strip the outer normal-form level of X by a conjugation
     that keeps Y an atom, chosen by rule and reading Y's new atom off its
-    permutation (module docstring), and walk the finite graph of atom pairs.
+    permutation (module docstring), and bring the two atoms to s1 and s2
+    by the chord rule (``_atom_pair_conjugator``).  No simple is enumerated.
     The conjugators are kept as steps and spelled once, before u is verified.
     """
+    if st.n < 3:
+        raise ValueError(f"the pair solver needs at least 3 strands, got {st.n}")
     st = band(st.n)
     s1, s2 = BraidWord(st.n, (1,)), BraidWord(st.n, (2,))
     rep, prefixes, _ = _slide_to_circuit(from_word(st, y_word))
@@ -738,7 +749,7 @@ def solve_pair_to_generators(
         if x.canonical_length >= length_before:
             return None
 
-    tail = _atom_pair_walk(st, x.factors[0], y)
+    tail = _atom_pair_conjugator(st, x.factors[0], y)
     if tail is None:
         return None
     u = _spell(st, [*steps, (tail,)])
@@ -747,45 +758,37 @@ def solve_pair_to_generators(
     return None
 
 
-def _atom_pair_walk(st: BandStructure, x: Simple, y: Simple) -> BraidWord | None:
-    """Breadth-first search through pairs of band atoms conjugated by
-    simples, from (x, y) to the pair of the first two Artin letters; None if
-    x or y is not an atom, since the exponent sum is a conjugacy invariant.
-
-    An atom is held as the pair i < j of strands it swaps, and a^s for a
-    proper simple s is read off the permutation p of s (``_atom_images``):
-    it swaps p[i] and p[j], and it is an atom exactly when i and j lie in
-    one cycle of p or of delta p^-1, since a^s is positive exactly when s is
-    a prefix of a s: if a s is simple, a is a suffix of delta p^-1 and
-    p^-1 a p is a reflection; if not, the greatest simple prefix of a s is
-    s, so s = a t and a^s = a^t with a t simple.  The tables are built
-    once per structure (``_atom_moves``), so a move costs two lookups and
-    no kernel call.  Moves are tried in the order of ``simples``, and only
-    the path found is spelled."""
-    target = (_atom_ends(st, st.letter_simple(1)), _atom_ends(st, st.letter_simple(2)))
-    start = (_atom_ends(st, x), _atom_ends(st, y))
-    if start == target:
-        return BraidWord.identity(st.n)
-    if None in start:
+def _atom_pair_conjugator(st: BandStructure, x: Simple, y: Simple) -> BraidWord | None:
+    """A word u with x^u = s1 and y^u = s2 for atoms x and y of band(n),
+    built by the chord rule of the module docstring; None unless x and y
+    are atoms whose chords share exactly one endpoint, since exactly those
+    pairs braid.  It takes at most 4n - 6 letters and no kernel call."""
+    n = st.n
+    ends = _atom_ends(st, x), _atom_ends(st, y)
+    if None in ends or len(set(ends[0]) & set(ends[1])) != 1:
         return None
-    moves = st._atom_moves()
-    parent: dict[tuple, tuple | None] = {start: None}
-    queue = [start]
-    for state in queue:  # appends below extend the iteration: FIFO
-        a, b = state
-        for s, images in moves:
-            a2 = images.get(a)
-            if a2 is None:
-                continue
-            b2 = images.get(b)
-            if b2 is None or (a2, b2) in parent:
-                continue
-            parent[a2, b2] = state, s
-            if (a2, b2) == target:
-                path = [s]
-                while parent[state] is not None:
-                    state, s = parent[state]
-                    path.append(s)
-                return _spell(st, [reversed(path)])
-            queue.append((a2, b2))
-    return None
+    (q,) = set(ends[0]) & set(ends[1])
+    p, r = sum(ends[0]) - q, sum(ends[1]) - q
+
+    def across(v: int, i: int) -> int:
+        """The point v after points i and i + 1 trade places."""
+        return i + 1 if v == i else i if v == i + 1 else v
+
+    letters: list[int] = []
+    if q == 0:
+        letters.append(-1)
+        q, p, r = 1, across(p, 0), across(r, 0)
+    while q > 1:
+        letters.append(q)
+        q, p, r = q - 1, across(p, q - 1), across(r, q - 1)
+    swap = (p - 2) % n < (r - 2) % n
+    near, far = (p, r) if swap else (r, p)
+    while near != 2:
+        letters.append(near)
+        near -= 1
+    while far != 0:
+        letters += [-(far + 1)] if far < n - 1 else W.inverse(W.band_generator(1, n, n)).letters
+        far = (far + 1) % n
+    if swap:
+        letters += [1, 2, 1]
+    return W.free_reduce(BraidWord(n, letters))

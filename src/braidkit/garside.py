@@ -29,9 +29,8 @@ structure's ``_is_simple``) and arrays where they become keys
 (``_from_perm0``); the kernels take and return simples only, so neither
 ``_weigh`` checks anything, and the engine turns kernel outputs back into
 keys without a test.  The only cache is the list of all simples, built
-once per structure and kept, with the closure's conjugators and, in the band
-structure, the atom-pair walk's moves beside it (``simples``,
-``_proper_simples``, ``_atom_moves``).  Each structure enumerates up to a
+once per structure and kept, with the closure's conjugators beside it
+(``simples``, ``_proper_simples``).  Each structure enumerates up to a
 fixed ``cap`` strands, so the largest list is classical(8)'s 8! = 40 320.
 """
 
@@ -90,10 +89,8 @@ class GarsideStructure:
     (through ``_weigh``), ``mirror``, ``complement``, the twists, the letter
     atoms and products, the capped ``simples``, the closure's conjugators
     ``_proper_simples`` and ``normalize_pair``, the kernel's wrapper on
-    ``Simple`` values.  The band structure alone supplies ``_atom_images``
-    and the list of them, ``_atom_moves``, which the atom-pair walk of the
-    pair solver runs on.  Each of the three lists is built on its first
-    call and kept.  Everything generic (normal forms, sliding, conjugacy)
+    ``Simple`` values.  Each of the two lists is built on its first call
+    and kept.  Everything generic (normal forms, sliding, conjugacy)
     lives in the engine module and only calls these methods.
     """
 
@@ -406,7 +403,6 @@ class BandStructure(GarsideStructure):
     def __init__(self, n: int):
         self.twist_order = max(n, 1)
         super().__init__(n, tuple((i + 1) % n for i in range(n)))
-        self._moves: tuple[tuple[Simple, dict], ...] | None = None
 
     def _is_simple(self, p: tuple) -> bool:
         # p lies below delta in absolute order (Bessis 2003)
@@ -486,36 +482,6 @@ class BandStructure(GarsideStructure):
         # j - 1 (right), and q puts that point next to its neighbour in the
         # other's block: the cycle still increases, and no block crosses.
         return q[j - 1] == j
-
-    def _atom_images(self, p: tuple) -> dict[tuple[int, int], tuple[int, int]]:
-        """For a simple p: each atom a, given by the strands i < j it swaps,
-        with p^-1 a p again an atom, mapped to that atom's pair; the
-        conjugate swaps p[i] and p[j].  The atom-pair walk runs on it."""
-        # a^p is an atom exactly when it is positive, i.e. when p is a prefix
-        # of a p.  If a p is simple, which is when a is a suffix of
-        # delta p^-1 (i and j in one cycle of it), that holds in absolute
-        # order, p^-1 a p being a reflection.  If a p is not simple, its
-        # greatest simple prefix can only be p, which then has a as a prefix
-        # (i and j in one cycle of p): p = a t, and a^p = a^t with a t simple.
-        n = self.n
-        cycle = _cycle_labels(p)
-        co_cycle = _cycle_labels(self._left_complement_perm(p))
-        return {
-            (i, j): (min(p[i], p[j]), max(p[i], p[j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if cycle[i] == cycle[j] or co_cycle[i] == co_cycle[j]
-        }
-
-    def _atom_moves(self) -> tuple[tuple[Simple, dict], ...]:
-        """Each simple other than 1 with its ``_atom_images`` table, in the
-        order of ``simples``: the moves of the atom-pair walk."""
-        simples = self.simples()
-        if self._moves is None:
-            self._moves = tuple(
-                (s, self._atom_images(s.key)) for s in simples if s.key != self._id
-            )
-        return self._moves
 
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):

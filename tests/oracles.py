@@ -307,7 +307,7 @@ def solve_pair_by_conjugacy_decision(st, x_word, y_word):
             return None
         if x.canonical_length >= length_before:
             return None
-    tail = E._atom_pair_walk(st, x.factors[0], y)
+    tail = E._atom_pair_conjugator(st, x.factors[0], y)
     if tail is None:
         return None
     u = W.free_reduce(W.compose(u, tail))

@@ -620,6 +620,39 @@ def test_pair_solver():
             assert u is not None, (struct.kind, g.format())
             assert E.words_equal(struct, W.conjugate(x, u), BraidWord(n, (1,)))
             assert E.words_equal(struct, W.conjugate(y, u), BraidWord(n, (2,)))
+    # past the enumeration cap of band(10): the pair path enumerates nothing
+    for n in (11, 12):
+        g = rand_word(rng, n, 8)
+        x = W.conjugate(BraidWord(n, (1,)), g)
+        y = W.conjugate(BraidWord(n, (2,)), g)
+        u = E.solve_pair_to_generators(band(n), x, y)
+        assert u is not None, g.format()
+        assert W.same_braid(W.conjugate(x, u), BraidWord(n, (1,)))
+        assert W.same_braid(W.conjugate(y, u), BraidWord(n, (2,)))
+
+
+def test_pair_solver_needs_three_strands():
+    for n in (1, 2):
+        for struct in (band(n), classical(n)):
+            with pytest.raises(ValueError, match="at least 3 strands"):
+                E.solve_pair_to_generators(struct, BraidWord(n, ()), BraidWord(n, ()))
+
+
+def test_pair_solver_makes_no_enumeration(monkeypatch):
+    # a deterministic work gate: on fresh structures, so that no list is
+    # kept from an earlier test, solving braiding pairs enumerates no simple
+    rng = random.Random(29)
+    for n in (5, 11):
+        fresh = G.BandStructure(n)
+        monkeypatch.setattr(E, "band", lambda _: fresh)
+        enumerated = count_calls(monkeypatch, fresh, "_enumerate")
+        listed = count_calls(monkeypatch, fresh, "simples")
+        for _ in range(4):
+            g = rand_word(rng, n, rng.randint(0, 8))
+            x = W.conjugate(BraidWord(n, (1,)), g)
+            y = W.conjugate(BraidWord(n, (2,)), g)
+            assert E.solve_pair_to_generators(fresh, x, y) is not None
+        assert (len(enumerated), len(listed)) == (0, 0)
 
 
 def test_pair_solver_refuses_pairs_it_cannot_strip():
@@ -1015,9 +1048,6 @@ def test_simples_are_kept_per_structure(monkeypatch):
         assert len(enumerated) == 1
         assert [s for s, _ in st._proper_simples()] == [
             s for s in first if not (st.is_identity(s) or st.is_delta(s))]
-    st = G.BandStructure(4)
-    assert st._atom_moves() is st._atom_moves()
-    assert [s for s, _ in st._atom_moves()] == [s for s in st.simples() if not st.is_identity(s)]
     # the cap is checked in front of the kept list
     st = G.ClassicalStructure(4)
     st.simples()

@@ -339,51 +339,59 @@ def test_conjugation_by_a_simple_makes_at_most_2r_plus_1_kernel_calls(monkeypatc
 
 
 def test_atom_pair_walk_matches_oracle():
-    # the same trail, or None, for every ordered pair of atoms.  A move by s
-    # is undone by a move by the complement of s and then moves by delta
-    # until the twist comes round, so the pairs an unsuccessful oracle walk
-    # reached form a whole component without the target, and the oracle
-    # answers None from each of them.
+    # an answer exactly when the oracle walk finds one, for every ordered
+    # pair of atoms; the words differ from the oracle's trails, so each is
+    # checked to conjugate the pair to (s1, s2).  A move by s is undone by a
+    # move by the complement of s and then moves by delta until the twist
+    # comes round, so the pairs an unsuccessful oracle walk reached form a
+    # whole component without the target, and the oracle answers None from
+    # each of them.
     for n in (3, 4, 5):
         struct = band(n)
+        s1, s2 = BraidWord(n, (1,)), BraidWord(n, (2,))
         unreachable = set()
         for x in struct.atoms():
             for y in struct.atoms():
+                u = E._atom_pair_conjugator(struct, x, y)
                 if (x, y) in unreachable:
-                    assert E._atom_pair_walk(struct, x, y) is None
+                    assert u is None
                     continue
                 reached = set()
                 expected = O.atom_pair_walk(struct, x, y, reached)
                 if expected is None:
                     unreachable |= reached
-                assert E._atom_pair_walk(struct, x, y) == expected
+                assert (u is None) == (expected is None), (x, y)
+                if u is not None:
+                    for a, s in ((x, s1), (y, s2)):
+                        assert W.same_braid(W.conjugate(BraidWord(n, struct.simple_word(a)), u), s)
 
 
-def moved_strands(p):
-    return tuple(v for v in range(len(p)) if p[v] != v)
-
-
-def test_atom_images_match_conjugation_kernel():
-    # for every atom a and every simple s, identity and delta included:
-    # a^s is an atom exactly when the table has a, and then the table's pair
-    # is the strands it swaps; the early-stopping conjugation is the oracle
-    cases = 0
-    for struct in map(band, range(2, 8)):
-        for a in struct.atoms():
-            ap = struct._perm0(a)
-            for s in struct.simples():
-                sp = struct._perm0(s)
-                z = E._conjugate_simple(struct, 0, (ap,), sp, keep_inf=True)
-                atom = z is not None and z[0] == 0 and len(z[1]) == 1
-                expected = moved_strands(z[1][0]) if atom else None
-                assert struct._atom_images(sp).get(moved_strands(ap)) == expected, (a, s)
-                cases += 1
-    assert cases == 11510
+def test_atom_pair_conjugator_is_exhaustively_right():
+    # every ordered pair of atoms of band(3..12): None exactly when the two
+    # chords do not share exactly one endpoint, else a word of at most
+    # 4n - 6 letters that conjugates the pair to (s1, s2)
+    for n in range(3, 13):
+        struct = band(n)
+        s1, s2 = BraidWord(n, (1,)), BraidWord(n, (2,))
+        braiding = 0
+        for x in struct.atoms():
+            for y in struct.atoms():
+                u = E._atom_pair_conjugator(struct, x, y)
+                shared = set(E._atom_ends(struct, x)) & set(E._atom_ends(struct, y))
+                assert (u is None) == (len(shared) != 1), (x, y)
+                if u is None:
+                    continue
+                braiding += 1
+                assert len(u.letters) <= 4 * n - 6, (x, y, u.format())
+                for a, s in ((x, s1), (y, s2)):
+                    assert W.same_braid(W.conjugate(BraidWord(n, struct.simple_word(a)), u), s)
+        # n points, two other ends in order
+        assert braiding == n * (n - 1) * (n - 2)
 
 
 def test_atom_pair_walk_refuses_starts_that_are_not_two_atoms():
-    # the walk runs in the band structure only, where the pair solver calls
-    # it; a start that is not a pair of atoms returns None there
+    # the conjugator runs in the band structure only, where the pair solver
+    # calls it; a start that is not a pair of atoms returns None there
     struct = band(4)
     s1, s2 = struct.letter_simple(1), struct.letter_simple(2)
     for x, y in (
@@ -392,12 +400,13 @@ def test_atom_pair_walk_refuses_starts_that_are_not_two_atoms():
         (s1, struct.mul(struct.letter_simple(3), s2)),
     ):
         assert O.atom_pair_walk(struct, x, y) is None
-        assert E._atom_pair_walk(struct, x, y) is None
+        assert E._atom_pair_conjugator(struct, x, y) is None
 
 
 def test_atom_pair_walk_makes_no_kernel_calls(monkeypatch):
-    # a deterministic work gate: the walk reads every move off the tables
-    # and never weighs or conjugates, also when it walks a whole component
+    # a deterministic work gate: the conjugator reads the chords of the two
+    # atoms off their permutations and never weighs or conjugates, also on
+    # pairs that do not braid
     conjugations = []
 
     def counting(*args, **kwargs):
@@ -410,7 +419,7 @@ def test_atom_pair_walk_makes_no_kernel_calls(monkeypatch):
     calls = count_kernel_calls(monkeypatch, struct)
     atoms = struct.atoms()
     for x, y in ((atoms[-1], atoms[0]), (atoms[1], atoms[0]), (atoms[0], atoms[0])):
-        E._atom_pair_walk(struct, x, y)
+        E._atom_pair_conjugator(struct, x, y)
     assert (len(calls), len(conjugations)) == (0, 0)
 
 
