@@ -11,12 +11,12 @@ the first factor, then the remainder against the next factor, and stop as
 soon as nothing moves.  Pairs already passed stay weighted, because for a left
 weighted pair (A, B) and any positive x the greatest simple prefix of x A B
 is that of x A.  Only the first factor can become delta, and it goes into the
-power.  ``from_word`` blocks each run of same-sign letters into one simple
-while the product stays simple and inserts the blocks right to left; ``mul``
-inserts the twisted factors of its left operand.  The loop runs on each
-structure's permutation arrays through its kernel ``_weigh``; ``Simple``
-values are built only when a normal form is read in or handed out.  Each
-normal form is checked once: a form built by hand has its factors checked
+power.  ``from_word`` blocks same-sign letters into one simple while the
+product stays simple, across far commutations (below), and inserts the
+blocks right to left; ``mul`` inserts the twisted factors of its left
+operand.  The loop runs on each structure's permutation arrays through its
+kernel ``_weigh``; ``Simple`` values are built only when a normal form is
+read in or handed out.  Each normal form is checked once: a form built by hand has its factors checked
 when they are first read as arrays, and a form the engine builds from
 kernel outputs, which are simples, is marked checked and never checked
 again (``_from_perms``, ``_arrays``).
@@ -53,9 +53,9 @@ conjugation.  The circuit closure calls ``_conjugate_simple`` on
 permutations directly, with each simple's left complement computed once, and
 asks it to stop as soon as the inf has dropped: unless appending s split off
 a delta, the inf is kept only if the first step of the insertion makes the
-first factor delta.  The pair solver runs in the band structure whatever
-structure it is given, since the centred shape of an atom's conjugates that
-it strips is a band theorem (Birman-Ko-Lee) and fails classically.  For
+first factor delta.  The pair solver runs in a band structure, the one it
+is given if it is given one, since the centred shape of an atom's conjugates
+that it strips is a band theorem (Birman-Ko-Lee) and fails classically.  For
 X = delta^-p A_p ... a ... B_p, C_p its first right factor and y Y's atom,
 a strip conjugates by B_p^-1 if B_p y is simple, else by C_p if y C_p is.
 If s y is simple, s y = t s for the reflection t = s y s^-1 below s y, so
@@ -121,6 +121,31 @@ before the left-greedy insertion above.  Random words are full of such
 pairs.  Every normal form goes through ``from_word``, so ``normal_form`` on
 either side and every search shortens its words this way; ``_spell``,
 which spells trails and witnesses, reduces freely only.
+
+The same relations let a block reach past far letters.  A live letter
+s_a^(+-1), one not yet in a block, is exposed when no later live letter is
+s_(a-1), s_a or s_(a+1) to either sign: it commutes with every live letter
+after it, so the word is the same braid with it moved to the end of the
+live letters.  Each block takes one sign, positive unless most exposed
+letters are negative, and grows from every exposed letter of that sign
+while the product stays simple; taking a letter can expose only the new
+last live letters of absolute values a - 1, a and a + 1.  The cancellation
+pass leaves its per-value stacks of positions behind, so each exposure is
+read in O(1), a block costs O(taken + n) and no letter is scanned twice.
+A letter that fails waits, still exposed, for the next block of its sign:
+the block grows only by letters that commute with it, and a simple's
+divisors are simples, so it would fail for the rest of the block.
+Positive blocks go first when the signs tie, so a product of commuting
+families P and N^-1 is normalised as N^-1 . P: the positive blocks are
+inserted first, the negative ones then go in front of them, and each
+insertion stops at the first factor, so the work is linear.  Read as
+P . N^-1, each new factor of P would travel past all of N^-1.  Normal
+forms are unique, so only the work changes.  Across letters that do not
+commute nothing is reordered (on three strands exactly one letter is
+exposed at a time, and the blocks are the runs of same-sign letters), so
+P . N^-1 there keeps the insertion's O(L r) bound for L letters and r
+factors, quadratic in L: ``B4: 1^K -2^K`` takes 10 198 kernel calls for
+K = 100 and 40 398 for K = 200, in both structures.
 
 Equality is not decided by normal forms.  ``words.same_braid`` cancels the
 common ends of two words and compares the Dynnikov coordinates of the
@@ -385,26 +410,51 @@ def conjugate(x: GarsideNormalForm, g: GarsideNormalForm) -> GarsideNormalForm:
 
 
 def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
-    """Read the word right to left, one run of same-sign letters at a time.
-    A positive run extends its simple on the left while it stays simple; a
-    negative run b extends b^-1 on the right and enters as
-    delta^-1 . (delta b^-1).  Inverse letters that only far letters separate
-    are cancelled first (``words._cancel_commuting_inverses``)."""
+    """Read the word right to left, one block of same-sign letters at a
+    time, and insert each block on the left of the form so far.  Inverse
+    letters that only far letters separate are cancelled first
+    (``words._cancel_commuting_inverses``).  A block takes every exposed
+    letter of its sign, one whose later live letters are all far from it,
+    while its product stays simple (module docstring): positive blocks,
+    unless most exposed letters are negative.  A positive block's simple p
+    grows on the left, to s_a p; a negative block b is held as p = b^-1,
+    which grows on the right, to p s_a, and enters as
+    delta^-1 . (delta b^-1).  ``waiting`` holds the exposed letters by
+    sign; a letter that a block cannot take waits for the next block of
+    its sign."""
     if w.strands != st.n:
         raise ValueError("strand count does not match the structure")
-    letters = W._cancel_commuting_inverses(w.letters)
+    letters, below, top = W._cancel_commuting_inverses(w.letters)
+    mul_letter = st._mul_letter
+    waiting: list[list[int]] = [[], []]
+    for a in range(1, len(top) - 1):
+        i = top[a]
+        if i > top[a - 1] and i > top[a + 1]:
+            waiting[letters[i] > 0].append(a)
     fs: list[tuple] = []
     e = 0
-    i = len(letters)
-    while i:
-        positive = letters[i - 1] > 0
+    while waiting[0] or waiting[1]:
+        positive = len(waiting[0]) <= len(waiting[1])
+        todo, other = waiting[positive], waiting[not positive]
+        failed = waiting[positive] = []
         p = st._id
-        while i and (letters[i - 1] > 0) == positive:
-            q = st._mul_letter(p, abs(letters[i - 1]), positive)
+        while todo:
+            a = todo.pop()
+            q = mul_letter(p, a, positive)
             if q is None:
-                break
+                failed.append(a)
+                continue
             p = q
-            i -= 1
+            j = top[a] = below[top[a]]
+            l, r = top[a - 1], top[a + 1]
+            if j > l and j > r:
+                # s_a s_a divides no simple, so this block cannot take it
+                waiting[letters[j] > 0].append(a)
+            else:
+                if l > j and l > top[a - 2]:
+                    (todo if (letters[l] > 0) == positive else other).append(a - 1)
+                if r > j and r > top[a + 2]:
+                    (todo if (letters[r] > 0) == positive else other).append(a + 1)
         if positive:
             e += _insert(st, st._twist_perm(p, e), fs)
         else:
@@ -708,8 +758,9 @@ def solve_pair_to_generators(
     """For conjugates X, Y of the first two Artin generators with XYX = YXY,
     find u with X^u = s1 and Y^u = s2.
 
-    Runs in band(n) whatever structure st is, since only the band structure
-    has the centred shape of atom conjugates (``atom_conjugate_shape``):
+    Runs in st if it is a band structure, else in band(n), since only the
+    band structure has the centred shape of atom conjugates
+    (``atom_conjugate_shape``):
     slide Y to its circuit representative (None unless that is an atom),
     then repeatedly strip the outer normal-form level of X by a conjugation
     that keeps Y an atom, chosen by rule and reading Y's new atom off its
@@ -719,7 +770,8 @@ def solve_pair_to_generators(
     """
     if st.n < 3:
         raise ValueError(f"the pair solver needs at least 3 strands, got {st.n}")
-    st = band(st.n)
+    if not isinstance(st, BandStructure):
+        st = band(st.n)
     s1, s2 = BraidWord(st.n, (1,)), BraidWord(st.n, (2,))
     rep, prefixes, _ = _slide_to_circuit(from_word(st, y_word))
     if not is_atom_nf(rep):

@@ -266,9 +266,9 @@ class GarsideStructure:
         or None when t is trivial, i.e. (x, y) is already left weighted."""
         raise NotImplementedError
 
-    def _grows(self, q: tuple, u: int, v: int, j: int) -> bool:
-        """For q = s_j p or p s_j, a simple p with its entries at u and v
-        swapped: whether q is a simple one atom longer than p."""
+    def _grows(self, p: tuple, j: int, left: bool) -> bool:
+        """For a simple p: whether s_j p (left) or p s_j is a simple one
+        atom longer than p, read off p before the product is built."""
         raise NotImplementedError
 
     def _twist_perm(self, p: tuple, k: int) -> tuple:
@@ -283,14 +283,14 @@ class GarsideStructure:
         """s_j p (left) or p s_j if that is a simple one atom longer than p,
         else None.  s_j p swaps the images of j - 1 and j, p s_j swaps the
         values."""
+        if not self._grows(p, j, left):
+            return None
         q = list(p)
         if left:
-            u, v = j - 1, j
-            q[u], q[v] = p[v], p[u]
+            q[j - 1], q[j] = p[j], p[j - 1]
         else:
-            u, v = p.index(j - 1), p.index(j)
-            q[u], q[v] = j, j - 1
-        return tuple(q) if self._grows(q, u, v, j) else None
+            q[p.index(j - 1)], q[p.index(j)] = j, j - 1
+        return tuple(q)
 
     def _left_complement_perm(self, p: tuple) -> tuple:
         return _pmul(self._delta_perm, _pinv(p))
@@ -360,9 +360,12 @@ class ClassicalStructure(GarsideStructure):
                 j += 1
         return (tuple(a), tuple(b)) if moved else None
 
-    def _grows(self, q: tuple, u: int, v: int, j: int) -> bool:
-        # one inversion more exactly when the swapped pair was in order
-        return u < v and q[u] > q[v]
+    def _grows(self, p: tuple, j: int, left: bool) -> bool:
+        # one inversion more exactly when the swapped pair is in order: the
+        # images of j - 1 and j (left), or their preimages
+        if left:
+            return p[j - 1] < p[j]
+        return p.index(j - 1) < p.index(j)
 
 
 def _cycle_labels(p, shift: int = 0) -> list:
@@ -474,14 +477,15 @@ class BandStructure(GarsideStructure):
             tinv[v] = u
         return tuple(t[v] for v in x), tuple(y[v] for v in tinv)
 
-    def _grows(self, q: tuple, u: int, v: int, j: int) -> bool:
-        # q is p times the transposition of j - 1 and j, so it joins their
-        # cycles or splits their common one.  A simple one atom longer joins
-        # them into one increasing cycle, which steps from j - 1 to its
-        # neighbour j.  Conversely q[j - 1] == j means p fixes j (left) or
-        # j - 1 (right), and q puts that point next to its neighbour in the
-        # other's block: the cycle still increases, and no block crosses.
-        return q[j - 1] == j
+    def _grows(self, p: tuple, j: int, left: bool) -> bool:
+        # the product q is p times the transposition of j - 1 and j, so it
+        # joins their cycles or splits their common one.  A simple one atom
+        # longer joins them into one increasing cycle, which steps from j - 1
+        # to its neighbour j.  q[j - 1] == j exactly when p fixes j (left) or
+        # j - 1 (right), and then q puts that point next to its neighbour in
+        # the other's block: the cycle still increases, and no block crosses.
+        k = j if left else j - 1
+        return p[k] == k
 
     def band_simple(self, i: int, j: int) -> Simple:
         if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):

@@ -227,29 +227,39 @@ def _cancel_inverse_pairs(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cancel_commuting_inverses(letters: Sequence[int]) -> tuple[int, ...]:
+def _cancel_commuting_inverses(
+    letters: Sequence[int],
+) -> tuple[list[int], list[int], list[int]]:
     """Cancel every pair k ... -k whose letters in between all commute with
     k, i.e. are far letters l with |abs(l) - abs(k)| >= 2.
 
-    Such a pair is the braid identity s^e M s^-e = M, so the result is the
-    same braid.  Each incoming letter k is checked against the latest kept
-    letter of absolute value abs(k) - 1, abs(k) or abs(k) + 1, the first one
-    a walk back over the kept letters would stop at: one stack of positions
-    per absolute value finds it in O(1).  If it is -k, both go.  A deleted
-    letter never blocked an earlier pair, since every kept letter after it
-    commutes with it, so one pass leaves no cancellable pair."""
-    top = [[-1] for _ in range(max(map(abs, letters), default=0) + 2)]
+    Such a pair is the braid identity s^e M s^-e = M, so the kept letters
+    are the same braid.  Each incoming letter k is checked against the
+    latest kept letter of absolute value abs(k) - 1, abs(k) or abs(k) + 1,
+    the first one a walk back over the kept letters would stop at: one stack
+    of positions per absolute value finds it in O(1).  If it is -k, both go.
+    A deleted letter never blocked an earlier pair, since every kept letter
+    after it commutes with it, so one pass leaves no cancellable pair.
+
+    Returns the stacks as linked lists, with the letters: ``out``, the
+    letters kept on arrival, with 0 in place of each that a later letter
+    cancelled; ``below[i]``, the position in out of the kept letter under
+    out[i] in its stack, or -1; and ``top[a]`` for a = 0 .. max abs(k) + 1,
+    the position of the last kept letter of absolute value a, or -1."""
+    top = [-1] * (max(map(abs, letters), default=0) + 2)
     out: list[int] = []
+    below: list[int] = []
     for k in letters:
         a = abs(k)
-        kept = top[a]
-        i = kept[-1]
-        if i >= 0 and out[i] == -k and top[a - 1][-1] < i and top[a + 1][-1] < i:
-            out[kept.pop()] = 0
+        i = top[a]
+        if i >= 0 and out[i] == -k and top[a - 1] < i and top[a + 1] < i:
+            out[i] = 0
+            top[a] = below[i]
         else:
-            kept.append(len(out))
+            top[a] = len(out)
+            below.append(i)
             out.append(k)
-    return tuple(k for k in out if k)
+    return out, below, top
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

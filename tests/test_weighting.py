@@ -42,9 +42,31 @@ def seeded_words(rng, count):
     return out
 
 
+def far_words(rng, count):
+    """Words with n 3..12, mixed signs and up to 120 letters, rich in far
+    letters: each stretch draws from a random set of pairwise far
+    generators, with an occasional letter from anywhere."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 12)
+        gens = list(range(1, n))
+        length = rng.randint(0, 120)
+        letters = []
+        while len(letters) < length:
+            start = rng.randint(1, 2)
+            family = [j for j in range(start, n, rng.randint(2, 4))]
+            for _ in range(rng.randint(1, 30)):
+                j = rng.choice(family) if rng.random() < 0.9 else rng.choice(gens)
+                letters.append(j * rng.choice((1, -1)))
+        out.append(BraidWord(n, tuple(letters[:length])))
+    return out
+
+
 def test_fast_paths_match_letter_by_letter_oracle():
+    # far_words: blocks take every exposed letter of their sign, across
+    # far commutations, where the oracle multiplies in one letter at a time
     rng = random.Random(61)
-    for w in seeded_words(rng, 24) + [BraidWord.identity(3)]:
+    for w in seeded_words(rng, 24) + [BraidWord.identity(3)] + far_words(random.Random(73), 30):
         n = w.strands
         cut = rng.randint(0, len(w.letters))
         u, v = BraidWord(n, w.letters[:cut]), BraidWord(n, w.letters[cut:])
@@ -112,6 +134,12 @@ def test_commuting_cancellation_matches_letter_by_letter_oracle():
                 assert E.words_equal(struct, w, v) is (O.from_word(struct, v).key() == ow.key())
 
 
+def cancel_commuting_inverses(letters):
+    """The letters that ``words._cancel_commuting_inverses`` keeps, in order."""
+    out, _, _ = W._cancel_commuting_inverses(letters)
+    return tuple(k for k in out if k)
+
+
 def reachable_inverse_pairs(letters):
     """Brute force: every i < j with letters[j] == -letters[i] and every
     letter in between far from letters[i]."""
@@ -127,7 +155,15 @@ def test_commuting_cancellation_properties():
     rng = random.Random(69)
     removed_total = 0
     for w in sandwich_words(rng, 60) + seeded_words(rng, 20):
-        out = W._cancel_commuting_inverses(w.letters)
+        out = cancel_commuting_inverses(w.letters)
+        kept, below, top = W._cancel_commuting_inverses(w.letters)
+        # the stacks link the kept letters of each absolute value, last on top
+        for a in range(len(top)):
+            stack, i = [], top[a]
+            while i >= 0:
+                stack.append(i)
+                i = below[i]
+            assert stack == [i for i in range(len(kept) - 1, -1, -1) if abs(kept[i]) == a > 0]
         # a subsequence of the input (an IndexError if not), with letters
         # removed in inverse pairs
         removed, i = [], 0
@@ -142,7 +178,7 @@ def test_commuting_cancellation_properties():
         v = BraidWord(w.strands, out)
         assert W.exponent_sum(v) == W.exponent_sum(w)
         assert W.permutation_of(v) == W.permutation_of(w)
-        assert W._cancel_commuting_inverses(out) == out
+        assert cancel_commuting_inverses(out) == out
         assert not reachable_inverse_pairs(out), w.format()
     assert removed_total > 1000
 
