@@ -2,7 +2,8 @@
 
 The commutator subgroup of the 4-strand braid group maps onto the even
 permutations of four points; Schreier rewriting over that finite image plus
-Smith reduction shows its pure part abelianizes to seven free generators.
+Smith reduction shows its pure part abelianizes to seven free generators;
+the same reduction gives the Smith form of any integer matrix.
 The complementary tools rewrite the projection kernel over its two free
 generators and read off induced integer matrices.
 """
@@ -17,6 +18,7 @@ from braidkit.subgroups import (
     free_words_check,
     k4_rewrite,
     kernel_abelianization,
+    smith_normal_form,
     T_MATRIX,
     U_MATRIX,
 )
@@ -34,6 +36,10 @@ print("the seven products form a free basis:", basis_check(basis, ka))
 pres3, image3 = b3_commutator_presentation()
 ka3 = kernel_abelianization(pres3, image3)
 print("\nthree-strand analogue has rank:", ka3.free_rank)
+
+m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+snf = smith_normal_form(m)
+print("Smith form of", m, "has diagonal", snf.factors, "and V =", snf.v)
 
 print("\nrewriting over the free kernel on (c, w):")
 u = named_element("u", 4)

@@ -4,8 +4,9 @@ Cabling replaces the strands of a braid on k strands by braids running inside
 tubes of widths m_1, ..., m_k: interior braids are inserted at the start of
 their tubes and every crossing of the outer braid expands to a block of
 crossings between the two tubes involved.  Splitting recovers the tubular
-and interior braids of a cabled word by strand deletion, verified by a
-re-cabling round trip; extraction selects one of them.
+and interior braids of a cabled word in one walk over its letters, which
+deletes the strands outside each part at once, verified by a re-cabling
+round trip; extraction selects one of them.
 """
 
 from __future__ import annotations
@@ -127,17 +128,43 @@ def extract(w: BraidWord, comp: Composition, which: str) -> BraidWord:
     return interiors[i - 1] if i else tubular
 
 
+def _parts(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]:
+    """The tubular braid and the interior braids of w, read positionally in
+    one walk over its letters.  A crossing of two strands of one tube belongs
+    to that tube's interior braid, a crossing of the first strands of two
+    tubes to the tubular braid, and any other crossing to no part; so each
+    part is the braid that deleting every strand outside it leaves."""
+    tube = [0] * (w.strands + 1)  # the tube of each strand label
+    first = [False] * (w.strands + 1)  # whether it starts its tube
+    for i in range(1, comp.count + 1):
+        block = comp.block(i)
+        for s in block:
+            tube[s] = i
+        first[block[0]] = True
+    arrangement = list(range(1, w.strands + 1))  # strand label at each position
+    letters: list[list[int]] = [[] for _ in range(comp.count + 1)]  # tubular first
+    for k in w.letters:
+        pos = abs(k)  # crossing at positions pos, pos+1
+        a, b = arrangement[pos - 1], arrangement[pos]
+        if tube[a] == tube[b]:
+            part = tube[a]
+            j = sum(1 for s in arrangement[: pos - 1] if tube[s] == part) + 1
+            letters[part].append(j if k > 0 else -j)
+        elif first[a] and first[b]:
+            j = sum(1 for s in arrangement[: pos - 1] if first[s]) + 1
+            letters[0].append(j if k > 0 else -j)
+        arrangement[pos - 1], arrangement[pos] = b, a
+    return BraidWord(comp.count, tuple(letters[0])), [
+        BraidWord(m, tuple(x)) for m, x in zip(comp.parts, letters[1:])
+    ]
+
+
 def split(w: BraidWord, comp: Composition) -> tuple[BraidWord, list[BraidWord]]:
     """The tubular braid and the list of interior braids of a cabled word,
-    from k + 1 strand deletions and one re-cabling certificate."""
+    from one walk over the word and one re-cabling certificate."""
     if w.strands != comp.total:
         raise ValueError("strand count does not match the composition")
-    firsts = frozenset(comp.block(i)[0] for i in range(1, comp.count + 1))
-    tubular = W._delete_strands_raw(w, firsts)
-    interiors = [
-        W._delete_strands_raw(w, frozenset(comp.block(i)))
-        for i in range(1, comp.count + 1)
-    ]
+    tubular, interiors = _parts(w, comp)
     recabled = cable(tubular, interiors, comp)
     if not W.same_braid(recabled, w):
         raise ValueError("not tube-preserving for this composition")

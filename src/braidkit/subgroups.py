@@ -7,17 +7,24 @@ of the relation matrix.  The same machinery yields exact coordinates for
 kernel elements, which is what basis and rank checks consume.
 
 The Cayley graph is held as integer tables, successor and predecessor state
-and Schreier label per state and generator, so rewriting walks indices.
-Relation matrices from Schreier rewriting are sparse and nearly all their
-pivots are units (Havas, Holt and Rees, Linear Algebra Appl. 192, 1993).
-The Smith reduction keeps its greedy minimal pivot rule but stops the pivot
-search at the first unit, skips the divisibility scan after a unit pivot and
-eliminates over the nonzero entries of the pivot row or column only.  It
-builds D and the column transform V, which coordinates are read with; the
-row transform U is never needed, so row operations act on the matrix alone.
-A kernel abelianization keeps one column of V per invariant factor other
-than 1.  Ranks and determinants come from fraction-free elimination
-(``_eliminate``) instead, whose entries are minors of the matrix.
+and Schreier label per state and generator, built by composing tuples of
+images, so rewriting walks indices and a relator vanishes in the image
+exactly when its walk from the identity state returns there.  Relation
+matrices from Schreier rewriting are sparse and nearly all their pivots are
+units (Havas, Holt and Rees, Linear Algebra Appl. 192, 1993), so the Smith
+reduction holds sparse rows ``{column: value}`` and keeps its greedy minimal
+pivot rule: the pivot search stops at the first unit, a column swap
+relabels positions instead of moving entries, a row pass eliminates over
+the nonzero entries of the pivot row, and after a row pass that swapped no
+rows the pivot is alone in its column, so the column pass rewrites only the
+pivot row and V.  The divisibility scan is skipped after a unit pivot.  The
+reduction builds the column transform V, by columns, which coordinates are
+read with; the row transform U is never needed, so row operations act on
+the matrix alone.  A kernel abelianization keeps one column of V per
+invariant factor other than 1, and D is built only for
+``smith_normal_form``.  Ranks and determinants come from fraction-free
+elimination (``_eliminate``) instead, whose entries are minors of the
+matrix.
 
 The four-strand specific tools rewrite the kernel of the projection onto
 three strands as a free group on two generators and read off induced integer
@@ -26,6 +33,7 @@ matrices on rank-two abelianizations.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -103,13 +111,6 @@ class FiniteImageMap:
     def degree(self) -> int:
         return self.images[0].degree
 
-    def word_image(self, word: Word) -> Permutation:
-        out = Permutation.identity(self.degree)
-        for g in word:
-            img = self.images[abs(g) - 1]
-            out = out * (img if g > 0 else img.inverse())
-        return out
-
 
 def parse_presentation(text: str) -> tuple[FinitePresentation, FiniteImageMap | None]:
     """Read the minimal text format: a ``gens:`` line of distinct names,
@@ -180,105 +181,135 @@ class SmithForm:
     factors: tuple[int, ...]
 
 
-def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """The first entry of least absolute value in row-major order among the
-    nonzero entries of a[t:][t:], or None if they are all zero.  Nothing is
-    smaller than a unit, so the search stops at the first one."""
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src on sparse vectors, keeping only nonzero entries.  With
+    q nonzero, an entry that comes out zero was in dst."""
+    get = dst.get
+    for k, y in src.items():
+        z = get(k, 0) + q * y
+        if z:
+            dst[k] = z
+        else:
+            del dst[k]
+
+
+def _least_entry(rows: list[dict[int, int]], pos: list[int], t: int):
+    """(row, position) of the first entry of least absolute value in
+    row-major order among the nonzero entries of rows t onwards, or None if
+    there is none.  Nothing is smaller than a unit, so the search stops at
+    the first row holding one."""
     best = None
     least = 0
-    for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x and (best is None or abs(x) < least):
-                if x == 1 or x == -1:
-                    return i, j
-                best, least = (i, j), abs(x)
+    for i in range(t, len(rows)):
+        row = rows[i]
+        if not row:
+            continue
+        values = row.values()
+        m = 1 if 1 in values or -1 in values else min(map(abs, values))
+        if best is None or m < least:
+            best = i, min(pos[c] for c, x in row.items() if x == m or x == -m)
+            least = m
+            if m == 1:
+                break
     return best
+
+
+def _smith(rows: list[dict[int, int]], cols: int):
+    """The greedy Smith elimination on sparse rows ``{column: value}`` of a
+    matrix with ``cols`` columns, reducing the rows in place.  Returns the
+    min(rows, cols) diagonal entries and V as one sparse column
+    ``{row: value}`` per position."""
+    at = list(range(cols))  # the column held at each position
+    pos = list(range(cols))  # the position of each column
+    v = [{c: 1} for c in range(cols)]  # the columns of V, by column
+
+    def swap_cols(j, k):
+        at[j], at[k] = at[k], at[j]
+        pos[at[j]], pos[at[k]] = j, k
+
+    t = 0
+    while t < min(len(rows), cols):
+        pivot = _least_entry(rows, pos, t)
+        if pivot is None:
+            break
+        rows[t], rows[pivot[0]] = rows[pivot[0]], rows[t]
+        swap_cols(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            # row[i] -= q * row[t] for every row i below the pivot; a row
+            # left with a remainder becomes the pivot row and the old one
+            # takes its place, the only rows besides t left in column t
+            c, piv, held = at[t], rows[t], [t]
+            for i, row in enumerate(rows[t + 1:], t + 1):
+                if c in row:
+                    q = row[c] // piv[c]
+                    if q:
+                        _axpy(row, piv, -q)
+                    if c in row:
+                        rows[t], rows[i] = row, piv
+                        piv = row
+                        held.append(i)
+                        dirty = True
+            # col[j] -= q * col[t] for every column j right of the pivot
+            col = [(rows[i], rows[i][c]) for i in held]
+            for j, d in sorted((pos[d], d) for d in piv if d != c):
+                q = piv[d] // piv[c]
+                if q:
+                    for row, y in col:
+                        z = row.get(d, 0) - q * y
+                        if z:
+                            row[d] = z
+                        else:
+                            del row[d]
+                    _axpy(v[d], v[c], -q)
+                if d in piv:
+                    swap_cols(t, j)
+                    c = d
+                    col = [(row, row[c]) for row in rows[t:] if c in row]
+                    dirty = True
+        c = at[t]
+        p = rows[t][c]
+        if p != 1 and p != -1:
+            # enforce divisibility of the remaining block by the pivot
+            bad = next(
+                (row for row in rows[t + 1:] if any(x % p for x in row.values())),
+                None,
+            )
+            if bad is not None:
+                _axpy(rows[t], bad, 1)
+                continue
+        if p < 0:
+            rows[t][c] = -p
+        t += 1
+
+    factors = tuple(rows[i].get(at[i], 0) for i in range(min(len(rows), cols)))
+    return factors, [v[c] for c in at]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Exact Smith reduction with greedy minimal pivots: each step takes the
     first entry of least absolute value in row-major order.
 
-    Row operations act on M alone, so the row transform U of D = U M V is
-    never built; column operations act on M and V.  A pass reads the nonzero
-    entries of the pivot row of M or of the pivot column of M and V once and
-    updates the other rows or columns over those entries only.  After a unit
-    pivot every remaining entry is a multiple of it, so the divisibility scan
-    is skipped.
+    The matrix is held as sparse rows and V as sparse columns.  Row
+    operations act on M alone, so the row transform U of D = U M V is never
+    built; a column swap relabels the positions of the columns instead of
+    moving entries.  A row pass reduces every row below the pivot over the
+    nonzero entries of the pivot row.  Column t then holds the pivot and the
+    rows that served as pivot earlier in the pass, only the pivot when the
+    pass swapped no rows, so the column pass rewrites those rows and V
+    alone.  After a unit pivot every remaining entry is a multiple of it,
+    so the divisibility scan is skipped.
     """
-    a = [list(map(int, row)) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_entries(i):  # nonzero (column, value) pairs of row i of M
-        return [(j, x) for j, x in enumerate(a[i]) if x]
-
-    def col_entries(m, j):  # nonzero (row, value) pairs of column j
-        return [(i, row[j]) for i, row in enumerate(m) if row[j]]
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = _least_entry(a, t)
-        if pivot is None:
-            break
-        a[t], a[pivot[0]] = a[pivot[0]], a[t]
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            # row[i] -= q * row[t] for every row i below the pivot
-            a_row = row_entries(t)
-            for i in range(t + 1, rows):
-                ai = a[i]
-                if ai[t]:
-                    q = ai[t] // a[t][t]
-                    for j, x in a_row:
-                        ai[j] -= q * x
-                    if ai[t]:
-                        a[t], a[i] = ai, a[t]
-                        dirty = True
-                        a_row = row_entries(t)
-            # col[j] -= q * col[t] for every column j right of the pivot
-            at = a[t]
-            a_col, v_col = col_entries(a, t), col_entries(v, t)
-            for j in range(t + 1, cols):
-                if at[j]:
-                    q = at[j] // at[t]
-                    for i, x in a_col:
-                        a[i][j] -= q * x
-                    for i, x in v_col:
-                        v[i][j] -= q * x
-                    if at[j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        a_col, v_col = col_entries(a, t), col_entries(v, t)
-        p = a[t][t]
-        if p != 1 and p != -1:
-            # enforce divisibility of the remaining block by the pivot
-            bad = next(
-                (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])),
-                None,
-            )
-            if bad is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[bad])]
-                continue
-        if p < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-
-    factors = tuple(a[i][i] for i in range(min(rows, cols)))
+    rows = [{j: x for j, x in enumerate(map(int, row)) if x} for row in matrix]
+    cols = len(matrix[0]) if rows else 0
+    factors, v = _smith(rows, cols)
     return SmithForm(
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
+        tuple(
+            tuple(factors[i] if i == j else 0 for j in range(cols))
+            for i in range(len(rows))
+        ),
+        tuple(tuple(col.get(i, 0) for col in v) for i in range(cols)),
         factors,
     )
 
@@ -294,6 +325,8 @@ def matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
 def _schreier_edges(image: FiniteImageMap):
     """Breadth-first (shortlex) transversal of the image group as integer
     Cayley tables over the states, numbered in the order they are reached.
+    States are tuples of 0-based images, composed left to right like
+    ``Permutation`` products.
 
     ``succ[s][i]`` is (the state s times image i, label of that edge) and
     ``pred[s][i]`` is (the state s times image i inverse, label of the edge
@@ -301,46 +334,49 @@ def _schreier_edges(image: FiniteImageMap):
     Schreier generator, numbered by state and then by generator.  Returns
     (succ, pred, number of Schreier generators).
     """
-    start = Permutation.identity(image.degree)
+    images = [tuple(x - 1 for x in p.images) for p in image.images]
+    start = tuple(range(image.degree))
     states = [start]
     state_index = {start: 0}
     succ = []
     count = 0
     for g in states:  # grows while read: the queue of the search
         row = []
-        for img in image.images:
-            h = g * img
-            if h in state_index:
-                row.append((state_index[h], count))
+        for img in images:
+            h = tuple(map(img.__getitem__, g))
+            s = state_index.get(h)
+            if s is not None:
+                row.append((s, count))
                 count += 1
             else:
                 state_index[h] = len(states)
                 states.append(h)
-                row.append((state_index[h], None))
+                row.append((len(states) - 1, None))
         succ.append(tuple(row))
-    pred = [[None] * len(image.images) for _ in states]
+    pred = [[None] * len(images) for _ in states]
     for s, row in enumerate(succ):
         for i, (h, label) in enumerate(row):
             pred[h][i] = (s, label)
     return tuple(succ), tuple(map(tuple, pred)), count
 
 
-def _rewrite(succ, pred, count: int, word: Word, start: int) -> list[int]:
-    """Abelianized Schreier rewriting of a kernel word read from a coset."""
-    vec = [0] * count
+def _rewrite(succ, pred, word: Word, start: int) -> dict[int, int]:
+    """Abelianized Schreier rewriting of a kernel word read from a coset, as
+    a sparse vector over the Schreier generators."""
+    vec: dict[int, int] = {}
     state = start
     for g in word:
         if g > 0:
             state, label = succ[state][g - 1]
             if label is not None:
-                vec[label] += 1
+                vec[label] = vec.get(label, 0) + 1
         else:
             state, label = pred[state][-g - 1]
             if label is not None:
-                vec[label] -= 1
+                vec[label] = vec.get(label, 0) - 1
     if state != start:
         raise ValueError("word does not lie in the kernel")
-    return vec
+    return {k: x for k, x in vec.items() if x}
 
 
 @dataclass(frozen=True)
@@ -355,7 +391,6 @@ class KernelAbelianization:
     _pred: tuple
     # (factor, column of V) per coordinate, for every factor other than 1
     _columns: tuple[tuple[int, tuple[int, ...]], ...]
-    _num_schreier: int
 
     @property
     def free_rank(self) -> int:
@@ -367,8 +402,7 @@ class KernelAbelianization:
         k = len(self.image.images)
         if any(g == 0 or abs(g) > k for g in word):
             raise ValueError(f"word references unknown generator: {word}")
-        vec = _rewrite(self._succ, self._pred, self._num_schreier, word, 0)
-        entries = [(i, x) for i, x in enumerate(vec) if x]
+        entries = _rewrite(self._succ, self._pred, word, 0).items()
         out = []
         for d, col in self._columns:
             y = sum(x * col[i] for i, x in entries)
@@ -383,26 +417,24 @@ def kernel_abelianization(
     a subgroup of index equal to the image order."""
     if len(pres.generators) != len(image.images):
         raise ValueError("one image per generator required")
-    for rel in pres.relators:
-        if not image.word_image(rel).is_identity():
-            raise ValueError(f"relator {rel} does not vanish in the image")
     succ, pred, count = _schreier_edges(image)
+    for rel in pres.relators:
+        state = 0  # the identity: a relator vanishes when its walk returns
+        for g in rel:
+            state = succ[state][g - 1][0] if g > 0 else pred[state][-g - 1][0]
+        if state:
+            raise ValueError(f"relator {rel} does not vanish in the image")
     relation_rows = [
-        _rewrite(succ, pred, count, rel, s)
-        for s in range(len(succ))
-        for rel in pres.relators
+        _rewrite(succ, pred, rel, s) for s in range(len(succ)) for rel in pres.relators
     ]
-    if relation_rows:
-        snf = smith_normal_form(relation_rows)
-        diag, v = snf.factors, snf.v
-    else:
-        diag = ()
-        v = tuple(tuple(int(i == j) for j in range(count)) for i in range(count))
+    diag, v = _smith(relation_rows, count)
     # The factors form a divisibility chain, so the ones other than 1 are the
     # torsion factors in increasing order followed by the free zeros.
     factors = diag + (0,) * (count - len(diag))
     columns = tuple(
-        (d, tuple(row[j] for row in v)) for j, d in enumerate(factors) if d != 1
+        (d, tuple(col.get(i, 0) for i in range(count)))
+        for d, col in zip(factors, v)
+        if d != 1
     )
     return KernelAbelianization(
         presentation=pres,
@@ -411,7 +443,6 @@ def kernel_abelianization(
         _succ=succ,
         _pred=pred,
         _columns=columns,
-        _num_schreier=count,
     )
 
 
@@ -768,9 +799,10 @@ def _mat_inv_general(m):
 # Built-in presentations
 
 
+@functools.lru_cache(maxsize=None)
 def b4_commutator_presentation() -> tuple[FinitePresentation, FiniteImageMap]:
     """Four-generator presentation of the four-strand commutator subgroup and
-    its map onto the even permutations of four points."""
+    its map onto the even permutations of four points, built once."""
     pres = FinitePresentation(("u", "v", "w", "c"), ())
     relators = tuple(
         pres.parse_word(t)
@@ -789,8 +821,10 @@ def b4_commutator_presentation() -> tuple[FinitePresentation, FiniteImageMap]:
     return pres, image
 
 
+@functools.lru_cache(maxsize=None)
 def b3_commutator_presentation() -> tuple[FinitePresentation, FiniteImageMap]:
-    """The free rank-two group on (u, t) with its map onto the three-cycles."""
+    """The free rank-two group on (u, t) with its map onto the three-cycles,
+    built once."""
     pres = FinitePresentation(("u", "t"), ())
     u = Permutation.from_cycles(3, [(1, 2, 3)])
     t = Permutation.from_cycles(3, [(1, 3, 2)])

@@ -39,17 +39,26 @@ library's Hessenberg reduction.  ``burau_row_of_powers`` is no oracle but
 the one row, (7, 7^2, ..., 7^n) . B(w), that the Burau tests read.
 
 ``smith_normal_form_dense`` is the Smith reduction with greedy minimal
-pivots on whole rows and columns.  It also carries the row transform U that
-the library does not build, so the certificate D = U M V with U and V
-unimodular is checked on it.  ``kernel_coordinates_by_permutations`` is the
-Schreier rewriting on ``Permutation`` states that it abelianizes and reads
-coordinates with, and ``decompose_by_inner_product`` the decomposition by
+pivots on whole rows and columns, where the library holds sparse rows and
+relabels columns.  It also carries the row transform U that the library
+does not build, so the certificate D = U M V with U and V unimodular is
+checked on it, and it can count the row swaps, column swaps and
+divisibility fixes it makes, so a test can show that its draws reach them.
+``kernel_coordinates_by_permutations`` is the Schreier rewriting on
+``Permutation`` states that it abelianizes and reads coordinates with,
+``word_image`` the image of a word as a product of ``Permutation`` images,
+where the library walks its Cayley tables, and
+``decompose_by_inner_product`` the decomposition by
 one full inner product per irreducible over every partition of n, with the
 module characters built on cycle types by the symmetric-square rule
 (chi(g)^2 + chi(g^2))/2, apart from the library's closed forms in the fixed
 points and 2-cycles.  ``b3_commutator_coordinates_by_powers``
 multiplies out each power of the first-generator action letter by letter,
 where the library reads it from a table of the six powers.
+
+``split_by_deletion`` reads the tubular and interior braids of a cabled
+word by one strand deletion per part, where the library sorts every
+crossing into its part in one walk.
 
 ``band_letter_grows`` is the length test of the band letter products by
 cycle counts: q has one cycle fewer than p and passes the simplicity count,
@@ -424,8 +433,15 @@ class DenseSmithForm(NamedTuple):
     factors: tuple
 
 
-def smith_normal_form_dense(matrix):
-    """Exact Smith reduction with greedy minimal pivots."""
+def smith_normal_form_dense(matrix, events=None):
+    """Exact Smith reduction with greedy minimal pivots.  A dict passed as
+    ``events`` counts the "row swap", "column swap" and "divisibility fix"
+    steps of the reduction."""
+    events = {} if events is None else events
+
+    def note(kind):
+        events[kind] = events.get(kind, 0) + 1
+
     a = [list(map(int, row)) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -476,6 +492,7 @@ def smith_normal_form_dense(matrix):
                     add_row(t, i, -q)
                     if a[i][t]:
                         swap_rows(t, i)
+                        note("row swap")
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
@@ -483,6 +500,7 @@ def smith_normal_form_dense(matrix):
                     add_col(t, j, -q)
                     if a[t][j]:
                         swap_cols(t, j)
+                        note("column swap")
                         dirty = True
         # enforce divisibility of the remaining block by the pivot
         fixed = False
@@ -490,6 +508,7 @@ def smith_normal_form_dense(matrix):
             for j in range(t + 1, cols):
                 if a[i][j] % a[t][t]:
                     add_row(i, t, 1)
+                    note("divisibility fix")
                     fixed = True
                     break
             if fixed:
@@ -507,6 +526,16 @@ def smith_normal_form_dense(matrix):
         tuple(tuple(row) for row in v),
         factors,
     )
+
+
+def word_image(image, word):
+    """The permutation a word over the generators maps to under the
+    ``FiniteImageMap``, multiplied out letter by letter."""
+    out = Permutation.identity(image.degree)
+    for g in word:
+        img = image.images[abs(g) - 1]
+        out = out * (img if g > 0 else img.inverse())
+    return out
 
 
 def schreier_edges_by_permutations(image):
@@ -589,6 +618,17 @@ def kernel_coordinates_by_permutations(pres, image, words):
             out.append(transformed[j])
         coords.append(tuple(out))
     return relation_rows, coords
+
+
+def split_by_deletion(w, comp):
+    """The tubular braid and the interior braids of w: the strand deletions
+    keeping the first strand of every tube, and each tube's strands."""
+    firsts = frozenset(comp.block(i)[0] for i in range(1, comp.count + 1))
+    interiors = [
+        W._delete_strands_raw(w, frozenset(comp.block(i)))
+        for i in range(1, comp.count + 1)
+    ]
+    return W._delete_strands_raw(w, firsts), interiors
 
 
 def b3_commutator_coordinates_by_powers(w):

@@ -9,6 +9,7 @@ from braidkit import purebraid as P
 from braidkit import words as W
 from braidkit.garside import classical
 from braidkit.words import BraidWord, band_generator, delta, named_element
+from oracles import split_by_deletion
 
 
 def rand_word(rng, n, length):
@@ -154,17 +155,18 @@ def test_extracting_a_cabled_word_compares_letters_only(monkeypatch):
     assert not calls
 
 
-def test_split_deletes_strands_once_per_part(monkeypatch):
+def test_split_walks_the_word_once(monkeypatch):
     # a deterministic work gate: one split reads the tubular braid and all
-    # k interiors with k + 1 strand deletions
+    # k interiors in one walk over the word, with no strand deletion
     calls = []
-    real = W._delete_strands_raw
+    real = C._parts
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(W, "_delete_strands_raw", counting)
+    monkeypatch.setattr(C, "_parts", counting)
+    monkeypatch.setattr(W, "_delete_strands_raw", None)
     rng = random.Random(21)
     for parts in ((2, 3, 2), (1, 1, 1), (3, 3), (2,)):
         comp = C.Composition(parts)
@@ -172,9 +174,29 @@ def test_split_deletes_strands_once_per_part(monkeypatch):
         ints = [rand_word(rng, m, 4) if m >= 2 else BraidWord.identity(1) for m in parts]
         calls.clear()
         got_tub, got_ints = C.split(C.cable(tub, ints, comp), comp)
-        assert len(calls) == comp.count + 1
+        assert len(calls) == 1
         assert got_tub.letters == tub.letters
         assert [x.letters for x in got_ints] == [x.letters for x in ints]
+
+
+def test_one_walk_matches_strand_deletion_oracle():
+    # cabled words and arbitrary words alike: the walk reads each part as
+    # deleting the strands outside it does
+    rng = random.Random(22)
+    for k in range(150):
+        comp = C.Composition(tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))))
+        if k % 2 and comp.count >= 2:
+            ints = [rand_word(rng, m, 4) if m >= 2 else BraidWord.identity(1)
+                    for m in comp.parts]
+            w = C.cable(rand_word(rng, comp.count, 5), ints, comp)
+        elif comp.total >= 2:
+            w = rand_word(rng, comp.total, rng.randint(0, 30))
+        else:
+            w = BraidWord.identity(1)
+        tub, ints = C._parts(w, comp)
+        want_tub, want_ints = split_by_deletion(w, comp)
+        assert tub == want_tub
+        assert ints == want_ints
 
 
 def test_extract_checks_the_part_before_splitting(monkeypatch):

@@ -13,6 +13,7 @@ from oracles import (
     free_words_check_dfs,
     kernel_coordinates_by_permutations,
     smith_normal_form_dense,
+    word_image,
 )
 
 
@@ -131,6 +132,24 @@ def test_smith_matches_dense_oracle():
         _assert_smith_certificate(rows, S.smith_normal_form(rows))
 
 
+def test_sparse_smith_takes_every_step_of_the_dense_oracle():
+    # Sparse draws like the relation matrices, and the torsion presentation,
+    # between them reach row swaps, column swaps and divisibility fixes.  At
+    # density 0.2 some 12x15 draws grow entries of hundreds of digits under
+    # the greedy rule (ROADMAP item 4), so these keep each entry at 0.15.
+    rng = random.Random(41)
+    events = {}
+    matrices = [
+        [[rng.randint(-3, 3) if rng.random() < 0.15 else 0 for _ in range(15)]
+         for _ in range(12)]
+        for _ in range(200)
+    ]
+    matrices.append(kernel_coordinates_by_permutations(*_torsion_presentation(), [])[0])
+    for m in matrices:
+        _assert_same_as_oracle(S.smith_normal_form(m), smith_normal_form_dense(m, events))
+    assert set(events) == {"row swap", "column swap", "divisibility fix"}
+
+
 def test_matrix_rank_matches_dense_smith_oracle():
     # dense draws stop at 6x6, where the oracle's greedy rule stays fast
     rng = random.Random(31)
@@ -175,6 +194,47 @@ def test_kernel_abelianization_three_strands():
     assert ka.invariant_factors == (0,) * 4
 
 
+def _artin_presentation(n):
+    """The Artin presentation of the n-strand braid group onto the symmetric
+    group, whose kernel is the pure braid group."""
+    rels = [(i, i + 1, i, -(i + 1), -i, -(i + 1)) for i in range(1, n - 1)]
+    rels += [(i, j, -i, -j) for i in range(1, n) for j in range(i + 2, n)]
+    pres = S.FinitePresentation(tuple(f"s{i}" for i in range(1, n)), tuple(rels))
+    image = S.FiniteImageMap(
+        tuple(Permutation.transposition(n, i, i + 1) for i in range(1, n))
+    )
+    return pres, image
+
+
+def test_pure_braid_abelianization():
+    # P_n^ab is free abelian on the C(n, 2) generators A_ij
+    for n in (3, 4, 5):
+        pres, image = _artin_presentation(n)
+        ka = S.kernel_abelianization(pres, image)
+        assert ka.invariant_factors == (0,) * (n * (n - 1) // 2)
+        if n <= 4:
+            rows, _ = kernel_coordinates_by_permutations(pres, image, [])
+            _assert_same_as_oracle(S.smith_normal_form(rows), smith_normal_form_dense(rows))
+
+
+def test_kernel_abelianization_multiplies_no_permutations(monkeypatch):
+    # a deterministic work gate: the built-in presentations are built once,
+    # and the abelianization composes images as tuples
+    assert S.b4_commutator_presentation() is S.b4_commutator_presentation()
+    assert S.b3_commutator_presentation() is S.b3_commutator_presentation()
+    calls = []
+    real = Permutation.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting)
+    ka = S.kernel_abelianization(*S.b4_commutator_presentation())
+    assert ka.invariant_factors == (0,) * 7
+    assert not calls
+
+
 def test_trivial_image_gives_whole_abelianization():
     pres = S.FinitePresentation(("u", "t"), ())
     image = S.FiniteImageMap((Permutation.identity(1), Permutation.identity(1)))
@@ -199,7 +259,7 @@ def test_coordinates_additive_and_kernel_checked():
             word = tuple(
                 rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 10))
             )
-            if image.word_image(word).is_identity():
+            if word_image(image, word).is_identity():
                 return word
 
     for _ in range(25):
@@ -241,7 +301,7 @@ def test_coordinates_match_permutation_rewriting_oracle():
         words = []
         while len(words) < 150:
             word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 14)))
-            if image.word_image(word).is_identity():
+            if word_image(image, word).is_identity():
                 words.append(word)
         _, want = kernel_coordinates_by_permutations(pres, image, words)
         assert [ka.coordinates(w) for w in words] == want
