@@ -28,8 +28,12 @@ Math. 45, 1994).  Reversing a word and sending s_j
 to s_(n-j) is an anti-automorphism of both Garside monoids that fixes the
 Garside element and swaps prefixes with suffixes (Birman-Ko-Lee, Adv. Math.
 139, 1998), so the right normal form of w is the mirror image, factor by
-factor in reverse order, of the left normal form of the mirrored word.  It is
-for output only: the arithmetic reads factors as a left form and refuses it.
+factor in reverse order, of the left normal form of the mirrored word.  The
+factors of that left form are kernel outputs, hence simples, and the mirror
+maps simples to simples, so their arrays are mirrored once
+(``GarsideStructure._mirror_perm``) and the right form is marked checked
+without a second test.  It is for output only: the arithmetic reads factors
+as a left form and refuses it.
 
 Conjugacy is decided through cyclic sliding: iterating the sliding map lands
 on a periodic circuit, and the set SC of all elements on sliding circuits is a
@@ -132,6 +136,9 @@ while the product stays simple; taking a letter can expose only the new
 last live letters of absolute values a - 1, a and a + 1.  The cancellation
 pass leaves its per-value stacks of positions behind, so each exposure is
 read in O(1), a block costs O(taken + n) and no letter is scanned twice.
+A block's simple is one list, grown in place by one swap per letter taken
+once the structure's ``_grows`` has read off that the product stays simple;
+it becomes a tuple once, when the block is inserted.
 A letter that fails waits, still exposed, for the next block of its sign:
 the block grows only by letters that commute with it, and a simple's
 divisors are simples, so it would fail for the rest of the block.
@@ -184,7 +191,8 @@ class GarsideNormalForm:
     """A power of the Garside element plus a weighted sequence of proper
     simples; ``side`` records whether the power sits on the left or right.
     ``_checked`` marks a form whose factors the engine built from kernel
-    outputs, which need no check when they are read as arrays again."""
+    outputs, or mirrored from them, which need no check when they are read
+    as arrays again."""
 
     structure: GarsideStructure
     inf: int
@@ -419,13 +427,14 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
     unless most exposed letters are negative.  A positive block's simple p
     grows on the left, to s_a p; a negative block b is held as p = b^-1,
     which grows on the right, to p s_a, and enters as
-    delta^-1 . (delta b^-1).  ``waiting`` holds the exposed letters by
-    sign; a letter that a block cannot take waits for the next block of
-    its sign."""
+    delta^-1 . (delta b^-1).  p is one list per block, swapped in place
+    after ``_grows`` accepts a letter.  ``waiting`` holds the exposed
+    letters by sign; a letter that a block cannot take waits for the next
+    block of its sign."""
     if w.strands != st.n:
         raise ValueError("strand count does not match the structure")
     letters, below, top = W._cancel_commuting_inverses(w.letters)
-    mul_letter = st._mul_letter
+    grows = st._grows
     waiting: list[list[int]] = [[], []]
     for a in range(1, len(top) - 1):
         i = top[a]
@@ -437,14 +446,18 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
         positive = len(waiting[0]) <= len(waiting[1])
         todo, other = waiting[positive], waiting[not positive]
         failed = waiting[positive] = []
-        p = st._id
+        p = list(st._id)
         while todo:
             a = todo.pop()
-            q = mul_letter(p, a, positive)
-            if q is None:
+            if not grows(p, a, positive):
                 failed.append(a)
                 continue
-            p = q
+            # s_a p swaps the images of a - 1 and a, p s_a swaps the values
+            if positive:
+                p[a - 1], p[a] = p[a], p[a - 1]
+            else:
+                i, k = p.index(a - 1), p.index(a)
+                p[i], p[k] = a, a - 1
             j = top[a] = below[top[a]]
             l, r = top[a - 1], top[a + 1]
             if j > l and j > r:
@@ -455,6 +468,7 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
                     (todo if (letters[l] > 0) == positive else other).append(a - 1)
                 if r > j and r > top[a + 2]:
                     (todo if (letters[r] > 0) == positive else other).append(a + 1)
+        p = tuple(p)
         if positive:
             e += _insert(st, st._twist_perm(p, e), fs)
         else:
@@ -471,14 +485,17 @@ def _mirror(w: BraidWord) -> BraidWord:
 def normal_form(st: GarsideStructure, w: BraidWord, side: str = "left") -> GarsideNormalForm:
     """The unique left (or right) weighted form of the word.
 
-    The right form is the mirror of the left form of the mirrored word."""
+    The right form is the mirror of the left form of the mirrored word:
+    that form's factor arrays, kernel outputs, are mirrored once and not
+    checked again."""
     if side == "left":
         return from_word(st, w)
     if side != "right":
         raise ValueError(f"unknown side {side!r}")
     x = from_word(st, _mirror(w))
-    factors = tuple(st.mirror(f) for f in reversed(x.factors))
-    return GarsideNormalForm(st, x.inf, factors, side="right")
+    kind, n, mirror_perm = st.kind, st.n, st._mirror_perm
+    factors = tuple(Simple(kind, n, mirror_perm(f.key)) for f in reversed(x.factors))
+    return GarsideNormalForm(st, x.inf, factors, side="right", _checked=True)
 
 
 def _check_strands(st: GarsideStructure, a: BraidWord, b: BraidWord) -> None:
@@ -517,7 +534,8 @@ def _slide_step(x: GarsideNormalForm) -> tuple[GarsideNormalForm, Simple]:
     p = preferred_prefix(x)
     if st.is_identity(p):
         return x, p
-    return conjugate(x, simple_nf(st, p)), p
+    # p is a meet's checked output and, below a proper factor, never delta
+    return conjugate(x, GarsideNormalForm(st, 0, (p,), _checked=True)), p
 
 
 def cyclic_sliding(st: GarsideStructure, w: BraidWord) -> BraidWord:

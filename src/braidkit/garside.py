@@ -86,8 +86,9 @@ class GarsideStructure:
     element, the conversions ``_perm0`` (which refuses a key that is not
     simple), ``_from_perm0`` (None for a permutation that is not simple) and
     the checked ``_simple_of_perm0``, ``atom_length``, ``mul``, ``meet``
-    (through ``_weigh``), ``mirror``, ``complement``, the twists, the letter
-    atoms and products, the capped ``simples``, the closure's conjugators
+    (through ``_weigh``), ``complement``, the twists, the letter atoms, the
+    unchecked ``_mirror_perm`` that the engine's right forms mirror kernel
+    outputs with, the capped ``simples``, the closure's conjugators
     ``_proper_simples`` and ``normalize_pair``, the kernel's wrapper on
     ``Simple`` values.  Each of the two lists is built on its first call
     and kept.  Everything generic (normal forms, sliding, conjugacy)
@@ -198,14 +199,6 @@ class GarsideStructure:
             return self._identity
         return self._simple_of_perm0(_pmul(_pinv(x), moved[0]))
 
-    def mirror(self, s: Simple) -> Simple:
-        """Image of s under the anti-automorphism that reverses a word and
-        sends s_j to s_(n-j); it fixes delta and swaps prefixes with suffixes.
-        On permutations: reflect the strands (v -> n-1-v) and invert."""
-        pi = _pinv(self._perm0(s))
-        n = self.n
-        return self._simple_of_perm0(tuple(n - 1 - pi[n - 1 - v] for v in range(n)))
-
     def is_identity(self, s: Simple) -> bool:
         return s == self._identity
 
@@ -267,8 +260,9 @@ class GarsideStructure:
         raise NotImplementedError
 
     def _grows(self, p: tuple, j: int, left: bool) -> bool:
-        """For a simple p: whether s_j p (left) or p s_j is a simple one
-        atom longer than p, read off p before the product is built."""
+        """For a simple p, as a tuple or a list: whether s_j p (left) or
+        p s_j is a simple one atom longer than p, read off p before the
+        product is built."""
         raise NotImplementedError
 
     def _twist_perm(self, p: tuple, k: int) -> tuple:
@@ -279,18 +273,16 @@ class GarsideStructure:
         d, di = self._delta_powers[k], self._delta_powers[-k]
         return tuple(d[p[u]] for u in di)
 
-    def _mul_letter(self, p: tuple, j: int, left: bool) -> tuple | None:
-        """s_j p (left) or p s_j if that is a simple one atom longer than p,
-        else None.  s_j p swaps the images of j - 1 and j, p s_j swaps the
-        values."""
-        if not self._grows(p, j, left):
-            return None
-        q = list(p)
-        if left:
-            q[j - 1], q[j] = p[j], p[j - 1]
-        else:
-            q[p.index(j - 1)], q[p.index(j)] = j, j - 1
-        return tuple(q)
+    def _mirror_perm(self, p: tuple) -> tuple:
+        """The image of the simple p under the anti-automorphism that
+        reverses a word and sends s_j to s_(n-j); it fixes delta and swaps
+        prefixes with suffixes, so it maps simples to simples.  On
+        permutations: reflect the strands (v -> n-1-v) and invert."""
+        n = self.n
+        out = [0] * n
+        for u, v in enumerate(p):
+            out[n - 1 - v] = n - 1 - u
+        return tuple(out)
 
     def _left_complement_perm(self, p: tuple) -> tuple:
         return _pmul(self._delta_perm, _pinv(p))
@@ -438,44 +430,51 @@ class BandStructure(GarsideStructure):
         # c by walking c^-1, which is w -> x[w - 1], so c is never built;
         # then walk each cycle of y from its minimum, which for a simple
         # visits the block in increasing order, and chain the entries of
-        # each label into one cycle of t.  A fixed point of y is a block of
-        # its own and is skipped, and t is built at the first entry that
-        # moves.  Both inputs are simple: every array the engine holds comes
-        # from a checked conversion or a kernel.
+        # each label into one cycle of t, clearing each entry's label as it
+        # is visited.  A fixed point of y is a block of its own and is
+        # skipped, and t and t^-1 are built at the first entry that moves.
+        # Both inputs are simple: every array the engine holds comes from a
+        # checked conversion or a kernel.
         n = self.n
-        label = _cycle_labels(x, 1)
-        t = None
-        first = [0] * n
-        last = [-1] * n  # per label, its latest entry in the current cycle of y
-        done = [False] * n
+        label = [-1] * n
+        count = 0
         for start in range(n):
-            if done[start] or y[start] == start:
+            if label[start] < 0:
+                v = start
+                while label[v] < 0:
+                    label[v] = count
+                    v = x[v - 1]
+                count += 1
+        t = None
+        first = [0] * count
+        last = [-1] * count  # per label, its latest entry in the current cycle of y
+        for start in range(n):
+            if label[start] < 0 or y[start] == start:
                 continue
             opened = []
             v = start
-            while not done[v]:
-                done[v] = True
-                k = label[v]
+            while (k := label[v]) >= 0:
+                label[v] = -1
                 u = last[k]
                 if u < 0:
                     first[k] = v
                     opened.append(k)
                 else:
                     if t is None:
-                        t = list(range(n))
+                        t, tinv = list(range(n)), list(range(n))
                     t[u] = v
+                    tinv[v] = u
                 last[k] = v
                 v = y[v]
             for k in opened:
                 if t is not None:
-                    t[last[k]] = first[k]
+                    u, v = last[k], first[k]
+                    t[u] = v
+                    tinv[v] = u
                 last[k] = -1
         if t is None:
             return None
-        tinv = [0] * n
-        for u, v in enumerate(t):
-            tinv[v] = u
-        return tuple(t[v] for v in x), tuple(y[v] for v in tinv)
+        return tuple(map(t.__getitem__, x)), tuple(map(y.__getitem__, tinv))
 
     def _grows(self, p: tuple, j: int, left: bool) -> bool:
         # the product q is p times the transposition of j - 1 and j, so it

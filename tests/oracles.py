@@ -62,7 +62,11 @@ crossing into its part in one walk.
 
 ``band_letter_grows`` is the length test of the band letter products by
 cycle counts: q has one cycle fewer than p and passes the simplicity count,
-where the library reads one entry of q.
+where the library reads one entry of q.  ``mul_letter`` is one letter
+product as a new tuple, where ``engine.from_word`` grows each block's simple
+in one list, and ``mirror`` the mirror of a simple through the checked
+conversions, where the library mirrors the kernel arrays of a right form
+unchecked (``GarsideStructure._mirror_perm``).
 """
 
 import functools
@@ -222,11 +226,34 @@ def from_word(st, w):
     return out
 
 
+def mirror(st, s):
+    """Image of s under the anti-automorphism that reverses a word and
+    sends s_j to s_(n-j): reflect the strands (v -> n-1-v) and invert, with
+    the key checked on the way in and the result on the way out."""
+    pi = _pinv(st._perm0(s))
+    n = st.n
+    return st._simple_of_perm0(tuple(n - 1 - pi[n - 1 - v] for v in range(n)))
+
+
+def mul_letter(st, p, j, left):
+    """s_j p (left) or p s_j if that is a simple one atom longer than p,
+    else None.  s_j p swaps the images of j - 1 and j, p s_j swaps the
+    values."""
+    if not st._grows(p, j, left):
+        return None
+    q = list(p)
+    if left:
+        q[j - 1], q[j] = p[j], p[j - 1]
+    else:
+        q[p.index(j - 1)], q[p.index(j)] = j, j - 1
+    return tuple(q)
+
+
 def right_normal_form(st, w):
     """The mirror, factor by factor in reverse order, of the left form of the
     mirrored word."""
     x = from_word(st, E._mirror(w))
-    factors = tuple(st.mirror(f) for f in reversed(x.factors))
+    factors = tuple(mirror(st, f) for f in reversed(x.factors))
     return E.GarsideNormalForm(st, x.inf, factors, side="right")
 
 

@@ -989,6 +989,22 @@ def test_word_problem_kernel_calls(monkeypatch):
     assert calls == {"classical": 4814, "band": 9289}
 
 
+def test_normal_forms_make_no_simplicity_checks(monkeypatch):
+    # a deterministic work gate: a normal form on either side is built from
+    # kernel outputs, which are simples, so neither its blocks nor the
+    # mirror of a right form test a permutation.  Mirroring each right
+    # factor through the checked conversions made two simplicity tests.
+    rng = random.Random(71)
+    for n in range(3, 13):
+        words = [rand_word(rng, n, rng.randint(20, 200)) for _ in range(2)]
+        for struct in (classical(n), band(n)):
+            checks = [count_calls(monkeypatch, struct, name) for name in ("_is_simple", "_perm0")]
+            for w in words:
+                for side in ("left", "right"):
+                    x = E.normal_form(struct, w, side)
+                    assert x.factors and checks == [[], []], (struct.kind, n, side)
+
+
 def test_commuting_families_take_linear_work(monkeypatch):
     # a deterministic work gate: a block takes every exposed letter of its
     # sign, positive blocks first, so a product of commuting families is

@@ -19,6 +19,8 @@ from oracles import (
     left_divides,
     left_quotient,
     meet,
+    mirror,
+    mul_letter,
     right_meet,
 )
 
@@ -250,13 +252,23 @@ def test_homogeneous_length():
 
 def test_mirror_is_an_involution_fixing_delta():
     for st in all_structures((2, 3, 4, 5)):
-        assert st.mirror(st.delta()) == st.delta()
+        assert mirror(st, st.delta()) == st.delta()
         for s in st.simples():
-            assert st.mirror(st.mirror(s)) == s
+            assert mirror(st, mirror(st, s)) == s
             # the mirror of a simple's word is a word for the mirrored simple
             word = BraidWord(st.n, st.simple_word(s))
-            mirrored = BraidWord(st.n, st.simple_word(st.mirror(s)))
+            mirrored = BraidWord(st.n, st.simple_word(mirror(st, s)))
             assert E.words_equal(st, mirrored, E._mirror(word))
+
+
+def test_mirror_perm_matches_the_checked_mirror():
+    # the engine mirrors right-form factors on their arrays, unchecked
+    for st in [band(n) for n in range(1, 9)] + [classical(n) for n in range(1, 7)]:
+        assert st._mirror_perm(st._delta_perm) == st._delta_perm
+        for s in st.simples():
+            p = st._mirror_perm(s.key)
+            assert p == mirror(st, s).key
+            assert st._mirror_perm(p) == s.key
 
 
 # The checks of test_band_rejects_crossing_key, run again under ``python -O``,
@@ -268,9 +280,7 @@ from braidkit.garside import Simple, band
 
 st = band(4)
 crossing = Simple("band", 4, (2, 3, 0, 1))
-calls = (
-    ("complement",), ("twist",), ("twist_pow", -1), ("mirror",), ("meet", st.delta())
-)
+calls = (("complement",), ("twist",), ("twist_pow", -1), ("meet", st.delta()))
 for name, *args in calls:
     try:
         getattr(st, name)(crossing, *args)
@@ -284,12 +294,12 @@ print(sys.flags.optimize)
 def test_band_rejects_crossing_key():
     st = band(4)
     crossing = Simple("band", 4, (2, 3, 0, 1))
-    calls = (
-        ("complement",), ("twist",), ("twist_pow", -1), ("mirror",), ("meet", st.delta())
-    )
+    calls = (("complement",), ("twist",), ("twist_pow", -1), ("meet", st.delta()))
     for name, *args in calls:
         with pytest.raises(ValueError):
             getattr(st, name)(crossing, *args)
+    with pytest.raises(ValueError):
+        mirror(st, crossing)
     src = os.path.dirname(os.path.dirname(braidkit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -481,7 +491,7 @@ def test_letter_products_match_mul():
             for j in range(1, st.n):
                 a = st.letter_simple(j)
                 for left, product in ((True, st.mul(a, p)), (False, st.mul(p, a))):
-                    got = st._mul_letter(st._perm0(p), j, left)
+                    got = mul_letter(st, st._perm0(p), j, left)
                     assert got == (None if product is None else st._perm0(product))
 
 
@@ -498,7 +508,7 @@ def test_band_letter_test_matches_cycle_counts():
                 right = [j if v == j - 1 else j - 1 if v == j else v for v in p]
                 for side, q in ((True, tuple(left)), (False, tuple(right))):
                     expected = q if band_letter_grows(st, p, q) else None
-                    assert st._mul_letter(p, j, side) == expected, (p, j, side)
+                    assert mul_letter(st, p, j, side) == expected, (p, j, side)
 
 
 def test_band_twist_pow_is_repeated_twist():
