@@ -45,21 +45,19 @@ def _emit(args, blob: dict, text: str):
         print(text)
 
 
-def _parse_auto(text: str, n: int) -> AutomorphismSpec:
-    """Automorphism syntax: ``lambda``, ``phi``, ``sigma~<i>``, ``delta~``,
-    ``inner:<braid word>``; composites join with ``;`` and apply right to
-    left."""
+def _parse_auto(text: str) -> AutomorphismSpec:
+    """Automorphism syntax on three strands: ``lambda``, ``sigma~<i>``,
+    ``delta~``, ``inner:<braid word>``; composites join with ``;`` and
+    apply right to left."""
     spec = None
     for part in text.split(";"):
         part = part.strip()
         if part == "lambda":
             step = AutomorphismSpec.lambda_()
-        elif part == "phi":
-            step = AutomorphismSpec.phi(n)
         elif part == "delta~":
-            step = AutomorphismSpec.delta_tilde(n)
+            step = AutomorphismSpec.delta_tilde(3)
         elif part.startswith("sigma~") and part[len("sigma~"):].isdecimal():
-            step = AutomorphismSpec.sigma_tilde(int(part[len("sigma~"):]), n)
+            step = AutomorphismSpec.sigma_tilde(int(part[len("sigma~"):]), 3)
         elif part.startswith("inner:"):
             step = AutomorphismSpec.inner(BraidWord.parse(part[len("inner:"):]))
         else:
@@ -161,8 +159,9 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "nf":
-        st = structure(args.structure, BraidWord.parse(args.word).strands)
-        nf = E.normal_form(st, BraidWord.parse(args.word), side=args.side)
+        w = BraidWord.parse(args.word)
+        st = structure(args.structure, w.strands)
+        nf = E.normal_form(st, w, side=args.side)
         factors = " | ".join(
             " ".join(str(k) for k in st.simple_word(f)) or "-" for f in nf.factors
         )
@@ -281,7 +280,7 @@ def _dispatch(args) -> int:
         if args.context == "K4ab":
             m = S.action_matrix(BraidWord.parse(args.arg), "K4ab")
         else:
-            m = S.action_matrix(_parse_auto(args.arg, 3), "B3primeAb")
+            m = S.action_matrix(_parse_auto(args.arg), "B3primeAb")
         _emit(args, {"matrix": [list(r) for r in m]},
               f"[[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]")
         return 0

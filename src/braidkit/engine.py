@@ -62,6 +62,9 @@ is given if it is given one, since the centred shape of an atom's conjugates
 that it strips is a band theorem (Birman-Ko-Lee) and fails classically.  For
 X = delta^-p A_p ... a ... B_p, C_p its first right factor and y Y's atom,
 a strip conjugates by B_p^-1 if B_p y is simple, else by C_p if y C_p is.
+C_p is read off X's arrays by the mirror: the mirrored factors of X in
+reverse order, followed by X's power of delta, are inserted into an empty
+form, and its last factor mirrored back is C_p (``_first_right_factor``).
 If s y is simple, s y = t s for the reflection t = s y s^-1 below s y, so
 y^(s^-1) = t is the atom swapping the images of y's strands under s^-1; if
 y s is simple, y^s swaps their images under s (Bessis 2003).  So Y is never
@@ -136,9 +139,10 @@ while the product stays simple; taking a letter can expose only the new
 last live letters of absolute values a - 1, a and a + 1.  The cancellation
 pass leaves its per-value stacks of positions behind, so each exposure is
 read in O(1), a block costs O(taken + n) and no letter is scanned twice.
-A block's simple is one list, grown in place by one swap per letter taken
-once the structure's ``_grows`` has read off that the product stays simple;
-it becomes a tuple once, when the block is inserted.
+A block is held as its own permutation, one list, which a letter of
+either sign joins by one swap in place once the structure's ``_grows``
+accepts it; a negative block b enters as delta^-1 . (delta b^-1), read off
+that list without an inverse.
 A letter that fails waits, still exposed, for the next block of its sign:
 the block grows only by letters that commute with it, and a simple's
 divisors are simples, so it would fail for the rest of the block.
@@ -169,7 +173,7 @@ from dataclasses import dataclass, field
 from typing import Container, Iterator
 
 from . import words as W
-from .garside import BandStructure, GarsideStructure, Simple, band
+from .garside import BandStructure, GarsideStructure, Simple, _pmul, band
 from .words import BraidWord
 
 _SC_MAX = 20000
@@ -424,13 +428,12 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
     (``words._cancel_commuting_inverses``).  A block takes every exposed
     letter of its sign, one whose later live letters are all far from it,
     while its product stays simple (module docstring): positive blocks,
-    unless most exposed letters are negative.  A positive block's simple p
-    grows on the left, to s_a p; a negative block b is held as p = b^-1,
-    which grows on the right, to p s_a, and enters as
-    delta^-1 . (delta b^-1).  p is one list per block, swapped in place
-    after ``_grows`` accepts a letter.  ``waiting`` holds the exposed
-    letters by sign; a letter that a block cannot take waits for the next
-    block of its sign."""
+    unless most exposed letters are negative.  p is one list per block,
+    the permutation of the block b itself, which grows to s_a^(+-1) b by one
+    swap once ``_grows`` accepts the letter; a negative b enters as
+    delta^-1 . (delta b^-1), whose permutation is delta's followed by p.
+    ``waiting`` holds the exposed letters by sign; a letter that a block
+    cannot take waits for the next block of its sign."""
     if w.strands != st.n:
         raise ValueError("strand count does not match the structure")
     letters, below, top = W._cancel_commuting_inverses(w.letters)
@@ -452,12 +455,8 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
             if not grows(p, a, positive):
                 failed.append(a)
                 continue
-            # s_a p swaps the images of a - 1 and a, p s_a swaps the values
-            if positive:
-                p[a - 1], p[a] = p[a], p[a - 1]
-            else:
-                i, k = p.index(a - 1), p.index(a)
-                p[i], p[k] = a, a - 1
+            # s_a^(+-1) b swaps the images of a - 1 and a
+            p[a - 1], p[a] = p[a], p[a - 1]
             j = top[a] = below[top[a]]
             l, r = top[a - 1], top[a + 1]
             if j > l and j > r:
@@ -468,11 +467,8 @@ def from_word(st: GarsideStructure, w: BraidWord) -> GarsideNormalForm:
                     (todo if (letters[l] > 0) == positive else other).append(a - 1)
                 if r > j and r > top[a + 2]:
                     (todo if (letters[r] > 0) == positive else other).append(a + 1)
-        p = tuple(p)
-        if positive:
-            e += _insert(st, st._twist_perm(p, e), fs)
-        else:
-            e += _insert(st, st._twist_perm(st._left_complement_perm(p), e), fs) - 1
+        p = tuple(p) if positive else _pmul(st._delta_perm, p)
+        e += _insert(st, st._twist_perm(p, e), fs) - (not positive)
     return _from_perms(st, e, fs)
 
 
@@ -758,10 +754,13 @@ def atom_conjugate_shape(x: GarsideNormalForm):
 
 
 def _first_right_factor(x: GarsideNormalForm) -> Simple:
-    """Leading factor of the right normal form; delta when it has none."""
+    """Leading factor of the right normal form; delta when it has none.
+    The mirror of x = delta^p A_1 ... A_r is the mirrored factors in reverse
+    order, then delta^p; its last left factor mirrors to the first right one."""
     st = x.structure
-    right = normal_form(st, x.to_word(), "right").factors
-    return right[0] if right else st.delta()
+    fs: list[tuple] = []
+    _insert_all(st, [st._mirror_perm(f) for f in reversed(_arrays(x))], x.inf, fs)
+    return Simple(st.kind, st.n, st._mirror_perm(fs[-1])) if fs else st.delta()
 
 
 def _atom_ends(st: BandStructure, s: Simple) -> tuple[int, ...] | None:

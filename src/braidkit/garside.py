@@ -260,9 +260,11 @@ class GarsideStructure:
         raise NotImplementedError
 
     def _grows(self, p: tuple, j: int, left: bool) -> bool:
-        """For a simple p, as a tuple or a list: whether s_j p (left) or
-        p s_j is a simple one atom longer than p, read off p before the
-        product is built."""
+        """With left, p is a simple and the question is whether s_j p is a
+        simple one atom longer; without, p is the inverse of a simple b and
+        the question is whether b s_j is.  In both cases the permutation of
+        s_j p, or of (b s_j)^-1 = s_j^-1 p, is p, a tuple or a list, with
+        entries j - 1 and j swapped, and the test reads p before the swap."""
         raise NotImplementedError
 
     def _twist_perm(self, p: tuple, k: int) -> tuple:
@@ -353,11 +355,8 @@ class ClassicalStructure(GarsideStructure):
         return (tuple(a), tuple(b)) if moved else None
 
     def _grows(self, p: tuple, j: int, left: bool) -> bool:
-        # one inversion more exactly when the swapped pair is in order: the
-        # images of j - 1 and j (left), or their preimages
-        if left:
-            return p[j - 1] < p[j]
-        return p.index(j - 1) < p.index(j)
+        # one inversion more exactly when the swapped pair is in order
+        return p[j - 1] < p[j]
 
 
 def _cycle_labels(p, shift: int = 0) -> list:
@@ -483,6 +482,8 @@ class BandStructure(GarsideStructure):
         # to its neighbour j.  q[j - 1] == j exactly when p fixes j (left) or
         # j - 1 (right), and then q puts that point next to its neighbour in
         # the other's block: the cycle still increases, and no block crosses.
+        # Given p^-1 for the right product, the test is the same, since p
+        # and p^-1 fix the same points.
         k = j if left else j - 1
         return p[k] == k
 

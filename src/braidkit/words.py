@@ -88,12 +88,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(tuple(other.images[v - 1] for v in self.images))
 
-    def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for i, v in enumerate(self.images, start=1):
-            images[v - 1] = i
-        return Permutation(tuple(images))
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 
@@ -326,12 +320,12 @@ def dynnikov_coordinates(w: BraidWord, start: Sequence[int] | None = None) -> tu
 
 def same_braid(a: BraidWord, b: BraidWord) -> bool:
     """Whether the two words are the same braid: cancel their common ends
-    (``cancel_common_ends``), answer "equal" on identical middles, and
-    otherwise compare the Dynnikov coordinates of the middles."""
+    (``cancel_common_ends``) and compare the Dynnikov coordinates of the
+    middles, which are both empty for letter-identical words."""
     if a.strands != b.strands:
         raise ValueError("strand-count mismatch")
     a, b = cancel_common_ends(a, b)
-    return a.letters == b.letters or dynnikov_coordinates(a) == dynnikov_coordinates(b)
+    return dynnikov_coordinates(a) == dynnikov_coordinates(b)
 
 
 def exponent_sum(w: BraidWord) -> int:

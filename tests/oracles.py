@@ -47,7 +47,7 @@ divisibility fixes it makes, so a test can show that its draws reach them.
 ``kernel_coordinates_by_permutations`` is the Schreier rewriting on
 ``Permutation`` states that it abelianizes and reads coordinates with,
 ``word_image`` the image of a word as a product of ``Permutation`` images,
-where the library walks its Cayley tables, and
+inverted by ``perm_inverse``, where the library walks its Cayley tables, and
 ``decompose_by_inner_product`` the decomposition by
 one full inner product per irreducible over every partition of n, with the
 module characters built on cycle types by the symmetric-square rule
@@ -63,8 +63,9 @@ crossing into its part in one walk.
 ``band_letter_grows`` is the length test of the band letter products by
 cycle counts: q has one cycle fewer than p and passes the simplicity count,
 where the library reads one entry of q.  ``mul_letter`` is one letter
-product as a new tuple, where ``engine.from_word`` grows each block's simple
-in one list, and ``mirror`` the mirror of a simple through the checked
+product as a new tuple, where ``engine.from_word`` grows each block's own
+permutation in one list, the inverse of the simple for a negative block, by
+one swap per letter of either sign; and ``mirror`` the mirror of a simple through the checked
 conversions, where the library mirrors the kernel arrays of a right form
 unchecked (``GarsideStructure._mirror_perm``).
 """
@@ -238,8 +239,8 @@ def mirror(st, s):
 def mul_letter(st, p, j, left):
     """s_j p (left) or p s_j if that is a simple one atom longer than p,
     else None.  s_j p swaps the images of j - 1 and j, p s_j swaps the
-    values."""
-    if not st._grows(p, j, left):
+    values.  The library's length test reads p^-1 for the right product."""
+    if not st._grows(p if left else _pinv(p), j, left):
         return None
     q = list(p)
     if left:
@@ -555,13 +556,21 @@ def smith_normal_form_dense(matrix, events=None):
     )
 
 
+def perm_inverse(g):
+    """The inverse of a ``words.Permutation``."""
+    images = [0] * g.degree
+    for i, v in enumerate(g.images, start=1):
+        images[v - 1] = i
+    return Permutation(tuple(images))
+
+
 def word_image(image, word):
     """The permutation a word over the generators maps to under the
     ``FiniteImageMap``, multiplied out letter by letter."""
     out = Permutation.identity(image.degree)
     for g in word:
         img = image.images[abs(g) - 1]
-        out = out * (img if g > 0 else img.inverse())
+        out = out * (img if g > 0 else perm_inverse(img))
     return out
 
 
@@ -608,7 +617,7 @@ def rewrite_by_permutations(image, edge_gen, count, word, start):
             if idx is not None:
                 vec[idx] += 1
         else:
-            state = state * img.inverse()
+            state = state * perm_inverse(img)
             idx = edge_gen[(state, -g)]
             if idx is not None:
                 vec[idx] -= 1

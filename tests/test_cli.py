@@ -188,6 +188,12 @@ def test_bad_automorphism_step_is_named(capsys):
     assert one_error_line(capsys, argv) == ["error: unknown automorphism step 'sigma~x'"]
 
 
+def test_phi_is_no_three_strand_automorphism_step(capsys):
+    # phi is defined on four strands and the B3primeAb context has three
+    argv = ["pi", "--context", "B3primeAb", "phi"]
+    assert one_error_line(capsys, argv) == ["error: unknown automorphism step 'phi'"]
+
+
 def test_bad_degree_line_is_named(capsys, tmp_path):
     path = tmp_path / "pres.txt"
     path.write_text("gens: u\ndegree: x\nimage: u = (1 2)\n", encoding="utf-8")

@@ -1005,6 +1005,45 @@ def test_normal_forms_make_no_simplicity_checks(monkeypatch):
                     assert x.factors and checks == [[], []], (struct.kind, n, side)
 
 
+def test_negative_blocks_invert_no_permutation(monkeypatch):
+    # a deterministic work gate: a block is held as its own permutation, so
+    # a negative block grows by the same swap as a positive one and enters
+    # as delta^-1 . (delta b^-1) read off it.  Holding it as the inverse
+    # simple inverted that simple once per negative block.
+    rng = random.Random(72)
+    inverted = count_calls(monkeypatch, G, "_pinv")
+    for n in range(3, 13):
+        for _ in range(2):
+            w = rand_word(rng, n, rng.randint(20, 200))
+            w = BraidWord(n, tuple(-abs(k) if rng.random() < 0.8 else k for k in w.letters))
+            for struct in (classical(n), band(n)):
+                x = E.from_word(struct, w)
+                assert x.factors and x.inf < 0 and inverted == [], (struct.kind, n)
+
+
+def test_first_right_factor_builds_no_word(monkeypatch):
+    # a deterministic work gate: the first right factor is read off the
+    # mirrored arrays of the left form, so no word is spelled and no normal
+    # form read in.  Spelling x and normalising its mirror made one of each.
+    rng = random.Random(73)
+    cases = []
+    for n in range(3, 10):
+        for struct in (classical(n), band(n)):
+            for length in (0, 1, 30):
+                g = rand_word(rng, n, length)
+                for w in (W.conjugate(BraidWord(n, (1,)), g), rand_word(rng, n, length)):
+                    right = E.normal_form(struct, w, "right").factors
+                    cases.append((E.from_word(struct, w), right[0] if right else struct.delta()))
+    normalised = count_calls(monkeypatch, E, "from_word")
+    spelled = []
+    real = E.GarsideNormalForm.to_word
+    monkeypatch.setattr(E.GarsideNormalForm, "to_word",
+                        lambda self: spelled.append(1) or real(self))
+    for x, first in cases:
+        assert E._first_right_factor(x) == first, x
+    assert normalised == [] and spelled == []
+
+
 def test_commuting_families_take_linear_work(monkeypatch):
     # a deterministic work gate: a block takes every exposed letter of its
     # sign, positive blocks first, so a product of commuting families is
