@@ -26,14 +26,14 @@ from .garside import structure
 from .words import AutomorphismSpec, BraidWord, Permutation
 
 
-def _nf_blob(nf) -> dict:
+def _nf_blob(nf, factor_words: list) -> dict:
     return {
         "structure": nf.structure.kind,
         "strands": nf.structure.n,
         "side": nf.side,
         "inf": nf.inf,
         "canonical_length": nf.canonical_length,
-        "factors": [list(nf.structure.simple_word(f)) for f in nf.factors],
+        "factors": [list(word) for word in factor_words],
         "word": nf.to_word().format(),
     }
 
@@ -162,12 +162,13 @@ def _dispatch(args) -> int:
         w = BraidWord.parse(args.word)
         st = structure(args.structure, w.strands)
         nf = E.normal_form(st, w, side=args.side)
-        factors = " | ".join(
-            " ".join(str(k) for k in st.simple_word(f)) or "-" for f in nf.factors
-        )
-        _emit(args, _nf_blob(nf),
-              f"{nf.side} normal form: inf={nf.inf} length={nf.canonical_length} "
-              f"factors: [{factors}]")
+        factor_words = [st.simple_word(f) for f in nf.factors]
+        if args.json:
+            print(json.dumps(_nf_blob(nf, factor_words), sort_keys=True))
+        else:
+            factors = " | ".join(" ".join(map(str, word)) or "-" for word in factor_words)
+            print(f"{nf.side} normal form: inf={nf.inf} length={nf.canonical_length} "
+                  f"factors: [{factors}]")
         return 0
 
     if cmd == "eq":

@@ -232,8 +232,8 @@ class GarsideNormalForm:
 
     def to_word(self) -> BraidWord:
         st = self.structure
-        delta_word = BraidWord(st.n, st.simple_word(st.delta()))
-        factor_words = [BraidWord(st.n, st.simple_word(f)) for f in self.factors]
+        delta_word = BraidWord(st.n, st._word(st._delta_perm))
+        factor_words = [BraidWord(st.n, st._word(p)) for p in _arrays(self)]
         if self.side == "left":
             parts = [W.power(delta_word, self.inf)] + factor_words
         else:
@@ -342,8 +342,7 @@ def _conjugate_simple(
 
 def _from_perms(st: GarsideStructure, inf: int, fs: list[tuple]) -> GarsideNormalForm:
     """The left form delta^inf fs of kernel outputs, which are simples."""
-    kind, n = st.kind, st.n
-    return GarsideNormalForm(st, inf, tuple(Simple(kind, n, p) for p in fs), _checked=True)
+    return GarsideNormalForm(st, inf, tuple(map(st._simple, fs)), _checked=True)
 
 
 def _arrays(x: GarsideNormalForm) -> tuple[tuple, ...]:
@@ -489,8 +488,8 @@ def normal_form(st: GarsideStructure, w: BraidWord, side: str = "left") -> Garsi
     if side != "right":
         raise ValueError(f"unknown side {side!r}")
     x = from_word(st, _mirror(w))
-    kind, n, mirror_perm = st.kind, st.n, st._mirror_perm
-    factors = tuple(Simple(kind, n, mirror_perm(f.key)) for f in reversed(x.factors))
+    simple, mirror_perm = st._simple, st._mirror_perm
+    factors = tuple(simple(mirror_perm(f.key)) for f in reversed(x.factors))
     return GarsideNormalForm(st, x.inf, factors, side="right", _checked=True)
 
 
@@ -520,8 +519,8 @@ def preferred_prefix(x: GarsideNormalForm) -> Simple:
     if not x.factors:
         return st.identity()
     fs = _arrays(x)
-    initial = Simple(st.kind, st.n, st._twist_perm(fs[0], -x.inf))
-    initial_of_inverse = Simple(st.kind, st.n, st._complement_perm(fs[-1]))
+    initial = st._simple(st._twist_perm(fs[0], -x.inf))
+    initial_of_inverse = st._simple(st._complement_perm(fs[-1]))
     return st.meet(initial, initial_of_inverse)
 
 
@@ -599,7 +598,7 @@ def _circuit_search(
     inf, r = circuit[0][0].inf, circuit[0][0].canonical_length
     head = (st.kind, st.n, "left", inf)
     order = st.twist_order
-    delta_word = BraidWord(st.n, st.simple_word(st.delta()))
+    delta_word = BraidWord(st.n, st._word(st._delta_perm))
     found: set[tuple] = set()
     covered: set[tuple] = set()  # every twist of every enqueued vertex
     slid: set[tuple] = set()
@@ -654,11 +653,12 @@ def _circuit_search(
 
 def _spell(st: GarsideStructure, steps) -> BraidWord:
     """The product of the simples and words of the steps, freely reduced:
-    the only place where a conjugator becomes letters."""
+    the only place where a conjugator becomes letters.  Every simple of a
+    step is one the library made, so its key is spelled unchecked."""
     letters: list[int] = []
     for step in steps:
         for part in step:
-            letters += st.simple_word(part) if isinstance(part, Simple) else part.letters
+            letters += st._word(part.key) if isinstance(part, Simple) else part.letters
     return W.free_reduce(BraidWord(st.n, letters))
 
 
@@ -760,12 +760,12 @@ def _first_right_factor(x: GarsideNormalForm) -> Simple:
     st = x.structure
     fs: list[tuple] = []
     _insert_all(st, [st._mirror_perm(f) for f in reversed(_arrays(x))], x.inf, fs)
-    return Simple(st.kind, st.n, st._mirror_perm(fs[-1])) if fs else st.delta()
+    return st._simple(st._mirror_perm(fs[-1])) if fs else st.delta()
 
 
 def _atom_ends(st: BandStructure, s: Simple) -> tuple[int, ...] | None:
-    """The strands the atom s swaps; None if s is no atom."""
-    st._perm0(s)
+    """The strands the atom s swaps; None if s is no atom.  s is a factor
+    of a form the engine built or a ``band_simple``, so it is not checked."""
     return tuple(v for v, w in enumerate(s.key) if v != w) if st._key_length(s.key) == 1 else None
 
 

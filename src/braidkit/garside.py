@@ -22,13 +22,19 @@ cycles(p^-1 delta) = n + 1 (Bessis, "The dual braid monoid", Ann. Sci. ENS
 36, 2003), two O(n) cycle walks; its cycles are then the blocks of a
 non-crossing partition, each sending an entry to the next larger one.  So in
 both structures a is a prefix of b exactly when a^-1 b is simple and the
-atom lengths add (Birman-Ko-Lee, Adv. Math. 139, 1998; Bessis 2003).  Keys
-are tested where they become arrays (``_perm0`` refuses a simple of another
-structure and a key that is not a permutation of range(n) passing the
-structure's ``_is_simple``) and arrays where they become keys
-(``_from_perm0``); the kernels take and return simples only, so neither
-``_weigh`` checks anything, and the engine turns kernel outputs back into
-keys without a test.  The only cache is the list of all simples, built
+atom lengths add (Birman-Ko-Lee, Adv. Math. 139, 1998; Bessis 2003).
+
+``GarsideStructure`` is the one place where a ``Simple`` meets an array.
+Every ``Simple`` that comes in is tested once, by ``_perm0``, which refuses
+a simple of another structure and a key that is not a permutation of
+range(n) passing the structure's ``_is_simple``.  Every array the library
+hands out is wrapped by ``_simple`` without a test: meets, complements,
+twists, weighted pairs, atoms and the enumerations are simples by the
+theorems above, and the exhaustive oracle tests check the maps behind them.
+Only ``mul`` tests its result, since a product of simples need not be
+simple.  The subclasses work on arrays only, and the engine wraps its
+arrays through ``_simple`` too, so neither ``_weigh`` checks anything.  The
+only cache is the list of all simples, built
 once per structure and kept, with the closure's conjugators beside it
 (``simples``, ``_proper_simples``).  Each structure enumerates up to a
 fixed ``cap`` strands, so the largest list is classical(8)'s 8! = 40 320.
@@ -78,21 +84,21 @@ class GarsideStructure:
 
     A subclass sets ``kind``, ``twist_order`` and the enumeration ``cap`` on
     strands, passes the permutation of its Garside element to ``__init__``
-    and supplies the simplicity test ``_is_simple`` of a permutation, the
-    weighting kernel ``_weigh`` that the engine's normal forms run on and
-    its only lattice kernel, the length test ``_grows`` of the letter
-    products, ``_key_length``, ``atoms``, ``_enumerate`` and
-    ``simple_word``.  From these the class derives the identity and Garside
-    element, the conversions ``_perm0`` (which refuses a key that is not
-    simple), ``_from_perm0`` (None for a permutation that is not simple) and
-    the checked ``_simple_of_perm0``, ``atom_length``, ``mul``, ``meet``
-    (through ``_weigh``), ``complement``, the twists, the letter atoms, the
-    unchecked ``_mirror_perm`` that the engine's right forms mirror kernel
-    outputs with, the capped ``simples``, the closure's conjugators
-    ``_proper_simples`` and ``normalize_pair``, the kernel's wrapper on
-    ``Simple`` values.  Each of the two lists is built on its first call
-    and kept.  Everything generic (normal forms, sliding, conjugacy)
-    lives in the engine module and only calls these methods.
+    and supplies, all on permutations, the simplicity test ``_is_simple``,
+    the weighting kernel ``_weigh`` that the engine's normal forms run on
+    and its only lattice kernel, the length test ``_grows`` of the letter
+    products, ``_key_length``, the word ``_word``, and ``atoms`` and
+    ``_enumerate``.  From these the class derives the identity and Garside
+    element, the two conversions ``_perm0`` (a ``Simple`` in, checked) and
+    ``_simple`` (an array the library made out, unchecked), and on
+    ``Simple`` values ``simple_word``, ``atom_length``, ``mul`` (the one
+    result it tests), ``meet`` (through ``_weigh``), ``complement``, the
+    twists, the letter atoms, the capped ``simples``, the closure's
+    conjugators ``_proper_simples`` and ``normalize_pair``, the kernel's
+    wrapper; and on arrays the ``_mirror_perm`` that the engine's right
+    forms mirror kernel outputs with.  Each of the two lists is built on
+    its first call and kept.  Everything generic (normal forms, sliding,
+    conjugacy) lives in the engine module and only calls these methods.
     """
 
     kind: str
@@ -110,8 +116,8 @@ class GarsideStructure:
         self._delta_powers = [self._id]
         for _ in range(self.twist_order - 1):
             self._delta_powers.append(_pmul(self._delta_powers[-1], delta_perm))
-        self._identity = self._simple_of_perm0(self._id)
-        self._delta = self._simple_of_perm0(delta_perm)
+        self._identity = self._simple(self._id)
+        self._delta = self._simple(delta_perm)
         self._simples: tuple[Simple, ...] | None = None
         self._proper: tuple[tuple[Simple, tuple], ...] | None = None
 
@@ -133,8 +139,9 @@ class GarsideStructure:
         """The number of atoms of the simple with this key."""
         raise NotImplementedError
 
-    def simple_word(self, s: Simple) -> tuple[int, ...]:
-        """A positive Artin word for s (deterministic)."""
+    def _word(self, p: tuple) -> tuple[int, ...]:
+        """A positive Artin word for the simple with permutation p
+        (deterministic)."""
         raise NotImplementedError
 
     def _enumerate(self) -> tuple[Simple, ...]:
@@ -142,6 +149,11 @@ class GarsideStructure:
         raise NotImplementedError
 
     # derived ---------------------------------------------------------------
+    def simple_word(self, s: Simple) -> tuple[int, ...]:
+        """A positive Artin word for s (deterministic); ValueError unless s
+        is a simple of this structure."""
+        return self._word(self._perm0(s))
+
     def simples(self) -> tuple[Simple, ...]:
         """Every simple, in a fixed order: enumerated on the first call and
         kept.  The cap is checked on every call."""
@@ -173,7 +185,7 @@ class GarsideStructure:
             raise ValueError(f"letter {j} out of range")
         p = list(self._id)
         p[j - 1], p[j] = j, j - 1
-        return self._simple_of_perm0(tuple(p))
+        return self._simple(tuple(p))
 
     def atom_length(self, s: Simple) -> int:
         """The number of atoms of s; ValueError unless s is a simple of this
@@ -182,12 +194,14 @@ class GarsideStructure:
         return self._key_length(s.key)
 
     def mul(self, a: Simple, b: Simple) -> Simple | None:
-        """The product a.b if it is again simple, else None."""
-        r = self._from_perm0(_pmul(self._perm0(a), self._perm0(b)))
+        """The product a.b if it is again simple, else None: the one result
+        of this class that is tested, since a product of simples need not
+        be simple."""
+        p = _pmul(self._perm0(a), self._perm0(b))
         length = self._key_length
-        if r is None or length(a.key) + length(b.key) != length(r.key):
+        if not self._is_simple(p) or length(a.key) + length(b.key) != length(p):
             return None
-        return r
+        return self._simple(p)
 
     def meet(self, a: Simple, b: Simple) -> Simple:
         """Greatest common prefix of a and b, read off the weighting kernel:
@@ -197,7 +211,7 @@ class GarsideStructure:
         moved = self._weigh(x, self._perm0(b))
         if moved is None:
             return self._identity
-        return self._simple_of_perm0(_pmul(_pinv(x), moved[0]))
+        return self._simple(_pmul(_pinv(x), moved[0]))
 
     def is_identity(self, s: Simple) -> bool:
         return s == self._identity
@@ -207,11 +221,11 @@ class GarsideStructure:
 
     def complement(self, s: Simple) -> Simple:
         """s^-1 . delta."""
-        return self._simple_of_perm0(self._complement_perm(self._perm0(s)))
+        return self._simple(self._complement_perm(self._perm0(s)))
 
     def twist_pow(self, s: Simple, k: int) -> Simple:
         """delta^-k s delta^k."""
-        return self._simple_of_perm0(self._twist_perm(self._perm0(s), k))
+        return self._simple(self._twist_perm(self._perm0(s), k))
 
     def twist(self, s: Simple) -> Simple:
         """delta^-1 s delta."""
@@ -223,7 +237,7 @@ class GarsideStructure:
         moved = self._weigh(self._perm0(x), self._perm0(y))
         if moved is None:
             return x, y, False
-        return self._simple_of_perm0(moved[0]), self._simple_of_perm0(moved[1]), True
+        return self._simple(moved[0]), self._simple(moved[1]), True
 
     def simple_permutation(self, s: Simple) -> Permutation:
         return Permutation(tuple(v + 1 for v in self._perm0(s)))
@@ -232,26 +246,16 @@ class GarsideStructure:
     def _perm0(self, s: Simple) -> tuple:
         """The permutation of s; ValueError unless s is a simple of this
         structure, so every array the kernels see is a simple's."""
-        if s.kind != self.kind or s.n != self.n:
-            raise self._not_simple(s)
         key = s.key
-        if len(key) != self.n or set(key) != self._id_set or not self._is_simple(key):
-            raise self._not_simple(key)
-        return key
+        ours = s.kind == self.kind and s.n == self.n
+        if ours and len(key) == self.n and set(key) == self._id_set and self._is_simple(key):
+            return key
+        raise ValueError(f"{key if ours else s} is not a simple element of {self.kind}({self.n})")
 
-    def _from_perm0(self, p: tuple) -> Simple | None:
-        """The simple whose permutation is p, or None if there is none."""
-        return Simple(self.kind, self.n, p) if self._is_simple(p) else None
-
-    def _simple_of_perm0(self, p) -> Simple:
-        """The simple whose permutation is p; ValueError if there is none."""
-        r = self._from_perm0(p)
-        if r is None:
-            raise self._not_simple(f"permutation {tuple(p)}")
-        return r
-
-    def _not_simple(self, what) -> ValueError:
-        return ValueError(f"{what} is not a simple element of {self.kind}({self.n})")
+    def _simple(self, p: tuple) -> Simple:
+        """The simple whose permutation is p, unchecked: p is an array the
+        library made from simples by a map that keeps them simple."""
+        return Simple(self.kind, self.n, p)
 
     def _weigh(self, x: tuple, y: tuple) -> tuple[tuple, tuple] | None:
         """The weighting kernel: for simples x, y given as permutations,
@@ -310,15 +314,13 @@ class ClassicalStructure(GarsideStructure):
         return tuple(self.letter_simple(j) for j in range(1, self.n))
 
     def _enumerate(self) -> tuple[Simple, ...]:
-        return tuple(
-            self._simple_of_perm0(p) for p in itertools.permutations(range(self.n))
-        )
+        return tuple(map(self._simple, itertools.permutations(range(self.n))))
 
     def _key_length(self, key) -> int:
         return _inversions(key)
 
-    def simple_word(self, s: Simple) -> tuple[int, ...]:
-        x = list(self._perm0(s))
+    def _word(self, p: tuple) -> tuple[int, ...]:
+        x = list(p)
         n = self.n
         letters = []
         while True:
@@ -359,27 +361,20 @@ class ClassicalStructure(GarsideStructure):
         return p[j - 1] < p[j]
 
 
-def _cycle_labels(p, shift: int = 0) -> list:
-    """For each entry, the index of its cycle under the map v -> p[v - shift]
-    (indices mod n; cycles numbered in order of their minima): of p for
-    shift 0, of delta^-1 p, whose cycles are those of p^-1 delta, for
-    shift 1."""
-    labels = [-1] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if labels[start] < 0:
-            v = start
-            while labels[v] < 0:
-                labels[v] = count
-                v = p[v - shift]
-            count += 1
-    return labels
-
-
 def _cycles(p, shift: int = 0) -> int:
     """Number of cycles of the map v -> p[v - shift] (indices mod n): of p
-    for shift 0, of delta^-1 p for shift 1."""
-    return max(_cycle_labels(p, shift)) + 1
+    for shift 0, of delta^-1 p, whose cycles are those of p^-1 delta, for
+    shift 1."""
+    seen = [False] * len(p)
+    count = 0
+    for start in range(len(p)):
+        if not seen[start]:
+            count += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = p[v - shift]
+    return count
 
 
 class BandStructure(GarsideStructure):
@@ -417,7 +412,7 @@ class BandStructure(GarsideStructure):
             for block in blocks:
                 for u, v in zip(block, block[1:] + block[:1]):
                     p[u] = v
-            out.append(Simple(self.kind, self.n, tuple(p)))
+            out.append(self._simple(tuple(p)))
         return tuple(out)
 
     def _key_length(self, key) -> int:
@@ -492,13 +487,12 @@ class BandStructure(GarsideStructure):
             raise ValueError(f"no band between strands {i} and {j} of band({self.n})")
         p = list(self._id)
         p[i - 1], p[j - 1] = j - 1, i - 1
-        return self._simple_of_perm0(tuple(p))
+        return self._simple(tuple(p))
 
-    def simple_word(self, s: Simple) -> tuple[int, ...]:
+    def _word(self, p: tuple) -> tuple[int, ...]:
         # each cycle, a block read from its minimum in increasing order, as
         # bands between neighbours t > u, each spelled as band_generator(u, t)
         # does: s_(t-1) ... s_u and back
-        p = self._perm0(s)
         seen = [False] * self.n
         letters = []
         for start in range(self.n):

@@ -1,5 +1,10 @@
 """Slow reference paths, kept as test oracles for the library's fast ones.
 
+``from_perm0`` and ``simple_of_perm0`` turn a permutation into a simple
+after testing it, where the library wraps only arrays it made, unchecked
+(``GarsideStructure._simple``); ``cycle_labels`` labels each entry by its
+cycle, where the library only counts cycles (``garside._cycles``).
+
 ``meet`` is the greatest common prefix computed apart from the weighting
 kernel ``_weigh``, from which the library derives it: for classical simples
 by moving common first letters, for band simples as the common refinement of
@@ -76,11 +81,41 @@ from typing import NamedTuple
 
 from braidkit import engine as E
 from braidkit import words as W
-from braidkit.garside import Simple, _cycle_labels, _cycles, _pinv, _pmul, classical
+from braidkit.garside import Simple, _cycles, _pinv, _pmul, classical
 from braidkit import reptheory as R
 from braidkit import subgroups as S
 from braidkit.subgroups import _mat_inv_general, mat_mul
 from braidkit.words import BraidWord, Permutation
+
+
+def from_perm0(st, p):
+    """The simple of st whose permutation is p, or None if there is none."""
+    return Simple(st.kind, st.n, p) if st._is_simple(p) else None
+
+
+def simple_of_perm0(st, p):
+    """The simple of st whose permutation is p; ValueError if there is none."""
+    s = from_perm0(st, p)
+    if s is None:
+        raise ValueError(f"permutation {tuple(p)} is not a simple element of {st.kind}({st.n})")
+    return s
+
+
+def cycle_labels(p, shift=0):
+    """For each entry, the index of its cycle under the map v -> p[v - shift]
+    (indices mod n; cycles numbered in order of their minima): of p for
+    shift 0, of delta^-1 p, whose cycles are those of p^-1 delta, for
+    shift 1."""
+    labels = [-1] * len(p)
+    count = 0
+    for start in range(len(p)):
+        if labels[start] < 0:
+            v = start
+            while labels[v] < 0:
+                labels[v] = count
+                v = p[v - shift]
+            count += 1
+    return labels
 
 
 def meet(st, a, b):
@@ -97,15 +132,15 @@ def meet(st, a, b):
                 None,
             )
             if j is None:
-                return st._simple_of_perm0(tuple(m))
+                return simple_of_perm0(st, tuple(m))
             pj, pj1 = m.index(j), m.index(j + 1)
             m[pj], m[pj1] = j + 1, j
             x[j], x[j + 1] = x[j + 1], x[j]
             y[j], y[j + 1] = y[j + 1], y[j]
     # The common refinement of the cycles, each piece chained into one
     # increasing cycle.
-    la = _cycle_labels(st._perm0(a))
-    lb = _cycle_labels(st._perm0(b))
+    la = cycle_labels(st._perm0(a))
+    lb = cycle_labels(st._perm0(b))
     m = list(st._id)
     first, last = {}, {}
     for v in range(st.n):
@@ -122,12 +157,12 @@ def meet(st, a, b):
 
 def left_quotient(st, t, s):
     """t^-1 s for a prefix t of s."""
-    return st._simple_of_perm0(_pmul(_pinv(st._perm0(t)), st._perm0(s)))
+    return simple_of_perm0(st, _pmul(_pinv(st._perm0(t)), st._perm0(s)))
 
 
 def left_divides(st, a, b):
     """Whether a is a prefix of b: a^-1 b is simple and the lengths add."""
-    q = st._from_perm0(_pmul(_pinv(st._perm0(a)), st._perm0(b)))
+    q = from_perm0(st, _pmul(_pinv(st._perm0(a)), st._perm0(b)))
     length = st._key_length
     return q is not None and length(a.key) + length(q.key) == length(b.key)
 
@@ -167,7 +202,7 @@ def right_meet(st, a, b):
             None,
         )
         if j is None:
-            return st._simple_of_perm0(tuple(m))
+            return simple_of_perm0(st, tuple(m))
         m[j], m[j + 1] = m[j + 1], m[j]
         for arr, inv_arr in ((x, xi), (y, yi)):
             pj, pj1 = inv_arr[j], inv_arr[j + 1]
@@ -233,7 +268,7 @@ def mirror(st, s):
     the key checked on the way in and the result on the way out."""
     pi = _pinv(st._perm0(s))
     n = st.n
-    return st._simple_of_perm0(tuple(n - 1 - pi[n - 1 - v] for v in range(n)))
+    return simple_of_perm0(st, tuple(n - 1 - pi[n - 1 - v] for v in range(n)))
 
 
 def mul_letter(st, p, j, left):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ from braidkit import engine as E
 from braidkit import ledger as L
 from braidkit import subgroups as S
 from braidkit.cli import main
-from braidkit.garside import band
+from braidkit.garside import band, structure
+from braidkit.words import BraidWord
 
 
 def run(capsys, *argv):
@@ -27,6 +29,26 @@ def test_nf(capsys):
     assert code == 0 and blob["inf"] == 0 and blob["canonical_length"] == 1
     code, out = run(capsys, "nf", "--structure", "band", "--side", "right", "B3: 1 -2")
     assert code == 0 and "right" in out
+
+
+def test_text_nf_spells_each_factor_once(capsys, monkeypatch):
+    # a deterministic work gate: the factor words are spelled once, and the
+    # JSON blob, with its factor list and word, is built only under --json;
+    # building it for text output too spelled every factor three times
+    rng = random.Random(33)
+    w = "B6: " + " ".join(str(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])) for _ in range(80))
+    for kind in ("band", "classical"):
+        st = structure(kind, 6)
+        real, spelled = st.simple_word, []
+        monkeypatch.setitem(vars(st), "simple_word", lambda s: spelled.append(s) or real(s))
+        code, text = run(capsys, "nf", "--structure", kind, w)
+        r = E.normal_form(st, BraidWord.parse(w)).canonical_length
+        assert code == 0 and len(spelled) == r > 3, (kind, len(spelled), r)
+        code, out = run(capsys, "--json", "nf", "--structure", kind, w)
+        blob = json.loads(out)
+        factors = " | ".join(" ".join(map(str, f)) for f in blob["factors"])
+        assert code == 0 and text.rstrip().endswith(f"factors: [{factors}]")
+        assert len(blob["factors"]) == blob["canonical_length"] == r
 
 
 def test_eq_and_conj(capsys):

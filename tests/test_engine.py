@@ -1005,6 +1005,42 @@ def test_normal_forms_make_no_simplicity_checks(monkeypatch):
                     assert x.factors and checks == [[], []], (struct.kind, n, side)
 
 
+def test_spelling_library_simples_makes_no_simplicity_checks(monkeypatch):
+    # a deterministic work gate: to_word of a form the engine built and
+    # _spell of a conjugacy witness spell keys the library made, so they
+    # test none; spelling each simple through simple_word tested it again.
+    # A form built by hand is still checked when it is spelled.
+    rng = random.Random(72)
+    real_spell, spelled = E._spell, []
+
+    def spell(st, steps):
+        steps = [tuple(step) for step in steps]
+        before = len(checks)
+        u = real_spell(st, steps)
+        simples = sum(isinstance(part, G.Simple) for step in steps for part in step)
+        spelled.append((simples, len(checks) - before))
+        return u
+
+    monkeypatch.setattr(E, "_spell", spell)
+    for n in range(3, 7):
+        for struct in (classical(n), band(n)):
+            checks = count_calls(monkeypatch, struct, "_perm0")
+            for w in [rand_word(rng, n, rng.randint(5, 40)) for _ in range(3)]:
+                for side in ("left", "right"):
+                    x = E.normal_form(struct, w, side)
+                    del checks[:]
+                    word = x.to_word()
+                    assert checks == [], (struct.kind, n, side)
+                    assert W.same_braid(word, w)
+                g = rand_word(rng, n, 6)
+                assert E.conjugacy_solve(struct, w, W.conjugate(w, g)).conjugate
+    assert all(count == 0 for _, count in spelled), spelled
+    assert sum(simples for simples, _ in spelled) > 50
+    crossing = G.Simple("band", 4, (2, 3, 0, 1))
+    with pytest.raises(ValueError, match=r"is not a simple element of band\(4\)"):
+        E.GarsideNormalForm(band(4), 0, (crossing,)).to_word()
+
+
 def test_negative_blocks_invert_no_permutation(monkeypatch):
     # a deterministic work gate: a block is held as its own permutation, so
     # a negative block grows by the same swap as a positive one and enters

@@ -15,6 +15,7 @@ from braidkit.garside import Simple, band, classical
 from braidkit.words import BraidWord
 from oracles import (
     band_letter_grows,
+    from_perm0,
     generic_normalize_pair,
     left_divides,
     left_quotient,
@@ -330,7 +331,7 @@ def test_band_keys_are_permutations_one_per_simple():
         keys = [s.key for s in st._enumerate()]
         assert len(set(keys)) == len(keys) == count
         for s in st._enumerate():
-            assert st._from_perm0(st._perm0(s)) == s
+            assert from_perm0(st, st._perm0(s)) == s
             # the same simple keyed by its blocks, the cycles of its key
             blocks = _noncrossing_blocks_pairwise(s.key)
             with pytest.raises(ValueError, match=rf"is not a simple element of band\({n}\)"):
@@ -367,6 +368,42 @@ def test_atom_length_and_simple_word_refuse_foreign_keys():
         for name in ("atom_length", "simple_word"):
             with pytest.raises(ValueError, match=f"is not a simple element of {st.kind}"):
                 getattr(st, name)(bad)
+
+
+def test_simple_maps_test_each_input_once(monkeypatch):
+    # a deterministic work gate: every Simple that comes in is tested once
+    # (_perm0) and every result is wrapped untested, except that of mul,
+    # whose product need not be simple.  Testing each result again made
+    # meet 3 tests, complement and twist 2, normalize_pair 4 on a moving
+    # pair, and letter_simple and band_simple 1.
+    real = G.BandStructure._is_simple
+    tested = []
+
+    def counting(self, p):
+        tested.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(G.BandStructure, "_is_simple", counting)
+
+    def tests(call, *args):
+        del tested[:]
+        result = call(*args)
+        return len(tested), result
+
+    for n in (4, 5, 6):
+        st = band(n)
+        a, c = st.letter_simple(1), st.letter_simple(3)
+        b = st.mul(a, c)
+        for x, y in ((a, b), (b, a), (b, c)):
+            count, m = tests(st.meet, x, y)
+            assert count == 2 and not st.is_identity(m)
+        assert tests(st.complement, b)[0] == 1
+        assert tests(st.twist, b)[0] == 1
+        count, (_, _, moved) = tests(st.normalize_pair, a, c)
+        assert count == 2 and moved
+        assert tests(st.letter_simple, 2)[0] == 0
+        assert tests(st.band_simple, 1, n)[0] == 0
+        assert tests(st.mul, a, c)[0] == 3
 
 
 def test_band_simple_rejects_bad_strands():
@@ -430,7 +467,7 @@ def test_cycle_count_test_matches_pairwise_noncrossing_check():
         accepted = 0
         for p in itertools.permutations(range(n)):
             expected = _noncrossing_blocks_pairwise(p)
-            got = st._from_perm0(p)
+            got = from_perm0(st, p)
             if expected is None:
                 assert got is None, p
             else:
