@@ -27,14 +27,18 @@ from .words import AutomorphismSpec, BraidWord, Permutation
 
 
 def _nf_blob(nf, factor_words: list) -> dict:
+    """The JSON form of nf; its word is ``nf.to_word()``, built from factor_words."""
+    st = nf.structure
+    delta = W.power(BraidWord(st.n, st._word(st._delta_perm)), nf.inf).letters
+    body = tuple(k for word in factor_words for k in word)
     return {
-        "structure": nf.structure.kind,
-        "strands": nf.structure.n,
+        "structure": st.kind,
+        "strands": st.n,
         "side": nf.side,
         "inf": nf.inf,
         "canonical_length": nf.canonical_length,
         "factors": [list(word) for word in factor_words],
-        "word": nf.to_word().format(),
+        "word": BraidWord(st.n, delta + body if nf.side == "left" else body + delta).format(),
     }
 
 
@@ -162,13 +166,11 @@ def _dispatch(args) -> int:
         w = BraidWord.parse(args.word)
         st = structure(args.structure, w.strands)
         nf = E.normal_form(st, w, side=args.side)
-        factor_words = [st.simple_word(f) for f in nf.factors]
-        if args.json:
-            print(json.dumps(_nf_blob(nf, factor_words), sort_keys=True))
-        else:
-            factors = " | ".join(" ".join(map(str, word)) or "-" for word in factor_words)
-            print(f"{nf.side} normal form: inf={nf.inf} length={nf.canonical_length} "
-                  f"factors: [{factors}]")
+        factor_words = [st._word(p) for p in E._arrays(nf)]
+        factors = " | ".join(" ".join(map(str, word)) or "-" for word in factor_words)
+        _emit(args, _nf_blob(nf, factor_words) if args.json else None,
+              f"{nf.side} normal form: inf={nf.inf} length={nf.canonical_length} "
+              f"factors: [{factors}]")
         return 0
 
     if cmd == "eq":

@@ -33,19 +33,24 @@ def test_nf(capsys):
 
 def test_text_nf_spells_each_factor_once(capsys, monkeypatch):
     # a deterministic work gate: the factor words are spelled once, and the
-    # JSON blob, with its factor list and word, is built only under --json;
-    # building it for text output too spelled every factor three times
+    # JSON blob, with its factor list and word, is built only under --json
+    # from those words and one spelling of Delta; building the blob for text
+    # output too, its word through to_word(), spelled every factor three times
     rng = random.Random(33)
     w = "B6: " + " ".join(str(rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])) for _ in range(80))
     for kind in ("band", "classical"):
         st = structure(kind, 6)
-        real, spelled = st.simple_word, []
-        monkeypatch.setitem(vars(st), "simple_word", lambda s: spelled.append(s) or real(s))
+        real, spelled = st._word, []
+        monkeypatch.setitem(vars(st), "_word", lambda p: spelled.append(p) or real(p))
         code, text = run(capsys, "nf", "--structure", kind, w)
-        r = E.normal_form(st, BraidWord.parse(w)).canonical_length
+        nf = E.normal_form(st, BraidWord.parse(w))
+        r = nf.canonical_length
         assert code == 0 and len(spelled) == r > 3, (kind, len(spelled), r)
+        del spelled[:]
         code, out = run(capsys, "--json", "nf", "--structure", kind, w)
         blob = json.loads(out)
+        assert len(spelled) == r + 1, (kind, len(spelled), r)
+        assert blob["word"] == nf.to_word().format()
         factors = " | ".join(" ".join(map(str, f)) for f in blob["factors"])
         assert code == 0 and text.rstrip().endswith(f"factors: [{factors}]")
         assert len(blob["factors"]) == blob["canonical_length"] == r
